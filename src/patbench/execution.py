@@ -11,12 +11,13 @@ import os
 import re
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
+import numpy as np
 import requests
 
 from .corpus import Corpus
@@ -230,31 +231,24 @@ def run_evaluation(
 
     with ThreadPoolExecutor(max_workers=controls.parallelism) as pool:
         pending = {pool.submit(one, qid): qid for qid in query_ids}
-        futures = set(pending)
-        aborted = False
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in done:
-                qid = pending[fut]
-                try:
-                    ranked, dropped = fut.result()
-                    anomalies += dropped
-                    results[qid] = ranked
-                except AdapterTimeout:
-                    results[qid] = RankedList(
-                        query_id=qid, hits=(), status=STATUS_TIMEOUT
-                    )
-                except Exception as exc:
-                    logger.debug("query %s failed: %s", qid, exc)
-                    errors += 1
-                    results[qid] = RankedList(query_id=qid, hits=(), status=STATUS_ERROR)
+        for fut in as_completed(pending):
+            qid = pending[fut]
+            try:
+                ranked, dropped = fut.result()
+                anomalies += dropped
+                results[qid] = ranked
+            except AdapterTimeout:
+                results[qid] = RankedList(query_id=qid, hits=(), status=STATUS_TIMEOUT)
+            except Exception as exc:
+                logger.debug("query %s failed: %s", qid, exc)
+                errors += 1
+                results[qid] = RankedList(query_id=qid, hits=(), status=STATUS_ERROR)
             if errors * 2 > total:
-                for fut in futures:
-                    fut.cancel()
-                aborted = True
+                for other in pending:
+                    other.cancel()
                 break
 
-    if aborted or errors * 2 > total:
+    if errors * 2 > total:
         raise RunFailureError(
             f"{errors} of {total} queries failed against adapter "
             f"{adapter.adapter_id!r}; aborting run"
@@ -279,6 +273,18 @@ def tally_statuses(record: RunRecord) -> dict[str, int]:
 # score(q, d) = sum over shared terms of
 #     qtf(t) * (1 + ln tf_d(t)) * ln(1 + N / df(t)) / sqrt(len_d)
 # Ties break lexicographically by doc_id.
+#
+# A query is scored over numpy arrays.  Rows are documents in doc_id order,
+# so the row index is the tie-break key.  Each term keeps an int32 row array,
+# a float64 weight array holding 1 + ln tf, and its idf; each row keeps
+# sqrt(len or 1) and an integer family code (-1 for none).  Scores must keep
+# the exact bytes of the term-at-a-time definition above, which the tests
+# hold as their oracle, so:
+#   - weights come from math.log through a table over tf, never np.log,
+#     which may differ in the last bit;
+#   - terms accumulate in the query's Counter order as (qtf * w) * idf;
+#   - the sum is divided by sqrt(len), not multiplied by its reciprocal;
+#   - only documents sharing a term with the query are ranked.
 # ---------------------------------------------------------------------------
 
 
@@ -292,13 +298,20 @@ class ReferenceIndex:
     doc_lengths: dict[str, int]
     n_docs: int
     families: dict[str, str]
+    # Scoring arrays derived from the fields above; see the comment block.
+    doc_ids: list[str]
+    row_of: dict[str, int]
+    terms: dict[str, tuple[np.ndarray, np.ndarray, float]]
+    sqrt_len: np.ndarray
+    family_code: np.ndarray
 
 
 def build_reference_index(corpus: Corpus) -> ReferenceIndex:
     """Inverted index over title, abstract, claims, and description."""
+    doc_ids = sorted(corpus.documents)
     postings: dict[str, dict[str, int]] = {}
     doc_lengths: dict[str, int] = {}
-    for doc_id in sorted(corpus.documents):
+    for doc_id in doc_ids:
         doc = corpus.documents[doc_id]
         tokens = tokenize(
             " ".join((doc.title, doc.abstract, doc.claims, doc.description))
@@ -309,11 +322,32 @@ def build_reference_index(corpus: Corpus) -> ReferenceIndex:
     families = {
         doc_id: doc.family_id for doc_id, doc in corpus.documents.items() if doc.family_id
     }
+
+    n_docs = len(doc_ids)
+    row_of = {doc_id: row for row, doc_id in enumerate(doc_ids)}
+    max_tf = max((max(plist.values()) for plist in postings.values()), default=0)
+    weight_of_tf = np.array([0.0] + [1.0 + math.log(tf) for tf in range(1, max_tf + 1)])
+    terms = {
+        term: (
+            np.fromiter(map(row_of.__getitem__, plist), dtype=np.int32, count=len(plist)),
+            weight_of_tf[np.fromiter(plist.values(), dtype=np.intp, count=len(plist))],
+            math.log(1.0 + n_docs / len(plist)),
+        )
+        for term, plist in postings.items()
+    }
+    code_of = {family: code for code, family in enumerate(sorted(set(families.values())))}
     return ReferenceIndex(
         postings=postings,
         doc_lengths=doc_lengths,
-        n_docs=len(corpus.documents),
+        n_docs=n_docs,
         families=families,
+        doc_ids=doc_ids,
+        row_of=row_of,
+        terms=terms,
+        sqrt_len=np.array([math.sqrt(doc_lengths[doc_id] or 1) for doc_id in doc_ids]),
+        family_code=np.array(
+            [code_of.get(families.get(doc_id, ""), -1) for doc_id in doc_ids], dtype=np.int32
+        ),
     )
 
 
@@ -333,30 +367,30 @@ def reference_retrieve(
     q_tokens = tokenize(query.text)
     if not q_tokens:
         raise EmptyInputError(f"query {query.query_id!r} has no indexable tokens")
-    q_family = index.families.get(query.query_id, "")
 
-    scores: dict[str, float] = {}
+    acc = np.zeros(index.n_docs)
+    touched = np.zeros(index.n_docs, dtype=bool)
     for term, qtf in Counter(q_tokens).items():
-        plist = index.postings.get(term)
-        if not plist:
+        entry = index.terms.get(term)
+        if entry is None:
             continue
-        idf = math.log(1.0 + index.n_docs / len(plist))
-        for doc_id, tf in plist.items():
-            scores[doc_id] = scores.get(doc_id, 0.0) + qtf * (1.0 + math.log(tf)) * idf
+        rows, weights, idf = entry
+        acc[rows] += (qtf * weights) * idf
+        touched[rows] = True
 
-    ranked: list[tuple[str, float]] = []
-    for doc_id in sorted(scores):
-        if doc_id == query.query_id:
-            continue
-        if exclude_family and q_family and index.families.get(doc_id, "") == q_family:
-            continue
-        length = index.doc_lengths.get(doc_id, 0) or 1
-        ranked.append((doc_id, scores[doc_id] / math.sqrt(length)))
-    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
+    q_row = index.row_of.get(query.query_id)
+    if q_row is not None:
+        touched[q_row] = False
+        q_family = index.family_code[q_row]
+        if exclude_family and q_family >= 0:
+            touched &= index.family_code != q_family
 
+    rows = np.flatnonzero(touched)
+    scores = acc[rows] / index.sqrt_len[rows]
+    order = np.lexsort((rows, -scores))[:max_depth]
     hits = tuple(
-        Hit(doc_id=doc_id, score=score, rank=i + 1)
-        for i, (doc_id, score) in enumerate(ranked[:max_depth])
+        Hit(doc_id=index.doc_ids[row], score=score, rank=i + 1)
+        for i, (row, score) in enumerate(zip(rows[order].tolist(), scores[order].tolist()))
     )
     return RankedList(query_id=query.query_id, hits=hits, status=STATUS_OK)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from datetime import date
 
 from patbench.corpus import CitationRecord, Corpus, PatentDocument
@@ -97,3 +99,41 @@ def build_run(dataset, lists, max_depth=100, statuses=None, adapter_id="fixture"
         started="",
         finished="",
     )
+
+
+def scalar_reference_retrieve(query, index, max_depth=100, *, exclude_family=True):
+    """Term-at-a-time spec of the reference retriever, computed from the
+    index's dict fields only.  ``patbench.execution.reference_retrieve`` must
+    match it byte for byte: same hits, same ``repr`` of every score."""
+    from patbench.execution import STATUS_OK, Hit, RankedList, tokenize
+    from patbench.query import EmptyInputError
+
+    q_tokens = tokenize(query.text)
+    if not q_tokens:
+        raise EmptyInputError(f"query {query.query_id!r} has no indexable tokens")
+    q_family = index.families.get(query.query_id, "")
+
+    scores: dict[str, float] = {}
+    for term, qtf in Counter(q_tokens).items():
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        idf = math.log(1.0 + index.n_docs / len(plist))
+        for doc_id, tf in plist.items():
+            scores[doc_id] = scores.get(doc_id, 0.0) + qtf * (1.0 + math.log(tf)) * idf
+
+    ranked: list[tuple[str, float]] = []
+    for doc_id in sorted(scores):
+        if doc_id == query.query_id:
+            continue
+        if exclude_family and q_family and index.families.get(doc_id, "") == q_family:
+            continue
+        length = index.doc_lengths.get(doc_id, 0) or 1
+        ranked.append((doc_id, scores[doc_id] / math.sqrt(length)))
+    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
+
+    hits = tuple(
+        Hit(doc_id=doc_id, score=score, rank=i + 1)
+        for i, (doc_id, score) in enumerate(ranked[:max_depth])
+    )
+    return RankedList(query_id=query.query_id, hits=hits, status=STATUS_OK)

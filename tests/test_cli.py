@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import socket
 
 import pytest
@@ -10,6 +11,7 @@ from patbench.cli import main
 from patbench.execution import sanitize_run_log
 
 BUNDLED = "data/synthetic_corpus.jsonl"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,41 @@ class TestRun:
             assert result.exit_code == 0, result.output
             logs.append(sanitize_run_log(out))
         assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("family", ["exclude", "include"])
+    def test_quick_start_run_matches_golden_log(
+        self, runner, workdir, bundled_corpus_path, family
+    ):
+        # The README quick start; the fixtures pin the reference retriever's
+        # exact hits and score bytes.
+        dataset = workdir / "quickstart_dataset.jsonl"
+        result = runner.invoke(
+            main,
+            [
+                "build-dataset",
+                "--corpus", str(bundled_corpus_path),
+                "--out", str(dataset),
+                "--seed", "7",
+                "--sample-size", "40",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        out = workdir / f"quickstart_run_{family}.jsonl"
+        result = runner.invoke(
+            main,
+            [
+                "run",
+                "--dataset", str(dataset),
+                "--corpus", str(bundled_corpus_path),
+                "--adapter", "reference",
+                "--out", str(out),
+                "--seed", "7",
+                f"--{family}-family",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        golden = GOLDEN_DIR / f"quickstart_run_{family}_family.jsonl"
+        assert sanitize_run_log(out) == golden.read_bytes()
 
     def test_unknown_adapter_exit_2(self, runner, workdir, dataset_path, bundled_corpus_path):
         result = runner.invoke(

@@ -12,7 +12,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_corpus, make_doc
+from helpers import make_corpus, make_doc, scalar_reference_retrieve
 from patbench.dataset import EvaluationDataset, QueryCase
 from patbench.execution import (
     AdapterError,
@@ -323,6 +323,10 @@ def _oracle_scores(corpus, query_text: str) -> dict[str, float]:
     return out
 
 
+_VOCAB = ["rotor", "stator", "pump", "valve", "gear", "seal", "a1", "电", "池", "轴"]
+_DOC_IDS = ["US1A", "US2A", "US10A", "US3B", "EP4A", "EP40A", "CN5A", "CN50A"]
+
+
 class TestReferenceRetriever:
     def _corpus(self):
         return make_corpus(
@@ -432,6 +436,77 @@ class TestReferenceRetriever:
             assert len(ids) <= 50
             scores = [h.score for h in ranked.hits]
             assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+    def test_large_tf_matches_scalar_spec(self):
+        # With numpy 2.4 on x86-64, np.log(9170) and math.log(9170) differ in
+        # the last bit; the weights must come from math.log.
+        corpus = make_corpus(
+            [
+                make_doc("US1A", description="pump " * 9170 + "valve"),
+                make_doc("US2A", description="pump valve seal"),
+                make_doc("US3A", description="valve"),
+            ]
+        )
+        index = build_reference_index(corpus)
+        query = _query("US3A", "pump valve")
+        got = reference_retrieve(query, index)
+        expected = scalar_reference_retrieve(query, index)
+        assert [(h.doc_id, repr(h.score)) for h in got.hits] == [
+            (h.doc_id, repr(h.score)) for h in expected.hits
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        docs=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(_VOCAB), max_size=6),
+                st.sampled_from(["", "", "F1", "F2"]),
+            ),
+            min_size=1,
+            max_size=len(_DOC_IDS),
+        ),
+        queries=st.lists(
+            st.tuples(
+                st.sampled_from(_DOC_IDS + ["US99Z"]),
+                st.lists(st.sampled_from(_VOCAB + ["!!"]), min_size=1, max_size=5),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        max_depth=st.sampled_from([1, 3, 50]),
+        exclude_family=st.booleans(),
+    )
+    def test_matches_scalar_spec_byte_for_byte(self, docs, queries, max_depth, exclude_family):
+        # Small vocabularies and repeated words make score ties common, so
+        # this pins the doc_id tie-break as well as every score's bytes.
+        corpus = make_corpus(
+            [
+                make_doc(
+                    doc_id,
+                    title="",
+                    abstract="",
+                    claims="",
+                    description=" ".join(words),
+                    family_id=family,
+                )
+                for doc_id, (words, family) in zip(_DOC_IDS, docs)
+            ]
+        )
+        index = build_reference_index(corpus)
+        for query_id, words in queries:
+            query = _query(query_id, " ".join(words))
+            kwargs = dict(max_depth=max_depth, exclude_family=exclude_family)
+            try:
+                expected = scalar_reference_retrieve(query, index, **kwargs)
+            except EmptyInputError:
+                with pytest.raises(EmptyInputError):
+                    reference_retrieve(query, index, **kwargs)
+                continue
+            got = reference_retrieve(query, index, **kwargs)
+            assert (got.query_id, got.status) == (expected.query_id, expected.status)
+            assert [(h.doc_id, repr(h.score), h.rank) for h in got.hits] == [
+                (h.doc_id, repr(h.score), h.rank) for h in expected.hits
+            ]
 
 
 class _StubHandler(BaseHTTPRequestHandler):
