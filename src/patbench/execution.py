@@ -483,27 +483,21 @@ def remote_adapter_query(
         if token:
             headers[config.auth_header] = f"{config.auth_scheme} {token}".strip()
 
+    method = config.method.upper()
+    # GET sends the payload as query parameters, every other method as JSON.
+    send = {"params" if method == "GET" else "json": payload}
     last_exc: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt:
             time.sleep(config.backoff_s * (2 ** (attempt - 1)))
         try:
-            if config.method.upper() == "GET":
-                resp = requests.request(
-                    "GET",
-                    config.url,
-                    params=payload,
-                    headers=headers,
-                    timeout=controls.timeout_ms / 1000.0,
-                )
-            else:
-                resp = requests.request(
-                    config.method.upper(),
-                    config.url,
-                    json=payload,
-                    headers=headers,
-                    timeout=controls.timeout_ms / 1000.0,
-                )
+            resp = requests.request(
+                method,
+                config.url,
+                headers=headers,
+                timeout=controls.timeout_ms / 1000.0,
+                **send,
+            )
         except requests.Timeout as exc:
             raise AdapterTimeout(f"{config.adapter_id}: {exc}") from exc
         except requests.ConnectionError as exc:

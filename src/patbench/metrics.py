@@ -6,8 +6,10 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,19 +79,49 @@ def _check_coverage(run: RunRecord, dataset: EvaluationDataset) -> None:
         )
 
 
-def _relevant_family_set(
-    relevant_ids: frozenset[str], family_of: Mapping[str, str]
-) -> frozenset[str]:
-    return frozenset(
-        fam for fam in (family_of.get(rid, "") for rid in relevant_ids) if fam
-    )
-
-
 def _validate_match_args(match_rule: str, family_of: Mapping[str, str] | None) -> None:
     if match_rule not in MATCH_RULES:
         raise ValueError(f"unknown match rule {match_rule!r}")
     if match_rule == MATCH_FAMILY and family_of is None:
         raise ValueError("family match rule requires a family_of mapping")
+
+
+_doc_id = attrgetter("doc_id")
+
+
+def _match(
+    ranked: RankedList,
+    relevant: AbstractSet[str],
+    family_of: Mapping[str, str] | None,
+) -> tuple[int, list[str], list[bool]]:
+    """The match rule.  ``family_of`` is ``None`` for the exact rule.
+
+    A hit matches when its doc_id is relevant or, under the family rule,
+    when it shares a non-empty family with a relevant document.  A relevant
+    document counts as retrieved when it appears anywhere in the list or,
+    under the family rule, when any hit shares its family.  Non-OK results
+    match nothing.  Returns the rank of the earliest matching hit (0 for
+    none), the relevant ids in sorted order and, per id, whether it was
+    retrieved.
+    """
+    relevant_ids = sorted(relevant)
+    if ranked.status != STATUS_OK or not ranked.hits:
+        return 0, relevant_ids, [False] * len(relevant_ids)
+    ids = list(map(_doc_id, ranked.hits))
+    found_ids = relevant.intersection(ids)
+    positions = [ids.index(doc_id) for doc_id in found_ids]
+    retrieved = [rid in found_ids for rid in relevant_ids]
+    families = set(map(family_of.get, relevant_ids)) - {None, ""} if family_of else None
+    if families:
+        hit_families = list(map(family_of.get, ids))
+        found_families = families.intersection(hit_families)
+        positions += [hit_families.index(fam) for fam in found_families]
+        retrieved = [
+            hit or family_of.get(rid) in found_families
+            for rid, hit in zip(relevant_ids, retrieved)
+        ]
+    first = ranked.hits[min(positions)].rank if positions else 0
+    return first, relevant_ids, retrieved
 
 
 def first_relevant_rank(
@@ -104,35 +136,72 @@ def first_relevant_rank(
     sharing a family with a relevant document.  Non-OK results match nothing.
     """
     _validate_match_args(match_rule, family_of)
-    if ranked.status != STATUS_OK:
-        return None
-    if match_rule == MATCH_FAMILY:
-        assert family_of is not None
-        fams = _relevant_family_set(frozenset(relevant), family_of)
-        for hit in ranked.hits:
-            if hit.doc_id in relevant:
-                return hit.rank
-            if fams and family_of.get(hit.doc_id, "") in fams:
-                return hit.rank
-        return None
-    for hit in ranked.hits:
-        if hit.doc_id in relevant:
-            return hit.rank
-    return None
+    first, _, _ = _match(ranked, relevant, family_of if match_rule == MATCH_FAMILY else None)
+    return first or None
 
 
-def _first_ranks(
+@dataclass(frozen=True, eq=False)
+class QueryOutcomes:
+    """What one run retrieved for each query of a dataset under one match rule.
+
+    The per-query columns follow ``dataset.queries`` order.  The pair columns
+    have one row per (query, relevant document): queries in the same order,
+    relevant ids sorted within a query.  Every metric and report is a count
+    or sum over these columns.
+    """
+
+    first_rank: np.ndarray  # int64: rank of the earliest matching hit, 0 for none
+    matched: np.ndarray  # int64: relevant documents retrieved
+    relevant: np.ndarray  # int64: size of the relevant set
+    pair_query: np.ndarray  # int64: the pair's row in the per-query columns
+    pair_doc_id: tuple[str, ...]
+    pair_matched: np.ndarray  # bool
+    depth: int  # the run's max_depth, which recall is measured at
+
+    def detected(self, ks: Sequence[int]) -> np.ndarray:
+        """Boolean (query, k) matrix: a matching hit lies within the top k."""
+        first = self.first_rank[:, None]
+        return (first > 0) & (first <= np.asarray(ks, dtype=np.int64)[None, :])
+
+
+def query_outcomes(
     run: RunRecord,
     dataset: EvaluationDataset,
-    match_rule: str,
-    family_of: Mapping[str, str] | None,
-) -> list[int | None]:
-    return [
-        first_relevant_rank(
-            run.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
+    match_rule: str = MATCH_EXACT,
+    family_of: Mapping[str, str] | None = None,
+) -> QueryOutcomes:
+    """Walk each ranked list of ``run`` once and tabulate its outcomes.
+
+    Raises :class:`CoverageError` unless the run covers exactly the
+    dataset's query ids.
+    """
+    _validate_match_args(match_rule, family_of)
+    _check_coverage(run, dataset)
+    family_map = family_of if match_rule == MATCH_FAMILY else None
+    first_rank: list[int] = []
+    matched: list[int] = []
+    relevant: list[int] = []
+    pair_doc_id: list[str] = []
+    pair_matched: list[bool] = []
+    for case in dataset.queries:
+        first, relevant_ids, retrieved = _match(
+            run.results[case.query_doc_id], case.relevant_ids, family_map
         )
-        for case in dataset.queries
-    ]
+        first_rank.append(first)
+        matched.append(sum(retrieved))
+        relevant.append(len(relevant_ids))
+        pair_doc_id += relevant_ids
+        pair_matched += retrieved
+    relevant_col = np.array(relevant, dtype=np.int64)
+    return QueryOutcomes(
+        first_rank=np.array(first_rank, dtype=np.int64),
+        matched=np.array(matched, dtype=np.int64),
+        relevant=relevant_col,
+        pair_query=np.repeat(np.arange(len(relevant), dtype=np.int64), relevant_col),
+        pair_doc_id=tuple(pair_doc_id),
+        pair_matched=np.array(pair_matched, dtype=bool),
+        depth=run.controls.max_depth,
+    )
 
 
 def topk_detection_rate(
@@ -147,10 +216,8 @@ def topk_detection_rate(
         raise UndefinedMetricError(f"k must be at least 1, got {k}")
     if not dataset.queries:
         raise UndefinedMetricError("detection rate is undefined on an empty dataset")
-    _check_coverage(run, dataset)
-    ranks = _first_ranks(run, dataset, match_rule, family_of)
-    hits = sum(1 for r in ranks if r is not None and r <= k)
-    return hits / len(dataset.queries)
+    outcomes = query_outcomes(run, dataset, match_rule, family_of)
+    return int(outcomes.detected((k,)).sum()) / len(dataset.queries)
 
 
 def detection_curve(
@@ -166,40 +233,10 @@ def detection_curve(
         raise UndefinedMetricError(f"k grid must be strictly increasing and >= 1: {ks}")
     if not dataset.queries:
         raise UndefinedMetricError("detection curve is undefined on an empty dataset")
-    _check_coverage(run, dataset)
-    ranks = _first_ranks(run, dataset, match_rule, family_of)
+    counts = query_outcomes(run, dataset, match_rule, family_of).detected(ks).sum(axis=0)
     n = len(dataset.queries)
-    points = tuple(
-        (k, sum(1 for r in ranks if r is not None and r <= k) / n) for k in ks
-    )
+    points = tuple((k, count / n) for k, count in zip(ks, counts.tolist()))
     return DetectionCurve(points=points, n_queries=n)
-
-
-def _matched_count(
-    ranked: RankedList,
-    relevant: frozenset[str],
-    match_rule: str,
-    family_of: Mapping[str, str] | None,
-) -> int:
-    """Number of relevant documents retrieved anywhere in the returned list."""
-    if ranked.status != STATUS_OK or not ranked.hits:
-        return 0
-    hit_ids = {h.doc_id for h in ranked.hits}
-    if match_rule == MATCH_EXACT:
-        return len(relevant & hit_ids)
-    assert family_of is not None
-    hit_fams = {
-        fam for fam in (family_of.get(h, "") for h in hit_ids) if fam
-    }
-    matched = 0
-    for rid in relevant:
-        if rid in hit_ids:
-            matched += 1
-            continue
-        fam = family_of.get(rid, "")
-        if fam and fam in hit_fams:
-            matched += 1
-    return matched
 
 
 def recall(
@@ -214,27 +251,16 @@ def recall(
     Micro-averaged by default: pooled retrieved-relevant count over pooled
     relevant count.  ``macro=True`` averages per-query recall instead.
     """
-    _validate_match_args(match_rule, family_of)
     if not dataset.queries:
         raise UndefinedMetricError("recall is undefined on an empty dataset")
-    _check_coverage(run, dataset)
+    outcomes = query_outcomes(run, dataset, match_rule, family_of)
     if macro:
         per_query = [
-            _matched_count(
-                run.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
-            )
-            / len(case.relevant_ids)
-            for case in dataset.queries
+            matched / relevant
+            for matched, relevant in zip(outcomes.matched.tolist(), outcomes.relevant.tolist())
         ]
         return sum(per_query) / len(per_query)
-    numerator = 0
-    denominator = 0
-    for case in dataset.queries:
-        numerator += _matched_count(
-            run.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
-        )
-        denominator += len(case.relevant_ids)
-    return numerator / denominator
+    return int(outcomes.matched.sum()) / int(outcomes.relevant.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -266,55 +292,29 @@ def _group_strata(
     return sorted(groups.items())
 
 
-def _per_query_arrays(
-    run_a: RunRecord,
-    run_b: RunRecord,
-    dataset: EvaluationDataset,
-    metric: str,
-    k: int | None,
-    match_rule: str,
-    family_of: Mapping[str, str] | None,
-) -> tuple[np.ndarray, np.ndarray, float, str]:
-    """Per-query paired contributions (u, m) and the observed difference.
+def _paired_contributions(
+    outcomes_a: QueryOutcomes, outcomes_b: QueryOutcomes, metric: str, k: int | None
+) -> tuple[str, float, np.ndarray, np.ndarray | None]:
+    """Name, observed difference and per-query paired contributions (u, m).
 
-    Detection: u is the hit-indicator difference, m is all ones; diff on a
-    resample S is sum(u[S]) / |S|.  Recall (micro): u is the matched-count
-    difference, m the relevant-set size; diff is sum(u[S]) / sum(m[S]).
+    Detection: u is the hit-indicator difference and m is all ones, given as
+    ``None``; diff on a resample S is sum(u[S]) / |S|.  Recall (micro): u is
+    the matched-count difference, m the relevant-set size; diff is
+    sum(u[S]) / sum(m[S]).
     """
-    n = len(dataset.queries)
     if metric == "detection":
         if k is None or k < 1:
             raise UndefinedMetricError("detection metric needs k >= 1")
-        ranks_a = _first_ranks(run_a, dataset, match_rule, family_of)
-        ranks_b = _first_ranks(run_b, dataset, match_rule, family_of)
-        a = np.array(
-            [1.0 if r is not None and r <= k else 0.0 for r in ranks_a], dtype=np.float64
+        hit_a, hit_b = (
+            o.detected((k,))[:, 0].astype(np.float64) for o in (outcomes_a, outcomes_b)
         )
-        b = np.array(
-            [1.0 if r is not None and r <= k else 0.0 for r in ranks_b], dtype=np.float64
-        )
-        u = a - b
-        m = np.ones(n, dtype=np.float64)
-        name = f"top{k}_detection"
-    elif metric == "recall":
-        u_list: list[float] = []
-        m_list: list[float] = []
-        for case in dataset.queries:
-            ca = _matched_count(
-                run_a.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
-            )
-            cb = _matched_count(
-                run_b.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
-            )
-            u_list.append(float(ca - cb))
-            m_list.append(float(len(case.relevant_ids)))
-        u = np.array(u_list, dtype=np.float64)
-        m = np.array(m_list, dtype=np.float64)
-        name = f"recall@{run_a.controls.max_depth}"
-    else:
-        raise UndefinedMetricError(f"unknown bootstrap metric {metric!r}")
-    observed = float(u.sum() / m.sum())
-    return u, m, observed, name
+        u = hit_a - hit_b
+        return f"top{k}_detection", float(u.sum() / len(u)), u, None
+    if metric == "recall":
+        u = (outcomes_a.matched - outcomes_b.matched).astype(np.float64)
+        m = outcomes_a.relevant.astype(np.float64)
+        return f"recall@{outcomes_a.depth}", float(u.sum() / m.sum()), u, m
+    raise UndefinedMetricError(f"unknown bootstrap metric {metric!r}")
 
 
 def _two_sided_p(observed: float, diffs: np.ndarray, weights: np.ndarray | None) -> float:
@@ -410,71 +410,113 @@ def paired_bootstrap(
     ``exhaustive=True`` replaces sampling with full enumeration of the
     resample distribution (small datasets only) and exact probabilities.
     """
-    _validate_match_args(match_rule, family_of)
+    (result,) = paired_bootstrap_outcomes(
+        query_outcomes(run_a, dataset, match_rule, family_of),
+        query_outcomes(run_b, dataset, match_rule, family_of),
+        dataset,
+        ((metric, k),),
+        strata_dims=strata_dims,
+        n_resamples=n_resamples,
+        seed=seed,
+        exhaustive=exhaustive,
+    )
+    return result
+
+
+def paired_bootstrap_outcomes(
+    outcomes_a: QueryOutcomes,
+    outcomes_b: QueryOutcomes,
+    dataset: EvaluationDataset,
+    metrics: Sequence[tuple[str, int | None]],
+    *,
+    strata_dims: Sequence[str] = DEFAULT_BOOTSTRAP_STRATA,
+    n_resamples: int = DEFAULT_N_RESAMPLES,
+    seed: int = 0,
+    exhaustive: bool = False,
+) -> tuple[SignificanceResult, ...]:
+    """:func:`paired_bootstrap` over two outcome tables of ``dataset``, for
+    each ``(metric, k)`` of ``metrics``.
+
+    Every metric is evaluated on the same resamples, drawn once, so each
+    result equals what :func:`paired_bootstrap` gives for that metric alone
+    with the same seed.
+    """
     if not dataset.queries:
         raise UndefinedMetricError("bootstrap is undefined on an empty dataset")
     if not exhaustive and n_resamples < 1000:
         raise ValueError("n_resamples must be at least 1000 (or use exhaustive mode)")
-    _check_coverage(run_a, dataset)
-    _check_coverage(run_b, dataset)
-
-    u, m, observed, metric_name = _per_query_arrays(
-        run_a, run_b, dataset, metric, k, match_rule, family_of
-    )
+    stats = [_paired_contributions(outcomes_a, outcomes_b, metric, k) for metric, k in metrics]
     strata = _group_strata(dataset, strata_dims)
     strata_spec = f"{'x'.join(strata_dims)} ({len(strata)} strata)"
 
     if exhaustive:
         support = _exhaustive_support(strata)
-        diffs = np.array(
-            [u[list(indices)].sum() / m[list(indices)].sum() for indices, _ in support],
-            dtype=np.float64,
-        )
+        n_resamples = len(support)
         weights = np.array([w for _, w in support], dtype=np.float64)
         weights = weights / weights.sum()
-        p = _two_sided_p(observed, diffs, weights)
-        ci_low = _weighted_percentile(diffs, weights, 0.025)
-        ci_high = _weighted_percentile(diffs, weights, 0.975)
-        order = np.argsort(diffs, kind="stable")
-        distribution = tuple(
-            (float(diffs[i]), float(weights[i])) for i in order
-        )
-        return SignificanceResult(
-            metric_name=metric_name,
-            observed_diff=observed,
-            p_value=p,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            n_resamples=len(support),
-            strata_spec=strata_spec,
-            seed=seed,
-            distribution=distribution,
-        )
+        all_diffs = [
+            np.array(
+                [
+                    u[list(indices)].sum()
+                    / (len(indices) if m is None else m[list(indices)].sum())
+                    for indices, _ in support
+                ],
+                dtype=np.float64,
+            )
+            for _, _, u, m in stats
+        ]
+    else:
+        weights = None
+        all_diffs = _resampled_diffs(stats, strata, n_resamples, seed)
 
-    sum_u = np.zeros(n_resamples, dtype=np.float64)
-    sum_m = np.zeros(n_resamples, dtype=np.float64)
+    results = []
+    for (metric_name, observed, _, _), diffs in zip(stats, all_diffs):
+        distribution = None
+        if weights is None:
+            ci_low, ci_high = (float(x) for x in np.percentile(diffs, [2.5, 97.5]))
+        else:
+            ci_low = _weighted_percentile(diffs, weights, 0.025)
+            ci_high = _weighted_percentile(diffs, weights, 0.975)
+            order = np.argsort(diffs, kind="stable")
+            distribution = tuple((float(diffs[i]), float(weights[i])) for i in order)
+        results.append(
+            SignificanceResult(
+                metric_name=metric_name,
+                observed_diff=observed,
+                p_value=_two_sided_p(observed, diffs, weights),
+                ci_low=ci_low,
+                ci_high=ci_high,
+                n_resamples=n_resamples,
+                strata_spec=strata_spec,
+                seed=seed,
+                distribution=distribution,
+            )
+        )
+    return tuple(results)
+
+
+def _resampled_diffs(
+    stats: Sequence[tuple[str, float, np.ndarray, np.ndarray | None]],
+    strata: list[tuple[str, list[int]]],
+    n_resamples: int,
+    seed: int,
+) -> list[np.ndarray]:
+    """Resampled differences of each statistic, all from one draw per chunk.
+
+    Only one gathered ``(chunk, stratum size)`` array is alive at a time.
+    """
+    sum_u = np.zeros((len(stats), n_resamples), dtype=np.float64)
+    sum_m = np.zeros((len(stats), n_resamples), dtype=np.float64)
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(strata))
-    for (key, idxs), child in zip(strata, children):
+    for (_, idxs), child in zip(strata, children):
         rng = np.random.default_rng(child)
-        u_s = u[idxs]
-        m_s = m[idxs]
+        parts = [(u[idxs], None if m is None else m[idxs]) for _, _, u, m in stats]
         n_s = len(idxs)
         for start in range(0, n_resamples, _BOOTSTRAP_CHUNK):
             stop = min(start + _BOOTSTRAP_CHUNK, n_resamples)
             draw = rng.integers(0, n_s, size=(stop - start, n_s))
-            sum_u[start:stop] += u_s[draw].sum(axis=1)
-            sum_m[start:stop] += m_s[draw].sum(axis=1)
-    diffs = sum_u / sum_m
-    p = _two_sided_p(observed, diffs, None)
-    ci_low, ci_high = (float(x) for x in np.percentile(diffs, [2.5, 97.5]))
-    return SignificanceResult(
-        metric_name=metric_name,
-        observed_diff=observed,
-        p_value=p,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        n_resamples=n_resamples,
-        strata_spec=strata_spec,
-        seed=seed,
-    )
+            for j, (u_s, m_s) in enumerate(parts):
+                sum_u[j, start:stop] += np.take(u_s, draw).sum(axis=1)
+                sum_m[j, start:stop] += n_s if m_s is None else np.take(m_s, draw).sum(axis=1)
+    return list(sum_u / sum_m)

@@ -8,21 +8,23 @@ import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .dataset import EvaluationDataset
-from .execution import RunRecord, STATUS_OK
+from .execution import RunRecord
 from .metrics import (
     DEFAULT_BOOTSTRAP_STRATA,
     DEFAULT_K_GRID,
     DEFAULT_N_RESAMPLES,
     MATCH_EXACT,
+    QueryOutcomes,
     SignificanceResult,
     UndefinedMetricError,
-    _matched_count,
-    _first_ranks,
-    paired_bootstrap,
+    paired_bootstrap_outcomes,
+    query_outcomes,
 )
 
 logger = logging.getLogger(__name__)
@@ -111,44 +113,55 @@ class MetricsReport:
     comparison: SystemComparison | None = None
 
 
-def _row_for(
-    run: RunRecord,
+def _groups(labels: Sequence[Hashable]) -> dict[Hashable, list[int]]:
+    """Row indices by label, in first-seen order."""
+    groups: dict[Hashable, list[int]] = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return groups
+
+
+def _breakdown(
+    outcomes: QueryOutcomes,
     dataset: EvaluationDataset,
-    query_indices: Sequence[int],
-    stratum: str,
+    dimension: str,
     ks: tuple[int, ...],
-    first_ranks: Sequence[int | None],
-    match_rule: str,
-    family_of: Mapping[str, str] | None,
-) -> BreakdownRow:
-    n = len(query_indices)
-    hit_counts = tuple(
-        sum(
-            1
-            for i in query_indices
-            if first_ranks[i] is not None and first_ranks[i] <= k
+) -> BreakdownTable:
+    if dimension != OVERALL_DIMENSION and dimension not in REPORT_DIMENSIONS:
+        raise ValueError(f"unknown breakdown dimension {dimension!r}")
+    if not dataset.queries:
+        raise UndefinedMetricError("breakdown is undefined on an empty dataset")
+    # Per query: a hit within each k, then the recall numerator and denominator.
+    columns = np.column_stack((outcomes.detected(ks), outcomes.matched, outcomes.relevant))
+
+    def row(stratum: str, idxs: Sequence[int]) -> BreakdownRow:
+        n = len(idxs)
+        *hit_counts, numerator, denominator = columns[idxs].sum(axis=0).tolist()
+        return BreakdownRow(
+            stratum=stratum,
+            n_queries=n,
+            hit_counts=tuple(hit_counts),
+            rates=tuple(count / n for count in hit_counts),
+            recall_numerator=numerator,
+            recall_denominator=denominator,
+            recall=numerator / denominator,
+            recall_depth=outcomes.depth,
         )
-        for k in ks
+
+    labels = (
+        []
+        if dimension == OVERALL_DIMENSION
+        else [
+            str(dataset.strata.get(case.query_doc_id, {}).get(dimension, "?"))
+            for case in dataset.queries
+        ]
     )
-    rates = tuple(count / n for count in hit_counts)
-    numerator = 0
-    denominator = 0
-    for i in query_indices:
-        case = dataset.queries[i]
-        numerator += _matched_count(
-            run.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
-        )
-        denominator += len(case.relevant_ids)
-    return BreakdownRow(
-        stratum=stratum,
-        n_queries=n,
-        hit_counts=hit_counts,
-        rates=rates,
-        recall_numerator=numerator,
-        recall_denominator=denominator,
-        recall=numerator / denominator,
-        recall_depth=run.controls.max_depth,
+    totals = row(TOTAL_LABEL, range(len(dataset.queries)))
+    rows = tuple(
+        row(label, idxs)
+        for label, idxs in sorted(_groups(labels).items(), key=lambda kv: (-len(kv[1]), kv[0]))
     )
+    return BreakdownTable(dimension=dimension, ks=ks, rows=rows, totals=totals)
 
 
 def breakdown_by(
@@ -166,28 +179,8 @@ def breakdown_by(
     is computed over the whole dataset and therefore equals the overall
     metrics; per-stratum hit counts sum exactly to its counts.
     """
-    if dimension != OVERALL_DIMENSION and dimension not in REPORT_DIMENSIONS:
-        raise ValueError(f"unknown breakdown dimension {dimension!r}")
-    if not dataset.queries:
-        raise UndefinedMetricError("breakdown is undefined on an empty dataset")
-    ks = tuple(ks)
-    first_ranks = _first_ranks(run, dataset, match_rule, family_of)
-
-    groups: dict[str, list[int]] = {}
-    if dimension != OVERALL_DIMENSION:
-        for i, case in enumerate(dataset.queries):
-            label = str(dataset.strata.get(case.query_doc_id, {}).get(dimension, "?"))
-            groups.setdefault(label, []).append(i)
-
-    all_indices = list(range(len(dataset.queries)))
-    totals = _row_for(
-        run, dataset, all_indices, TOTAL_LABEL, ks, first_ranks, match_rule, family_of
-    )
-    rows = tuple(
-        _row_for(run, dataset, idxs, label, ks, first_ranks, match_rule, family_of)
-        for label, idxs in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    )
-    return BreakdownTable(dimension=dimension, ks=ks, rows=rows, totals=totals)
+    outcomes = query_outcomes(run, dataset, match_rule, family_of)
+    return _breakdown(outcomes, dataset, dimension, tuple(ks))
 
 
 def cross_language_recall(
@@ -204,39 +197,31 @@ def cross_language_recall(
     ``unknown`` language bucket.  Only observed pairs produce cells, so a
     monolingual corpus yields no off-diagonal entries.
     """
-    counts: dict[tuple[str, str], list[int]] = {}
-    for case in dataset.queries:
-        qlang = str(
-            dataset.strata.get(case.query_doc_id, {}).get("language", "unknown")
+    outcomes = query_outcomes(run, dataset, match_rule, family_of)
+    query_language = [
+        str(dataset.strata.get(case.query_doc_id, {}).get("language", "unknown"))
+        for case in dataset.queries
+    ]
+    documents = corpus.documents
+    keys = [
+        (query_language[q], doc.language if doc is not None else "unknown")
+        for q, doc in zip(
+            outcomes.pair_query.tolist(), map(documents.get, outcomes.pair_doc_id)
         )
-        ranked = run.results[case.query_doc_id]
-        hit_ids = {h.doc_id for h in ranked.hits} if ranked.status == STATUS_OK else set()
-        hit_fams: set[str] = set()
-        if match_rule == "family" and family_of:
-            hit_fams = {
-                fam for fam in (family_of.get(h, "") for h in hit_ids) if fam
-            }
-        for rid in sorted(case.relevant_ids):
-            doc = corpus.documents.get(rid)
-            rlang = doc.language if doc is not None else "unknown"
-            cell = counts.setdefault((qlang, rlang), [0, 0])
-            cell[0] += 1
-            retrieved = rid in hit_ids
-            if not retrieved and hit_fams:
-                fam = family_of.get(rid, "") if family_of else ""
-                retrieved = bool(fam) and fam in hit_fams
-            if retrieved:
-                cell[1] += 1
-    return tuple(
-        CrossLanguageCell(
-            query_language=qlang,
-            relevant_language=rlang,
-            n_pairs=pair[0],
-            n_retrieved=pair[1],
-            recall=pair[1] / pair[0],
+    ]
+    cells = []
+    for (qlang, rlang), idxs in sorted(_groups(keys).items()):
+        n_retrieved = int(outcomes.pair_matched[idxs].sum())
+        cells.append(
+            CrossLanguageCell(
+                query_language=qlang,
+                relevant_language=rlang,
+                n_pairs=len(idxs),
+                n_retrieved=n_retrieved,
+                recall=n_retrieved / len(idxs),
+            )
         )
-        for (qlang, rlang), pair in sorted(counts.items())
-    )
+    return tuple(cells)
 
 
 def compare_systems(
@@ -268,52 +253,27 @@ def compare_systems(
                 f"{run.dataset_manifest_hash[:12]}..., dataset has {expected[:12]}..."
             )
     ks = tuple(ks)
-    table_a = breakdown_by(
-        run_a, dataset, OVERALL_DIMENSION, ks=ks, match_rule=match_rule, family_of=family_of
-    )
-    table_b = breakdown_by(
-        run_b, dataset, OVERALL_DIMENSION, ks=ks, match_rule=match_rule, family_of=family_of
-    )
+    outcomes_a = query_outcomes(run_a, dataset, match_rule, family_of)
+    outcomes_b = query_outcomes(run_b, dataset, match_rule, family_of)
+    table_a = _breakdown(outcomes_a, dataset, OVERALL_DIMENSION, ks)
+    table_b = _breakdown(outcomes_b, dataset, OVERALL_DIMENSION, ks)
     deltas = tuple(
         rb - ra for ra, rb in zip(table_a.totals.rates, table_b.totals.rates)
     )
     recall_delta = table_b.totals.recall - table_a.totals.recall
 
     sig_k = significance_k if significance_k in ks else ks[min(len(ks) - 1, len(ks) // 2)]
-    significance = (
-        paired_bootstrap(
-            run_b,
-            run_a,
-            dataset,
-            metric="detection",
-            k=sig_k,
-            strata_dims=strata_dims,
-            n_resamples=n_resamples,
-            seed=seed,
-            match_rule=match_rule,
-            family_of=family_of,
-        ),
-        paired_bootstrap(
-            run_b,
-            run_a,
-            dataset,
-            metric="recall",
-            k=None,
-            strata_dims=strata_dims,
-            n_resamples=n_resamples,
-            seed=seed,
-            match_rule=match_rule,
-            family_of=family_of,
-        ),
+    significance = paired_bootstrap_outcomes(
+        outcomes_b,
+        outcomes_a,
+        dataset,
+        (("detection", sig_k), ("recall", None)),
+        strata_dims=strata_dims,
+        n_resamples=n_resamples,
+        seed=seed,
     )
-    breakdowns_a = tuple(
-        breakdown_by(run_a, dataset, dim, ks=ks, match_rule=match_rule, family_of=family_of)
-        for dim in dimensions
-    )
-    breakdowns_b = tuple(
-        breakdown_by(run_b, dataset, dim, ks=ks, match_rule=match_rule, family_of=family_of)
-        for dim in dimensions
-    )
+    breakdowns_a = tuple(_breakdown(outcomes_a, dataset, dim, ks) for dim in dimensions)
+    breakdowns_b = tuple(_breakdown(outcomes_b, dataset, dim, ks) for dim in dimensions)
     return SystemComparison(
         system_a=run_a.controls.adapter_id or "system-a",
         system_b=run_b.controls.adapter_id or "system-b",
@@ -548,6 +508,28 @@ def _comparison_text(comp: SystemComparison) -> str:
     return "\n".join(out)
 
 
+def _svg_frame(
+    width: int, height: int, left: int, top: int, plot_w: int, plot_h: int
+) -> list[str]:
+    """Opening tag, white background and the 0-1 gridlines with labels."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        y = top + plot_h * (1.0 - frac)
+        parts.append(
+            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" y2="{y:.1f}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="12">{frac:.2f}</text>'
+        )
+    return parts
+
+
 def _svg_line_chart(table: BreakdownTable) -> bytes:
     """Minimal hand-rolled line chart: detection rate against the k grid."""
     width, height = 640, 400
@@ -564,22 +546,7 @@ def _svg_line_chart(table: BreakdownTable) -> bytes:
     def y_at(rate: float) -> float:
         return top + plot_h * (1.0 - rate)
 
-    parts: list[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    )
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = y_at(frac)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" y2="{y:.1f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{frac:.2f}</text>'
-        )
+    parts = _svg_frame(width, height, left, top, plot_w, plot_h)
     for i, k in enumerate(ks):
         x = x_at(i)
         parts.append(
@@ -623,22 +590,7 @@ def _svg_recall_bars(table: BreakdownTable) -> bytes:
     slot = plot_w / n
     bar_w = min(60.0, slot * 0.6)
 
-    parts: list[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    )
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = top + plot_h * (1.0 - frac)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" y2="{y:.1f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{frac:.2f}</text>'
-        )
+    parts = _svg_frame(width, height, left, top, plot_w, plot_h)
     for i, row in enumerate(rows):
         x = left + slot * i + (slot - bar_w) / 2
         h = plot_h * row.recall

@@ -137,3 +137,269 @@ def scalar_reference_retrieve(query, index, max_depth=100, *, exclude_family=Tru
         for i, (doc_id, score) in enumerate(ranked[:max_depth])
     )
     return RankedList(query_id=query.query_id, hits=hits, status=STATUS_OK)
+
+
+# ---------------------------------------------------------------------------
+# Scalar specification of the metrics and reports.  Each walks the ranked
+# lists again for every number it reports; ``patbench.metrics`` and
+# ``patbench.report`` compute the same numbers from one outcome table per run
+# and must match these by ``repr``.
+# ---------------------------------------------------------------------------
+
+
+def scalar_first_relevant_rank(ranked, relevant, match_rule="exact", family_of=None):
+    """Rank of the earliest hit matching the relevant set, or ``None``."""
+    if ranked.status != "OK":
+        return None
+    if match_rule == "family":
+        fams = {f for f in (family_of.get(rid, "") for rid in relevant) if f}
+        for hit in ranked.hits:
+            if hit.doc_id in relevant:
+                return hit.rank
+            if fams and family_of.get(hit.doc_id, "") in fams:
+                return hit.rank
+        return None
+    for hit in ranked.hits:
+        if hit.doc_id in relevant:
+            return hit.rank
+    return None
+
+
+def scalar_matched_count(ranked, relevant, match_rule, family_of):
+    """Number of relevant documents retrieved anywhere in the returned list."""
+    if ranked.status != "OK" or not ranked.hits:
+        return 0
+    hit_ids = {h.doc_id for h in ranked.hits}
+    if match_rule == "exact":
+        return len(relevant & hit_ids)
+    hit_fams = {f for f in (family_of.get(h, "") for h in hit_ids) if f}
+    matched = 0
+    for rid in relevant:
+        if rid in hit_ids:
+            matched += 1
+            continue
+        fam = family_of.get(rid, "")
+        if fam and fam in hit_fams:
+            matched += 1
+    return matched
+
+
+def scalar_first_ranks(run, dataset, match_rule, family_of):
+    return [
+        scalar_first_relevant_rank(
+            run.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
+        )
+        for case in dataset.queries
+    ]
+
+
+def scalar_recall(run, dataset, match_rule="exact", family_of=None, macro=False):
+    counts = [
+        (
+            scalar_matched_count(
+                run.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
+            ),
+            len(case.relevant_ids),
+        )
+        for case in dataset.queries
+    ]
+    if macro:
+        per_query = [matched / relevant for matched, relevant in counts]
+        return sum(per_query) / len(per_query)
+    numerator = 0
+    denominator = 0
+    for matched, relevant in counts:
+        numerator += matched
+        denominator += relevant
+    return numerator / denominator
+
+
+def _scalar_row(run, dataset, query_indices, stratum, ks, first_ranks, match_rule, family_of):
+    from patbench.report import BreakdownRow
+
+    n = len(query_indices)
+    hit_counts = tuple(
+        sum(1 for i in query_indices if first_ranks[i] is not None and first_ranks[i] <= k)
+        for k in ks
+    )
+    numerator = 0
+    denominator = 0
+    for i in query_indices:
+        case = dataset.queries[i]
+        numerator += scalar_matched_count(
+            run.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
+        )
+        denominator += len(case.relevant_ids)
+    return BreakdownRow(
+        stratum=stratum,
+        n_queries=n,
+        hit_counts=hit_counts,
+        rates=tuple(count / n for count in hit_counts),
+        recall_numerator=numerator,
+        recall_denominator=denominator,
+        recall=numerator / denominator,
+        recall_depth=run.controls.max_depth,
+    )
+
+
+def scalar_breakdown_by(run, dataset, dimension, ks, match_rule="exact", family_of=None):
+    from patbench.report import OVERALL_DIMENSION, TOTAL_LABEL, BreakdownTable
+
+    ks = tuple(ks)
+    first_ranks = scalar_first_ranks(run, dataset, match_rule, family_of)
+    groups = {}
+    if dimension != OVERALL_DIMENSION:
+        for i, case in enumerate(dataset.queries):
+            label = str(dataset.strata.get(case.query_doc_id, {}).get(dimension, "?"))
+            groups.setdefault(label, []).append(i)
+    args = (ks, first_ranks, match_rule, family_of)
+    totals = _scalar_row(run, dataset, range(len(dataset.queries)), TOTAL_LABEL, *args)
+    rows = tuple(
+        _scalar_row(run, dataset, idxs, label, *args)
+        for label, idxs in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    )
+    return BreakdownTable(dimension=dimension, ks=ks, rows=rows, totals=totals)
+
+
+def scalar_cross_language_recall(run, dataset, corpus, match_rule="exact", family_of=None):
+    from patbench.report import CrossLanguageCell
+
+    counts = {}
+    for case in dataset.queries:
+        qlang = str(dataset.strata.get(case.query_doc_id, {}).get("language", "unknown"))
+        ranked = run.results[case.query_doc_id]
+        hit_ids = {h.doc_id for h in ranked.hits} if ranked.status == "OK" else set()
+        hit_fams = set()
+        if match_rule == "family" and family_of:
+            hit_fams = {f for f in (family_of.get(h, "") for h in hit_ids) if f}
+        for rid in sorted(case.relevant_ids):
+            doc = corpus.documents.get(rid)
+            cell = counts.setdefault((qlang, doc.language if doc else "unknown"), [0, 0])
+            cell[0] += 1
+            retrieved = rid in hit_ids
+            if not retrieved and hit_fams:
+                fam = family_of.get(rid, "")
+                retrieved = bool(fam) and fam in hit_fams
+            if retrieved:
+                cell[1] += 1
+    return tuple(
+        CrossLanguageCell(
+            query_language=qlang,
+            relevant_language=rlang,
+            n_pairs=pair[0],
+            n_retrieved=pair[1],
+            recall=pair[1] / pair[0],
+        )
+        for (qlang, rlang), pair in sorted(counts.items())
+    )
+
+
+def scalar_per_query_arrays(run_a, run_b, dataset, metric, k, match_rule, family_of):
+    """Per-query paired contributions (u, m), the observed difference and the
+    metric name, each run's lists walked again."""
+    import numpy as np
+
+    if metric == "detection":
+        ranks_a = scalar_first_ranks(run_a, dataset, match_rule, family_of)
+        ranks_b = scalar_first_ranks(run_b, dataset, match_rule, family_of)
+        a = np.array([1.0 if r is not None and r <= k else 0.0 for r in ranks_a])
+        b = np.array([1.0 if r is not None and r <= k else 0.0 for r in ranks_b])
+        u = a - b
+        m = np.ones(len(dataset.queries), dtype=np.float64)
+        name = f"top{k}_detection"
+    else:
+        u_list = []
+        m_list = []
+        for case in dataset.queries:
+            ca = scalar_matched_count(
+                run_a.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
+            )
+            cb = scalar_matched_count(
+                run_b.results[case.query_doc_id], case.relevant_ids, match_rule, family_of
+            )
+            u_list.append(float(ca - cb))
+            m_list.append(float(len(case.relevant_ids)))
+        u = np.array(u_list, dtype=np.float64)
+        m = np.array(m_list, dtype=np.float64)
+        name = f"recall@{run_a.controls.max_depth}"
+    return u, m, float(u.sum() / m.sum()), name
+
+
+def scalar_paired_bootstrap(
+    run_a, run_b, dataset, *, metric, k, strata_dims, n_resamples, seed, match_rule, family_of
+):
+    """Sampled-mode stratified paired bootstrap, one draw of its own per
+    metric.  Strata grouping and the p-value are shared with the package."""
+    import numpy as np
+
+    from patbench.metrics import SignificanceResult, _group_strata, _two_sided_p
+
+    u, m, observed, name = scalar_per_query_arrays(
+        run_a, run_b, dataset, metric, k, match_rule, family_of
+    )
+    strata = _group_strata(dataset, strata_dims)
+    sum_u = np.zeros(n_resamples, dtype=np.float64)
+    sum_m = np.zeros(n_resamples, dtype=np.float64)
+    children = np.random.SeedSequence(seed).spawn(len(strata))
+    for (_, idxs), child in zip(strata, children):
+        rng = np.random.default_rng(child)
+        u_s = u[idxs]
+        m_s = m[idxs]
+        n_s = len(idxs)
+        for start in range(0, n_resamples, 2048):
+            stop = min(start + 2048, n_resamples)
+            draw = rng.integers(0, n_s, size=(stop - start, n_s))
+            sum_u[start:stop] += u_s[draw].sum(axis=1)
+            sum_m[start:stop] += m_s[draw].sum(axis=1)
+    diffs = sum_u / sum_m
+    ci_low, ci_high = (float(x) for x in np.percentile(diffs, [2.5, 97.5]))
+    return SignificanceResult(
+        metric_name=name,
+        observed_diff=observed,
+        p_value=_two_sided_p(observed, diffs, None),
+        ci_low=ci_low,
+        ci_high=ci_high,
+        n_resamples=n_resamples,
+        strata_spec=f"{'x'.join(strata_dims)} ({len(strata)} strata)",
+        seed=seed,
+    )
+
+
+def scalar_compare_systems(
+    run_a, run_b, dataset, *, ks, dimensions, match_rule, family_of, n_resamples, seed,
+    strata_dims, significance_k=10,
+):
+    from patbench.report import OVERALL_DIMENSION, SystemComparison
+
+    ks = tuple(ks)
+    table_a = scalar_breakdown_by(run_a, dataset, OVERALL_DIMENSION, ks, match_rule, family_of)
+    table_b = scalar_breakdown_by(run_b, dataset, OVERALL_DIMENSION, ks, match_rule, family_of)
+    sig_k = significance_k if significance_k in ks else ks[min(len(ks) - 1, len(ks) // 2)]
+    common = dict(
+        strata_dims=strata_dims, n_resamples=n_resamples, seed=seed,
+        match_rule=match_rule, family_of=family_of,
+    )
+    return SystemComparison(
+        system_a=run_a.controls.adapter_id or "system-a",
+        system_b=run_b.controls.adapter_id or "system-b",
+        ks=ks,
+        table_a=table_a,
+        table_b=table_b,
+        deltas=tuple(rb - ra for ra, rb in zip(table_a.totals.rates, table_b.totals.rates)),
+        recall_delta=table_b.totals.recall - table_a.totals.recall,
+        recall_depth=run_a.controls.max_depth,
+        significance=(
+            scalar_paired_bootstrap(
+                run_b, run_a, dataset, metric="detection", k=sig_k, **common
+            ),
+            scalar_paired_bootstrap(run_b, run_a, dataset, metric="recall", k=None, **common),
+        ),
+        breakdowns_a=tuple(
+            scalar_breakdown_by(run_a, dataset, dim, ks, match_rule, family_of)
+            for dim in dimensions
+        ),
+        breakdowns_b=tuple(
+            scalar_breakdown_by(run_b, dataset, dim, ks, match_rule, family_of)
+            for dim in dimensions
+        ),
+    )

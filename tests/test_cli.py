@@ -67,6 +67,47 @@ def run_paths(runner, workdir, dataset_path, bundled_corpus_path):
     return paths
 
 
+@pytest.fixture(scope="module")
+def quickstart(runner, workdir, bundled_corpus_path):
+    """The README quick start: dataset and run logs with and without family
+    exclusion, plus a run on a 120-character query budget whose ranking
+    differs enough to give the bootstrap something to resample."""
+    dataset = workdir / "quickstart_dataset.jsonl"
+    result = runner.invoke(
+        main,
+        [
+            "build-dataset",
+            "--corpus", str(bundled_corpus_path),
+            "--out", str(dataset),
+            "--seed", "7",
+            "--sample-size", "40",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    paths = {"dataset": dataset, "corpus": bundled_corpus_path}
+    for name, extra in (
+        ("exclude", ["--exclude-family"]),
+        ("include", ["--include-family"]),
+        ("short", ["--max-chars", "120"]),
+    ):
+        out = workdir / f"quickstart_run_{name}.jsonl"
+        result = runner.invoke(
+            main,
+            [
+                "run",
+                "--dataset", str(dataset),
+                "--corpus", str(bundled_corpus_path),
+                "--adapter", "reference",
+                "--out", str(out),
+                "--seed", "7",
+            ]
+            + extra,
+        )
+        assert result.exit_code == 0, result.output
+        paths[name] = out
+    return paths
+
+
 class TestBuildDataset:
     def test_build_succeeds_and_reports(self, runner, workdir, bundled_corpus_path):
         out = workdir / "build_smoke.jsonl"
@@ -189,39 +230,11 @@ class TestRun:
         assert logs[0] == logs[1]
 
     @pytest.mark.parametrize("family", ["exclude", "include"])
-    def test_quick_start_run_matches_golden_log(
-        self, runner, workdir, bundled_corpus_path, family
-    ):
+    def test_quick_start_run_matches_golden_log(self, quickstart, family):
         # The README quick start; the fixtures pin the reference retriever's
         # exact hits and score bytes.
-        dataset = workdir / "quickstart_dataset.jsonl"
-        result = runner.invoke(
-            main,
-            [
-                "build-dataset",
-                "--corpus", str(bundled_corpus_path),
-                "--out", str(dataset),
-                "--seed", "7",
-                "--sample-size", "40",
-            ],
-        )
-        assert result.exit_code == 0, result.output
-        out = workdir / f"quickstart_run_{family}.jsonl"
-        result = runner.invoke(
-            main,
-            [
-                "run",
-                "--dataset", str(dataset),
-                "--corpus", str(bundled_corpus_path),
-                "--adapter", "reference",
-                "--out", str(out),
-                "--seed", "7",
-                f"--{family}-family",
-            ],
-        )
-        assert result.exit_code == 0, result.output
         golden = GOLDEN_DIR / f"quickstart_run_{family}_family.jsonl"
-        assert sanitize_run_log(out) == golden.read_bytes()
+        assert sanitize_run_log(quickstart[family]) == golden.read_bytes()
 
     def test_unknown_adapter_exit_2(self, runner, workdir, dataset_path, bundled_corpus_path):
         result = runner.invoke(
@@ -480,3 +493,106 @@ class TestCompare:
             ],
         )
         assert result.exit_code == 4
+
+
+class TestGoldenReports:
+    """Every report file of the quick start, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("evaluate_exact", ["evaluate", "--run", "{exclude}", "--corpus", "{corpus}"]),
+            (
+                "evaluate_family",
+                ["evaluate", "--run", "{exclude}", "--corpus", "{corpus}",
+                 "--match-rule", "family"],
+            ),
+            (
+                "compare",
+                ["compare", "--run-a", "{exclude}", "--run-b", "{include}",
+                 "--seed", "7", "--n-resamples", "2000"],
+            ),
+            (
+                "compare_short_family",
+                ["compare", "--run-a", "{exclude}", "--run-b", "{short}",
+                 "--corpus", "{corpus}", "--match-rule", "family",
+                 "--dimensions", "language,ipc_section,jurisdiction",
+                 "--seed", "7", "--n-resamples", "2000"],
+            ),
+        ],
+    )
+    def test_reports_match_golden(self, runner, workdir, quickstart, name, args):
+        out_dir = workdir / f"golden_{name}"
+        argv = [arg.format(**quickstart) for arg in args] + [
+            "--dataset", str(quickstart["dataset"]), "--out", str(out_dir),
+        ]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        golden = GOLDEN_DIR / f"quickstart_{name}"
+        expected = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in out_dir.iterdir()) == expected
+        for file_name in expected:
+            assert (out_dir / file_name).read_bytes() == (golden / file_name).read_bytes(), (
+                file_name
+            )
+
+
+class TestRunCoverage:
+    """A run log must cover exactly the dataset's queries (exit 2 otherwise)."""
+
+    @pytest.fixture
+    def uncovered_log(self, tmp_path, run_paths, request):
+        lines = run_paths["a"].read_text().splitlines(keepends=True)
+        if request.param == "truncated":
+            dropped = json.loads(lines.pop())
+            named = dropped["query_id"]
+        else:
+            named = "ZZ999999A"
+            lines.append(
+                json.dumps(
+                    {"kind": "ranked_list", "query_id": named, "status": "OK",
+                     "latency_ms": 0, "hits": []}
+                )
+                + "\n"
+            )
+        path = tmp_path / f"run_{request.param}.jsonl"
+        path.write_text("".join(lines))
+        return path, named
+
+    @pytest.mark.parametrize("uncovered_log", ["truncated", "extended"], indirect=True)
+    def test_evaluate_exit_2(self, runner, tmp_path, dataset_path, uncovered_log):
+        path, named = uncovered_log
+        result = runner.invoke(
+            main,
+            [
+                "evaluate",
+                "--run", str(path),
+                "--dataset", str(dataset_path),
+                "--out", str(tmp_path / "eval"),
+                "--k-grid", "1,10",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "does not cover the dataset" in result.output
+        assert named in result.output
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("uncovered_log", ["truncated", "extended"], indirect=True)
+    def test_compare_exit_2(self, runner, tmp_path, dataset_path, run_paths, uncovered_log):
+        path, named = uncovered_log
+        result = runner.invoke(
+            main,
+            [
+                "compare",
+                "--run-a", str(run_paths["b"]),
+                "--run-b", str(path),
+                "--dataset", str(dataset_path),
+                "--out", str(tmp_path / "cmp"),
+                "--k-grid", "1,10",
+                "--n-resamples", "1000",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "does not cover the dataset" in result.output
+        assert named in result.output
+        assert not (tmp_path / "cmp").exists()

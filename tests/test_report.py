@@ -3,10 +3,30 @@ from __future__ import annotations
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import build_eval_dataset, build_run, make_corpus, make_doc
-from patbench.metrics import UndefinedMetricError
+from helpers import (
+    build_eval_dataset,
+    build_run,
+    make_corpus,
+    make_doc,
+    scalar_breakdown_by,
+    scalar_compare_systems,
+    scalar_cross_language_recall,
+    scalar_first_relevant_rank,
+    scalar_recall,
+)
+from patbench.metrics import (
+    UndefinedMetricError,
+    detection_curve,
+    first_relevant_rank,
+    recall,
+    topk_detection_rate,
+)
 from patbench.report import (
+    OVERALL_DIMENSION,
+    REPORT_DIMENSIONS,
     IntegrityMismatchError,
     MetricsReport,
     breakdown_by,
@@ -380,3 +400,81 @@ class TestEmission:
         assert line.count("<polyline") == 2  # en and zh series
         assert "<rect" in bars
         assert "recall@100 by language" in bars
+
+
+# Relevant ids come from _POOL; the GHOST ids are never in the corpus, the X
+# ids are never relevant.
+_POOL = [f"D{i}A" for i in range(8)] + ["GHOST1A", "GHOST2A"]
+_LABELS = {
+    "language": st.sampled_from(["en", "zh", "de"]),
+    "ipc_section": st.sampled_from(["A", "G"]),
+    "jurisdiction": st.sampled_from(["US", "CN", "EP"]),
+}
+
+
+@st.composite
+def _evaluation_case(draw):
+    """Dataset, two runs, corpus and family map.  Strata may lack labels or
+    hold a single query; hit lists may repeat a doc id; runs carry TIMEOUT
+    and ERROR rows; family ids may be empty."""
+    qids = [f"Q{i}A" for i in range(draw(st.integers(1, 10)))]
+    relevants = {q: draw(st.sets(st.sampled_from(_POOL), min_size=1, max_size=4)) for q in qids}
+    strata = {q: draw(st.fixed_dictionaries({}, optional=_LABELS)) for q in qids}
+    dataset = build_eval_dataset(relevants, strata=strata)
+    family_of = draw(
+        st.dictionaries(st.sampled_from(_POOL + ["X1A"]), st.sampled_from(["", "F1", "F2", "F3"]))
+    )
+    corpus = make_corpus(
+        make_doc(doc_id, language=draw(st.sampled_from(["en", "zh"])))
+        for doc_id in _POOL[:8]
+        if draw(st.booleans())
+    )
+
+    def run(adapter_id):
+        lists = {
+            q: draw(st.lists(st.sampled_from(_POOL + ["X1A", "X2A"]), max_size=8)) for q in qids
+        }
+        statuses = {q: draw(st.sampled_from(["OK", "OK", "OK", "TIMEOUT", "ERROR"])) for q in qids}
+        depth = draw(st.sampled_from([3, 100]))
+        return build_run(dataset, lists, max_depth=depth, statuses=statuses, adapter_id=adapter_id)
+
+    return dataset, run("sys-a"), run("sys-b"), corpus, family_of
+
+
+class TestScalarSpecOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_evaluation_case(),
+        match_rule=st.sampled_from(["exact", "family"]),
+        ks=st.sampled_from([(1, 2, 3, 5, 10), (1, 3, 8)]),
+        seed=st.integers(0, 3),
+    )
+    def test_matches_scalar_spec(self, case, match_rule, ks, seed):
+        dataset, run_a, run_b, corpus, family_of = case
+        kw = dict(match_rule=match_rule, family_of=family_of)
+        for case_ in dataset.queries:
+            ranked = run_a.results[case_.query_doc_id]
+            assert first_relevant_rank(ranked, case_.relevant_ids, **kw) == (
+                scalar_first_relevant_rank(ranked, case_.relevant_ids, **kw)
+            )
+        for dim in (OVERALL_DIMENSION,) + REPORT_DIMENSIONS:
+            assert repr(breakdown_by(run_a, dataset, dim, ks=ks, **kw)) == repr(
+                scalar_breakdown_by(run_a, dataset, dim, ks, **kw)
+            )
+        totals = scalar_breakdown_by(run_a, dataset, OVERALL_DIMENSION, ks, **kw).totals
+        assert detection_curve(run_a, dataset, ks, **kw).points == tuple(zip(ks, totals.rates))
+        assert topk_detection_rate(run_a, dataset, ks[-1], **kw) == totals.rates[-1]
+        assert repr(cross_language_recall(run_a, dataset, corpus, **kw)) == repr(
+            scalar_cross_language_recall(run_a, dataset, corpus, **kw)
+        )
+        for macro in (False, True):
+            assert repr(recall(run_a, dataset, macro=macro, **kw)) == repr(
+                scalar_recall(run_a, dataset, macro=macro, **kw)
+            )
+        compare_kw = dict(
+            ks=ks, dimensions=REPORT_DIMENSIONS, n_resamples=1000, seed=seed,
+            strata_dims=("language", "ipc_section"), **kw,
+        )
+        assert repr(compare_systems(run_a, run_b, dataset, **compare_kw)) == repr(
+            scalar_compare_systems(run_a, run_b, dataset, **compare_kw)
+        )
