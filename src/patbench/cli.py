@@ -1,7 +1,7 @@
 """Command-line interface: build datasets, run systems, evaluate, compare.
 
-Exit codes: 0 success, 2 argument or feasibility errors, 3 run aborted on
-the failure threshold, 4 dataset integrity mismatch.
+Exit codes: 0 success, 2 argument, feasibility or input-format errors, 3 run
+aborted on the failure threshold, 4 dataset integrity mismatch.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .corpus import Corpus, CorpusError, load_corpus
 from .dataset import (
     DEFAULT_ALIGNMENT_THRESHOLD,
     DEFAULT_RECENCY_YEARS,
+    DatasetFormatError,
     EvaluationDataset,
     InfeasibleTargetsError,
     build_dataset,
@@ -31,6 +32,7 @@ from .execution import (
     RemoteEndpointConfig,
     RunControls,
     RunFailureError,
+    RunLogFormatError,
     RunRecord,
     load_run_log,
     run_evaluation,
@@ -112,6 +114,14 @@ def _load_corpus_or_fail(path: str, lenient: bool) -> Corpus:
     if corpus.load_skips:
         click.echo(f"skipped {len(corpus.load_skips)} malformed lines", err=True)
     return corpus
+
+
+def _read_or_fail(loader, path: str):
+    """``loader(path)``, exiting 2 when the dataset or run log is malformed."""
+    try:
+        return loader(path)
+    except (DatasetFormatError, RunLogFormatError) as exc:
+        _fail(EXIT_USAGE, str(exc))
 
 
 def _check_hash(run: RunRecord, dataset: EvaluationDataset, run_name: str) -> None:
@@ -234,7 +244,7 @@ def cmd_run(
 ) -> None:
     """Run a retrieval system over every dataset query."""
     corpus = _load_corpus_or_fail(corpus_path, lenient)
-    dataset = load_dataset(dataset_path)
+    dataset = _read_or_fail(load_dataset, dataset_path)
     system = _make_adapter(adapter, adapter_config, corpus, exclude_family)
     controls = RunControls(
         seed=seed,
@@ -266,16 +276,6 @@ def cmd_run(
     click.echo(f"wrote run log to {out}")
 
 
-def _family_map(corpus: Corpus | None) -> dict[str, str]:
-    if corpus is None:
-        return {}
-    return {
-        doc_id: doc.family_id
-        for doc_id, doc in corpus.documents.items()
-        if doc.family_id
-    }
-
-
 @main.command("evaluate")
 @click.option("--run", "run_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -301,8 +301,8 @@ def cmd_evaluate(
     ks = _parse_int_list(k_grid, "--k-grid")
     dims = _parse_dimensions(dimensions)
     fmts = _parse_formats(formats)
-    dataset = load_dataset(dataset_path)
-    run = load_run_log(run_path)
+    dataset = _read_or_fail(load_dataset, dataset_path)
+    run = _read_or_fail(load_run_log, run_path)
     _check_hash(run, dataset, "run log")
     if max(ks) > run.controls.max_depth:
         _fail(
@@ -313,7 +313,7 @@ def cmd_evaluate(
     corpus = _load_corpus_or_fail(corpus_path, False) if corpus_path else None
     if match_rule == MATCH_FAMILY and corpus is None:
         _fail(EXIT_USAGE, "family match rule requires --corpus")
-    family_of = _family_map(corpus)
+    family_of = corpus.family_of if corpus is not None else {}
 
     try:
         overall = breakdown_by(
@@ -390,15 +390,15 @@ def cmd_compare(
     dims = _parse_dimensions(dimensions) if dimensions else ()
     fmts = _parse_formats(formats)
     strata_dims = _parse_dimensions(strata) if strata else ()
-    dataset = load_dataset(dataset_path)
-    run_a = load_run_log(run_a_path)
-    run_b = load_run_log(run_b_path)
+    dataset = _read_or_fail(load_dataset, dataset_path)
+    run_a = _read_or_fail(load_run_log, run_a_path)
+    run_b = _read_or_fail(load_run_log, run_b_path)
     _check_hash(run_a, dataset, "run A")
     _check_hash(run_b, dataset, "run B")
     corpus = _load_corpus_or_fail(corpus_path, False) if corpus_path else None
     if match_rule == MATCH_FAMILY and corpus is None:
         _fail(EXIT_USAGE, "family match rule requires --corpus")
-    family_of = _family_map(corpus)
+    family_of = corpus.family_of if corpus is not None else {}
     try:
         comparison = compare_systems(
             run_a,

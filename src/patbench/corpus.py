@@ -9,13 +9,14 @@ corpus reference date and record counts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -113,12 +114,30 @@ class Corpus:
 
     ``reference_date`` anchors recency filtering.  ``load_skips`` records
     (line_number, reason) pairs for lines skipped during a lenient load.
+    The family index (``family_of``, ``families``) is built on first use,
+    is shared by every caller, who must not mutate it, and assumes
+    ``documents`` is not mutated afterwards.
     """
 
     documents: Mapping[str, PatentDocument]
     citations: tuple[CitationRecord, ...]
     reference_date: date
     load_skips: tuple[tuple[int, str], ...] = ()
+
+    # cached_property stores into the instance __dict__, bypassing the
+    # frozen dataclass's __setattr__.
+    @functools.cached_property
+    def family_of(self) -> dict[str, str]:
+        """doc_id -> family_id, for documents with a non-empty family only."""
+        return {doc_id: doc.family_id for doc_id, doc in self.documents.items() if doc.family_id}
+
+    @functools.cached_property
+    def families(self) -> dict[str, tuple[str, ...]]:
+        """family_id -> member doc_ids in sorted order."""
+        members: dict[str, list[str]] = {}
+        for doc_id, family_id in self.family_of.items():
+            members.setdefault(family_id, []).append(doc_id)
+        return {family_id: tuple(sorted(ids)) for family_id, ids in members.items()}
 
 
 @dataclass(frozen=True)
@@ -183,6 +202,37 @@ def manifest_path_for(corpus_path: str | Path) -> Path:
     return Path(str(corpus_path) + ".manifest.json")
 
 
+def read_jsonl(
+    path: Path,
+    handle: Callable[[dict, int], None],
+    error_cls: type[Exception],
+    skips: list[tuple[int, str]] | None = None,
+) -> None:
+    """Call ``handle(record, line_number)`` on each non-blank line of a JSONL file.
+
+    The one format-error policy of the corpus, dataset and run-log loaders: a
+    line that is not JSON or not an object, or whose handler raises
+    ``ValueError``, ``KeyError`` (a missing field) or ``TypeError``, raises
+    ``error_cls("path:line: message")``.  With ``skips`` given, the
+    ``(line_number, message)`` pair is appended there instead and reading goes
+    on.  Other exceptions propagate unchanged.
+    """
+    with path.open("r", encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("record is not a JSON object")
+                handle(rec, line_number)
+            except (ValueError, KeyError, TypeError) as exc:
+                msg = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                if skips is None:
+                    raise error_cls(f"{path}:{line_number}: {msg}") from exc
+                skips.append((line_number, msg))
+
+
 def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
     """Load a line-delimited corpus file.
 
@@ -204,32 +254,20 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
     citation_lines: list[int] = []
     skips: list[tuple[int, str]] = []
 
-    with path.open("r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("record is not a JSON object")
-                kind = rec.get("kind")
-                if kind == "patent":
-                    doc = _parse_patent(rec)
-                    if doc.doc_id in documents:
-                        raise DuplicateDocIdError(doc.doc_id, line_number)
-                    documents[doc.doc_id] = doc
-                elif kind == "citation":
-                    citations.append(_parse_citation(rec))
-                    citation_lines.append(line_number)
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except DuplicateDocIdError:
-                raise
-            except (ValueError, KeyError, TypeError) as exc:
-                if lenient:
-                    skips.append((line_number, str(exc)))
-                    continue
-                raise CorpusFormatError(f"{path}:{line_number}: {exc}") from exc
+    def add(rec: dict, line_number: int) -> None:
+        kind = rec.get("kind")
+        if kind == "patent":
+            doc = _parse_patent(rec)
+            if doc.doc_id in documents:
+                raise DuplicateDocIdError(doc.doc_id, line_number)
+            documents[doc.doc_id] = doc
+        elif kind == "citation":
+            citations.append(_parse_citation(rec))
+            citation_lines.append(line_number)
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
+
+    read_jsonl(path, add, CorpusFormatError, skips if lenient else None)
 
     # Citing ends must resolve; citations can appear before their documents
     # in the file, so this check runs after the full pass.
@@ -405,7 +443,7 @@ def family_members(corpus: Corpus, doc_id: str) -> list[PatentDocument]:
     if not doc.family_id:
         return []
     return [
-        other
-        for other_id, other in sorted(corpus.documents.items())
-        if other_id != doc_id and other.family_id == doc.family_id
+        corpus.documents[other_id]
+        for other_id in corpus.families[doc.family_id]
+        if other_id != doc_id
     ]

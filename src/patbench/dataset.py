@@ -22,6 +22,7 @@ from .corpus import (
     corpus_content_hash,
     family_members,
     ipc_section_of,
+    read_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -522,31 +523,28 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
     queries: list[QueryCase] = []
     strata: dict[str, dict[str, str]] = {}
     manifest: dict | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{line_number}: {exc}") from exc
-            kind = rec.get("kind")
-            if kind == "manifest":
-                if manifest is not None:
-                    raise DatasetFormatError(f"{path}:{line_number}: second manifest record")
-                manifest = {k: v for k, v in rec.items() if k != "kind"}
-            elif kind == "query_case":
-                provenance = {r["doc_id"]: r["source"] for r in rec["relevant"]}
-                queries.append(
-                    QueryCase(
-                        query_doc_id=rec["query_doc_id"],
-                        relevant_ids=frozenset(provenance),
-                        relevant_provenance=provenance,
-                    )
+
+    def add(rec: dict, line_number: int) -> None:
+        nonlocal manifest
+        kind = rec.get("kind")
+        if kind == "manifest":
+            if manifest is not None:
+                raise ValueError("second manifest record")
+            manifest = {k: v for k, v in rec.items() if k != "kind"}
+        elif kind == "query_case":
+            provenance = {r["doc_id"]: r["source"] for r in rec["relevant"]}
+            queries.append(
+                QueryCase(
+                    query_doc_id=rec["query_doc_id"],
+                    relevant_ids=frozenset(provenance),
+                    relevant_provenance=provenance,
                 )
-                strata[rec["query_doc_id"]] = dict(rec["strata"])
-            else:
-                raise DatasetFormatError(f"{path}:{line_number}: unknown record kind {kind!r}")
+            )
+            strata[rec["query_doc_id"]] = dict(rec["strata"])
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
+
+    read_jsonl(path, add, DatasetFormatError)
     if manifest is None:
         raise DatasetFormatError(f"{path}: missing manifest record")
     return EvaluationDataset(

@@ -20,7 +20,7 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 import numpy as np
 import requests
 
-from .corpus import Corpus
+from .corpus import Corpus, read_jsonl
 from .dataset import EvaluationDataset
 from .query import EmptyInputError, Query
 
@@ -51,6 +51,10 @@ class AdapterTimeout(AdapterError):
 
 class RunFailureError(RuntimeError):
     """More than half of the queries hard-failed; the run is not usable."""
+
+
+class RunLogFormatError(ValueError):
+    """A run log file violates the run-log layout or the RankedList contract."""
 
 
 @dataclass(frozen=True)
@@ -319,9 +323,6 @@ def build_reference_index(corpus: Corpus) -> ReferenceIndex:
         doc_lengths[doc_id] = len(tokens)
         for term, tf in Counter(tokens).items():
             postings.setdefault(term, {})[doc_id] = tf
-    families = {
-        doc_id: doc.family_id for doc_id, doc in corpus.documents.items() if doc.family_id
-    }
 
     n_docs = len(doc_ids)
     row_of = {doc_id: row for row, doc_id in enumerate(doc_ids)}
@@ -335,18 +336,18 @@ def build_reference_index(corpus: Corpus) -> ReferenceIndex:
         )
         for term, plist in postings.items()
     }
-    code_of = {family: code for code, family in enumerate(sorted(set(families.values())))}
+    code_of = {family: code for code, family in enumerate(sorted(corpus.families))}
     return ReferenceIndex(
         postings=postings,
         doc_lengths=doc_lengths,
         n_docs=n_docs,
-        families=families,
+        families=corpus.family_of,
         doc_ids=doc_ids,
         row_of=row_of,
         terms=terms,
         sqrt_len=np.array([math.sqrt(doc_lengths[doc_id] or 1) for doc_id in doc_ids]),
         family_code=np.array(
-            [code_of.get(families.get(doc_id, ""), -1) for doc_id in doc_ids], dtype=np.int32
+            [code_of.get(corpus.family_of.get(doc_id), -1) for doc_id in doc_ids], dtype=np.int32
         ),
     )
 
@@ -587,48 +588,53 @@ def write_run_log(record: RunRecord, path: str | Path) -> Path:
 
 
 def load_run_log(path: str | Path) -> RunRecord:
+    """Inverse of :func:`write_run_log`.
+
+    Raises :class:`RunLogFormatError`, naming the file and line, for a record
+    that is not valid JSON, misses a field, or holds a ranked list whose ranks
+    do not run 1, 2, ...
+    """
     path = Path(path)
     header: dict | None = None
     results: dict[str, RankedList] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            kind = rec.get("kind")
-            if kind == "run_header":
-                header = rec
-            elif kind == "ranked_list":
-                hits = tuple(
-                    Hit(doc_id=h[0], score=float(h[1]), rank=int(h[2]))
-                    for h in rec["hits"]
-                )
-                results[rec["query_id"]] = RankedList(
-                    query_id=rec["query_id"],
-                    hits=hits,
-                    status=rec["status"],
-                    latency_ms=int(rec.get("latency_ms", 0)),
-                )
-            else:
-                raise ValueError(f"{path}:{line_number}: unknown record kind {kind!r}")
+
+    def add(rec: dict, line_number: int) -> None:
+        nonlocal header
+        kind = rec.get("kind")
+        if kind == "run_header":
+            c = rec["controls"]
+            header = {
+                "controls": RunControls(
+                    seed=int(c["seed"]),
+                    timeout_ms=int(c["timeout_ms"]),
+                    max_depth=int(c["max_depth"]),
+                    adapter_id=str(c.get("adapter_id", "")),
+                    parallelism=int(c.get("parallelism", 1)),
+                ),
+                "dataset_manifest_hash": rec["dataset_manifest_hash"],
+                "started": rec.get("started", ""),
+                "finished": rec.get("finished", ""),
+                "anomaly_count": int(rec.get("anomaly_count", 0)),
+            }
+        elif kind == "ranked_list":
+            hits: list[Hit] = []
+            for expected, (doc_id, score, rank) in enumerate(rec["hits"], start=1):
+                if int(rank) != expected:
+                    raise ValueError(f"hit {doc_id!r} at rank {rank!r}: ranks must run 1, 2, ...")
+                hits.append(Hit(doc_id=doc_id, score=float(score), rank=expected))
+            results[rec["query_id"]] = RankedList(
+                query_id=rec["query_id"],
+                hits=tuple(hits),
+                status=rec["status"],
+                latency_ms=int(rec.get("latency_ms", 0)),
+            )
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
+
+    read_jsonl(path, add, RunLogFormatError)
     if header is None:
-        raise ValueError(f"{path}: missing run_header record")
-    c = header["controls"]
-    controls = RunControls(
-        seed=int(c["seed"]),
-        timeout_ms=int(c["timeout_ms"]),
-        max_depth=int(c["max_depth"]),
-        adapter_id=str(c.get("adapter_id", "")),
-        parallelism=int(c.get("parallelism", 1)),
-    )
-    return RunRecord(
-        controls=controls,
-        dataset_manifest_hash=header["dataset_manifest_hash"],
-        results=results,
-        started=header.get("started", ""),
-        finished=header.get("finished", ""),
-        anomaly_count=int(header.get("anomaly_count", 0)),
-    )
+        raise RunLogFormatError(f"{path}: missing run_header record")
+    return RunRecord(results=results, **header)
 
 
 def sanitize_run_log(path: str | Path) -> bytes:

@@ -8,7 +8,7 @@ import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -313,11 +313,15 @@ def _csv_bytes(header: Sequence[str], rows: Sequence[Sequence[object]]) -> bytes
     return buf.getvalue().encode("utf-8")
 
 
+def _csv_rows(table: BreakdownTable) -> list[tuple[str, BreakdownRow]]:
+    """(stratum, row) pairs in file order: the totals first, then the strata."""
+    return [(TOTAL_LABEL, table.totals)] + [(r.stratum, r) for r in table.rows]
+
+
 def _detection_csv(tables: Sequence[BreakdownTable]) -> bytes:
     rows: list[list[object]] = []
     for table in tables:
-        emit_rows = [(TOTAL_LABEL, table.totals)] + [(r.stratum, r) for r in table.rows]
-        for stratum, row in emit_rows:
+        for stratum, row in _csv_rows(table):
             for k, rate in zip(table.ks, row.rates):
                 rows.append([table.dimension, stratum, row.n_queries, k, _fmt(rate)])
     return _csv_bytes(["dimension", "stratum", "n_queries", "k", "detection_rate"], rows)
@@ -326,8 +330,7 @@ def _detection_csv(tables: Sequence[BreakdownTable]) -> bytes:
 def _recall_csv(tables: Sequence[BreakdownTable]) -> bytes:
     rows: list[list[object]] = []
     for table in tables:
-        emit_rows = [(TOTAL_LABEL, table.totals)] + [(r.stratum, r) for r in table.rows]
-        for stratum, row in emit_rows:
+        for stratum, row in _csv_rows(table):
             rows.append(
                 [table.dimension, stratum, row.n_queries, _fmt(row.recall), row.recall_depth]
             )
@@ -344,45 +347,44 @@ def _cross_language_csv(cells: Sequence[CrossLanguageCell]) -> bytes:
     )
 
 
+def _comparison_csv(
+    comp: SystemComparison,
+    metric_header: Sequence[str],
+    metric_cells: Callable[[BreakdownTable], list[list[object]]],
+    deltas: Sequence[float],
+    significance: Sequence[SignificanceResult | None],
+) -> bytes:
+    """Whole-dataset rows ``metric_cells(table)`` of system A, then of system B.
+
+    Each row names its system; B's rows also carry the delta and, for a
+    bootstrapped metric, the p-value and confidence interval, which A's rows
+    leave blank.
+    """
+    lead = [OVERALL_DIMENSION, TOTAL_LABEL]
+    rows = [
+        lead + [comp.table_a.totals.n_queries] + cells + [comp.system_a, "", "", "", ""]
+        for cells in metric_cells(comp.table_a)
+    ]
+    for cells, delta, sig in zip(metric_cells(comp.table_b), deltas, significance):
+        stats = [_fmt(sig.p_value), _fmt(sig.ci_low), _fmt(sig.ci_high)] if sig else ["", "", ""]
+        rows.append(
+            lead + [comp.table_b.totals.n_queries] + cells + [comp.system_b, _fmt(delta)] + stats
+        )
+    return _csv_bytes(
+        ["dimension", "stratum", "n_queries", *metric_header]
+        + ["system", "delta", "p_value", "ci_low", "ci_high"],
+        rows,
+    )
+
+
 def _comparison_detection_csv(comp: SystemComparison) -> bytes:
     sig = {s.metric_name: s for s in comp.significance}
-    rows: list[list[object]] = []
-    for system, table in ((comp.system_a, comp.table_a), (comp.system_b, comp.table_b)):
-        is_b = system == comp.system_b and table is comp.table_b
-        for i, (k, rate) in enumerate(zip(table.ks, table.totals.rates)):
-            delta = _fmt(comp.deltas[i]) if is_b else ""
-            s = sig.get(f"top{k}_detection")
-            p = _fmt(s.p_value) if (is_b and s) else ""
-            lo = _fmt(s.ci_low) if (is_b and s) else ""
-            hi = _fmt(s.ci_high) if (is_b and s) else ""
-            rows.append(
-                [
-                    OVERALL_DIMENSION,
-                    TOTAL_LABEL,
-                    table.totals.n_queries,
-                    k,
-                    _fmt(rate),
-                    system,
-                    delta,
-                    p,
-                    lo,
-                    hi,
-                ]
-            )
-    return _csv_bytes(
-        [
-            "dimension",
-            "stratum",
-            "n_queries",
-            "k",
-            "detection_rate",
-            "system",
-            "delta",
-            "p_value",
-            "ci_low",
-            "ci_high",
-        ],
-        rows,
+    return _comparison_csv(
+        comp,
+        ["k", "detection_rate"],
+        lambda table: [[k, _fmt(rate)] for k, rate in zip(table.ks, table.totals.rates)],
+        comp.deltas,
+        [sig.get(f"top{k}_detection") for k in comp.ks],
     )
 
 
@@ -390,38 +392,30 @@ def _comparison_recall_csv(comp: SystemComparison) -> bytes:
     sig = next(
         (s for s in comp.significance if s.metric_name.startswith("recall")), None
     )
-    rows: list[list[object]] = []
-    for system, table in ((comp.system_a, comp.table_a), (comp.system_b, comp.table_b)):
-        is_b = system == comp.system_b and table is comp.table_b
-        rows.append(
-            [
-                OVERALL_DIMENSION,
-                TOTAL_LABEL,
-                table.totals.n_queries,
-                _fmt(table.totals.recall),
-                table.totals.recall_depth,
-                system,
-                _fmt(comp.recall_delta) if is_b else "",
-                _fmt(sig.p_value) if (is_b and sig) else "",
-                _fmt(sig.ci_low) if (is_b and sig) else "",
-                _fmt(sig.ci_high) if (is_b and sig) else "",
-            ]
-        )
-    return _csv_bytes(
-        [
-            "dimension",
-            "stratum",
-            "n_queries",
-            "recall",
-            "recall_depth",
-            "system",
-            "delta",
-            "p_value",
-            "ci_low",
-            "ci_high",
-        ],
-        rows,
+    return _comparison_csv(
+        comp,
+        ["recall", "recall_depth"],
+        lambda table: [[_fmt(table.totals.recall), table.totals.recall_depth]],
+        [comp.recall_delta],
+        [sig],
     )
+
+
+def _metric_cells(row: BreakdownRow) -> list[str]:
+    """Detection rate at each k, then recall, as the text tables print them."""
+    return [_percent(rate) for rate in row.rates] + [f"{row.recall:.2f}"]
+
+
+def _aligned(header: Sequence[str], body: Sequence[Sequence[str]]) -> list[str]:
+    """Header, a dashed rule and the body, each column padded to its widest cell."""
+    widths = [
+        max(len(header[c]), *(len(r[c]) for r in body)) for c in range(len(header))
+    ]
+    lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(header))]
+    lines.append("  ".join("-" * w for w in widths))
+    for r in body:
+        lines.append("  ".join(v.ljust(widths[c]) for c, v in enumerate(r)))
+    return lines
 
 
 def _render_table(table: BreakdownTable, label_header: str) -> list[str]:
@@ -432,19 +426,8 @@ def _render_table(table: BreakdownTable, label_header: str) -> list[str]:
     )
     body: list[list[str]] = []
     for row in list(table.rows) + [table.totals]:
-        body.append(
-            [row.stratum, str(row.n_queries)]
-            + [_percent(rate) for rate in row.rates]
-            + [f"{row.recall:.2f}"]
-        )
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in body)) for c in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(header))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(v.ljust(widths[c]) for c, v in enumerate(r)))
-    return lines
+        body.append([row.stratum, str(row.n_queries)] + _metric_cells(row))
+    return _aligned(header, body)
 
 
 def _table_text(report: MetricsReport) -> str:
@@ -482,21 +465,13 @@ def _comparison_text(comp: SystemComparison) -> str:
     out.append("")
     header = ["system"] + [f"Top{k}" for k in comp.ks] + [f"recall@{comp.recall_depth}"]
     rows = [
-        [comp.system_a]
-        + [_percent(r) for r in comp.table_a.totals.rates]
-        + [f"{comp.table_a.totals.recall:.2f}"],
-        [comp.system_b]
-        + [_percent(r) for r in comp.table_b.totals.rates]
-        + [f"{comp.table_b.totals.recall:.2f}"],
+        [comp.system_a] + _metric_cells(comp.table_a.totals),
+        [comp.system_b] + _metric_cells(comp.table_b.totals),
         ["delta"]
         + [f"{d * 100:+.1f}pp" for d in comp.deltas]
         + [f"{comp.recall_delta:+.3f}"],
     ]
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
-    out.append("  ".join(h.ljust(widths[c]) for c, h in enumerate(header)))
-    out.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        out.append("  ".join(v.ljust(widths[c]) for c, v in enumerate(r)))
+    out.extend(_aligned(header, rows))
     out.append("")
     for sig in comp.significance:
         out.append(

@@ -44,6 +44,24 @@ def make_corpus(
     )
 
 
+def scalar_family_members(corpus: Corpus, doc_id: str) -> list[PatentDocument]:
+    """Whole-corpus scan spec of ``patbench.corpus.family_members``: every
+    other document with the same non-empty family_id, sorted by id."""
+    from patbench.corpus import UnknownDocIdError
+
+    try:
+        doc = corpus.documents[doc_id]
+    except KeyError:
+        raise UnknownDocIdError(doc_id) from None
+    if not doc.family_id:
+        return []
+    return [
+        other
+        for other_id, other in sorted(corpus.documents.items())
+        if other_id != doc_id and other.family_id == doc.family_id
+    ]
+
+
 def cite(citing: str, cited: str, category: str = "X", source: str = "EXAMINER") -> CitationRecord:
     return CitationRecord(citing_id=citing, cited_id=cited, category=category, source=source)
 

@@ -138,6 +138,18 @@ class TestBuildDataset:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_quick_start_dataset_matches_golden(self, quickstart):
+        golden = GOLDEN_DIR / "quickstart_dataset.jsonl"
+        assert quickstart["dataset"].read_bytes() == golden.read_bytes()
+
+    def test_full_build_matches_golden(self, runner, workdir, bundled_corpus_path):
+        out = workdir / "full_dataset.jsonl"
+        result = runner.invoke(
+            main, ["build-dataset", "--corpus", str(bundled_corpus_path), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (GOLDEN_DIR / "full_dataset.jsonl").read_bytes()
+
     def test_threshold_out_of_range_is_usage_error(self, runner, workdir, bundled_corpus_path):
         result = runner.invoke(
             main,
@@ -596,3 +608,63 @@ class TestRunCoverage:
         assert "does not cover the dataset" in result.output
         assert named in result.output
         assert not (tmp_path / "cmp").exists()
+
+
+def _first_ranked_list_with_bad_ranks(lines):
+    """The first ranked list holds one doc id at ranks 0 and -3."""
+    rec = json.loads(lines[1])
+    doc_id, score, _ = rec["hits"][0]
+    rec["hits"] = [[doc_id, score, 0], [doc_id, score, -3]]
+    return lines[:1] + [json.dumps(rec) + "\n"] + lines[2:]
+
+
+def _query_case_without_relevant(lines):
+    rec = json.loads(lines[1])
+    del rec["relevant"]
+    return lines[:1] + [json.dumps(rec) + "\n"] + lines[2:]
+
+
+class TestMalformedInputs:
+    """A malformed run log or dataset is a data-format error: exit 2 with the
+    file named, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, broken, edit, line",
+        [
+            ("evaluate", "exclude", lambda lines: lines[:1] + ["{not json\n"] + lines[1:], 2),
+            ("compare", "exclude", lambda lines: lines[1:], None),
+            ("evaluate", "exclude", _first_ranked_list_with_bad_ranks, 2),
+            ("compare", "exclude", _first_ranked_list_with_bad_ranks, 2),
+            ("evaluate", "dataset", _query_case_without_relevant, 2),
+            ("run", "dataset", _query_case_without_relevant, 2),
+            ("compare", "dataset", lambda lines: ["garbage\n"], 1),
+        ],
+        ids=[
+            "evaluate-run-log-bad-json",
+            "compare-run-log-no-header",
+            "evaluate-run-log-bad-ranks",
+            "compare-run-log-bad-ranks",
+            "evaluate-dataset-no-relevant",
+            "run-dataset-no-relevant",
+            "compare-dataset-garbage",
+        ],
+    )
+    def test_exit_2(self, runner, tmp_path, quickstart, command, broken, edit, line):
+        source = quickstart[broken].read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = tmp_path / f"bad_{broken}.jsonl"
+        bad.write_text("".join(edit(source)), encoding="utf-8")
+        paths = {name: str(quickstart[name]) for name in ("dataset", "exclude", "corpus")}
+        paths[broken] = str(bad)
+        argv = {
+            "run": ["run", "--corpus", paths["corpus"], "--out", str(tmp_path / "run.jsonl")],
+            "evaluate": ["evaluate", "--run", paths["exclude"], "--out", str(tmp_path / "out")],
+            "compare": [
+                "compare", "--run-a", paths["exclude"], "--run-b", paths["exclude"],
+                "--out", str(tmp_path / "out"), "--n-resamples", "1000",
+            ],
+        }[command] + ["--dataset", paths["dataset"]]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        where = str(bad) if line is None else f"{bad}:{line}:"
+        assert where in result.output
+        assert not (tmp_path / "out").exists()

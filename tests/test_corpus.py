@@ -4,8 +4,10 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import cite, make_corpus, make_doc
+from helpers import cite, make_corpus, make_doc, scalar_family_members
 from patbench.corpus import (
     CitationRecord,
     CorpusFormatError,
@@ -238,3 +240,33 @@ def test_family_members_sorted_and_excludes_self():
     assert family_members(corpus, "WO5A") == []
     with pytest.raises(UnknownDocIdError):
         family_members(corpus, "XX0A")
+
+
+# Documents draw a family from a small pool so that empty ids, singletons and
+# larger families all occur; "" means no family.
+_family_docs = st.lists(
+    st.tuples(
+        st.sampled_from(["US", "EP", "CN", "WO"]),
+        st.sampled_from(["en", "zh", "de"]),
+        st.sampled_from(["", "", "F1", "F2", "F3", "F4"]),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=200)
+@given(_family_docs, st.lists(st.sampled_from(["XX0A", "US1A", "ZZ99B"]), max_size=3))
+def test_family_index_matches_scan(specs, unknown):
+    docs = [
+        make_doc(f"{jur}{i}A", jurisdiction=jur, language=lang, family_id=fam)
+        for i, (jur, lang, fam) in enumerate(specs)
+    ]
+    corpus = make_corpus(docs)
+    assert corpus.family_of == {d.doc_id: d.family_id for d in docs if d.family_id}
+    for doc_id in list(corpus.documents) + unknown:
+        if doc_id in corpus.documents:
+            assert family_members(corpus, doc_id) == scalar_family_members(corpus, doc_id)
+            continue
+        for lookup in (family_members, scalar_family_members):
+            with pytest.raises(UnknownDocIdError):
+                lookup(corpus, doc_id)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import time
 from collections import Counter
@@ -23,6 +24,7 @@ from patbench.execution import (
     RemoteEndpointConfig,
     RunControls,
     RunFailureError,
+    RunLogFormatError,
     build_reference_index,
     load_run_log,
     normalize_doc_id,
@@ -770,4 +772,34 @@ class TestRunLogIO:
         path = tmp_path / "broken.jsonl"
         path.write_text('{"kind":"ranked_list","query_id":"Q1","status":"OK","hits":[]}\n')
         with pytest.raises(ValueError):
+            load_run_log(path)
+
+    @pytest.mark.parametrize(
+        "hits",
+        [
+            [["US1A", 0.9, 0]],
+            [["US1A", 0.9, 1], ["US2A", 0.8, 3]],
+            [["US1A", 0.9]],
+        ],
+        ids=["rank-0", "rank-gap", "short-hit"],
+    )
+    def test_load_rejects_broken_ranked_list(self, tmp_path, hits):
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        rec["hits"] = hits
+        lines[2] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:3: ")):
+            load_run_log(path)
+
+    def test_load_rejects_header_without_controls(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["controls"]
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:1: missing field 'controls'")):
             load_run_log(path)
