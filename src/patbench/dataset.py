@@ -532,6 +532,8 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
                 raise ValueError("second manifest record")
             manifest = {k: v for k, v in rec.items() if k != "kind"}
         elif kind == "query_case":
+            if rec["query_doc_id"] in strata:
+                raise ValueError(f"repeated query_case for {rec['query_doc_id']!r}")
             provenance = {r["doc_id"]: r["source"] for r in rec["relevant"]}
             queries.append(
                 QueryCase(

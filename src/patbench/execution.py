@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 import requests
@@ -77,8 +77,10 @@ class RunControls:
             raise ValueError("parallelism must be at least 1")
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(NamedTuple):
+    """One retrieved document.  A tuple, because run logs hold hundreds of
+    thousands of hits and a tuple is the cheapest immutable record to build."""
+
     doc_id: str
     score: float
     rank: int
@@ -591,8 +593,9 @@ def load_run_log(path: str | Path) -> RunRecord:
     """Inverse of :func:`write_run_log`.
 
     Raises :class:`RunLogFormatError`, naming the file and line, for a record
-    that is not valid JSON, misses a field, or holds a ranked list whose ranks
-    do not run 1, 2, ...
+    that is not valid JSON, misses a field, repeats a query's ranked list, or
+    holds a hit whose rank is not an integer in the run 1, 2, ..., whose
+    doc_id is not a non-empty string, or whose score is not a finite number.
     """
     path = Path(path)
     header: dict | None = None
@@ -617,13 +620,22 @@ def load_run_log(path: str | Path) -> RunRecord:
                 "anomaly_count": int(rec.get("anomaly_count", 0)),
             }
         elif kind == "ranked_list":
+            query_id = rec["query_id"]
+            if query_id in results:
+                raise ValueError(f"second ranked_list for query {query_id!r}")
             hits: list[Hit] = []
+            # JSON values come back as exactly these types, so `type(x) is`
+            # tests suffice, and they keep bool out of int.
             for expected, (doc_id, score, rank) in enumerate(rec["hits"], start=1):
-                if int(rank) != expected:
-                    raise ValueError(f"hit {doc_id!r} at rank {rank!r}: ranks must run 1, 2, ...")
-                hits.append(Hit(doc_id=doc_id, score=float(score), rank=expected))
-            results[rec["query_id"]] = RankedList(
-                query_id=rec["query_id"],
+                if type(rank) is not int or rank != expected:
+                    raise ValueError(f"hit {doc_id!r} at rank {rank!r}: ranks must be the integers 1, 2, ...")
+                if type(doc_id) is not str or not doc_id:
+                    raise ValueError(f"hit at rank {rank}: doc_id {doc_id!r} is not a non-empty string")
+                if type(score) not in (int, float) or not math.isfinite(score):
+                    raise ValueError(f"hit {doc_id!r}: score {score!r} is not a finite number")
+                hits.append(Hit(doc_id, float(score), rank))
+            results[query_id] = RankedList(
+                query_id=query_id,
                 hits=tuple(hits),
                 status=rec["status"],
                 latency_ms=int(rec.get("latency_ms", 0)),

@@ -618,6 +618,23 @@ def _first_ranked_list_with_bad_ranks(lines):
     return lines[:1] + [json.dumps(rec) + "\n"] + lines[2:]
 
 
+def _first_hit_with(field, value):
+    """An edit that sets one field (0 doc_id, 1 score, 2 rank) of the first
+    ranked list's first hit."""
+
+    def edit(lines):
+        rec = json.loads(lines[1])
+        rec["hits"][0][field] = value
+        return lines[:1] + [json.dumps(rec) + "\n"] + lines[2:]
+
+    return edit
+
+
+def _second_line_repeated(lines):
+    """The first record after the header appears again on line 3."""
+    return lines[:2] + lines[1:]
+
+
 def _query_case_without_relevant(lines):
     rec = json.loads(lines[1])
     del rec["relevant"]
@@ -638,6 +655,16 @@ class TestMalformedInputs:
             ("evaluate", "dataset", _query_case_without_relevant, 2),
             ("run", "dataset", _query_case_without_relevant, 2),
             ("compare", "dataset", lambda lines: ["garbage\n"], 1),
+            ("evaluate", "exclude", _first_hit_with(2, 1.5), 2),
+            ("evaluate", "exclude", _first_hit_with(2, True), 2),
+            ("compare", "exclude", _first_hit_with(2, "1"), 2),
+            ("evaluate", "exclude", _first_hit_with(0, 123), 2),
+            ("compare", "exclude", _first_hit_with(1, "nan"), 2),
+            ("evaluate", "exclude", _second_line_repeated, 3),
+            ("compare", "exclude", _second_line_repeated, 3),
+            ("run", "dataset", _second_line_repeated, 3),
+            ("evaluate", "dataset", _second_line_repeated, 3),
+            ("compare", "dataset", _second_line_repeated, 3),
         ],
         ids=[
             "evaluate-run-log-bad-json",
@@ -647,6 +674,16 @@ class TestMalformedInputs:
             "evaluate-dataset-no-relevant",
             "run-dataset-no-relevant",
             "compare-dataset-garbage",
+            "evaluate-run-log-fractional-rank",
+            "evaluate-run-log-bool-rank",
+            "compare-run-log-string-rank",
+            "evaluate-run-log-int-doc-id",
+            "compare-run-log-string-score",
+            "evaluate-run-log-repeated-ranked-list",
+            "compare-run-log-repeated-ranked-list",
+            "run-dataset-repeated-query-case",
+            "evaluate-dataset-repeated-query-case",
+            "compare-dataset-repeated-query-case",
         ],
     )
     def test_exit_2(self, runner, tmp_path, quickstart, command, broken, edit, line):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 from datetime import date
 
@@ -18,6 +19,7 @@ from patbench.corpus import (
     ipc_section_of,
     load_corpus,
     manifest_path_for,
+    read_jsonl,
     validate_corpus,
     write_corpus,
 )
@@ -76,6 +78,41 @@ def test_strict_load_rejects_malformed_line_with_location(tmp_path):
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(path)
     assert f"{path}:2" in str(err.value)
+
+
+class TestReadJsonlPausesGc:
+    """The collector is off while records are built and back to the caller's
+    setting afterwards, whichever way the read ends."""
+
+    def _read(self, path, handle):
+        path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
+        read_jsonl(path, handle, CorpusFormatError)
+
+    def test_enabled_after_clean_read(self, tmp_path):
+        seen = []
+        self._read(tmp_path / "x.jsonl", lambda rec, line: seen.append((line, gc.isenabled())))
+        assert seen == [(1, False), (3, False)]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "exc, raised",
+        [(ValueError("bad value"), CorpusFormatError), (RuntimeError("not a format error"), RuntimeError)],
+    )
+    def test_enabled_after_handler_raises(self, tmp_path, exc, raised):
+        def handle(rec, line):
+            raise exc
+
+        with pytest.raises(raised):
+            self._read(tmp_path / "x.jsonl", handle)
+        assert gc.isenabled()
+
+    def test_left_disabled_when_caller_disabled_it(self, tmp_path):
+        gc.disable()
+        try:
+            self._read(tmp_path / "x.jsonl", lambda rec, line: None)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def test_lenient_load_skips_and_records(tmp_path):

@@ -18,6 +18,7 @@ from patbench.dataset import EvaluationDataset, QueryCase
 from patbench.execution import (
     AdapterError,
     AdapterTimeout,
+    Hit,
     RankedList,
     ReferenceAdapter,
     RemoteAdapter,
@@ -289,6 +290,22 @@ class TestRunEvaluation:
                 hits=(Hit(doc_id="US1A", score=1.0, rank=1),),
                 status="ERROR",
             )
+
+
+class TestHit:
+    def test_fields_keywords_and_repr(self):
+        hit = Hit(doc_id="US1A", score=0.5, rank=1)
+        assert Hit._fields == ("doc_id", "score", "rank")
+        assert (hit.doc_id, hit.score, hit.rank) == ("US1A", 0.5, 1)
+        assert hit == Hit("US1A", 0.5, 1)
+        assert repr(hit) == "Hit(doc_id='US1A', score=0.5, rank=1)"
+
+    def test_immutable(self):
+        hit = Hit(doc_id="US1A", score=0.5, rank=1)
+        with pytest.raises(AttributeError):
+            hit.rank = 2
+        with pytest.raises(AttributeError):
+            hit.extra = 1
 
 
 class TestTokenize:
@@ -751,11 +768,7 @@ class TestRunLogIO:
         record = self._record()
         path = tmp_path / "run.jsonl"
         write_run_log(record, path)
-        loaded = load_run_log(path)
-        assert loaded.controls == record.controls
-        assert loaded.dataset_manifest_hash == record.dataset_manifest_hash
-        assert dict(loaded.results) == dict(record.results)
-        assert loaded.anomaly_count == record.anomaly_count
+        assert load_run_log(path) == record
 
     def test_sanitized_bytes_ignore_wall_clock(self, tmp_path):
         record = self._record()
@@ -780,8 +793,22 @@ class TestRunLogIO:
             [["US1A", 0.9, 0]],
             [["US1A", 0.9, 1], ["US2A", 0.8, 3]],
             [["US1A", 0.9]],
+            [["US1A", 0.9, 1.5]],
+            [["US1A", 0.9, 1.0]],
+            [["US1A", 0.9, True]],
+            [["US1A", 0.9, "1"]],
+            [[123, 0.9, 1]],
+            [["", 0.9, 1]],
+            [["US1A", "nan", 1]],
+            [["US1A", float("nan"), 1]],
+            [["US1A", float("inf"), 1]],
+            [["US1A", None, 1]],
         ],
-        ids=["rank-0", "rank-gap", "short-hit"],
+        ids=[
+            "rank-0", "rank-gap", "short-hit", "rank-fraction", "rank-float", "rank-bool",
+            "rank-str", "doc-id-int", "doc-id-empty", "score-str", "score-nan", "score-inf",
+            "score-null",
+        ],
     )
     def test_load_rejects_broken_ranked_list(self, tmp_path, hits):
         path = tmp_path / "run.jsonl"
@@ -792,6 +819,16 @@ class TestRunLogIO:
         lines[2] = json.dumps(rec) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:3: ")):
+            load_run_log(path)
+
+    def test_load_rejects_repeated_ranked_list(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[1:2]))
+        with pytest.raises(
+            RunLogFormatError, match=re.escape(f"{path}:5: second ranked_list for query 'Q1'")
+        ):
             load_run_log(path)
 
     def test_load_rejects_header_without_controls(self, tmp_path):
