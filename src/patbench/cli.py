@@ -10,6 +10,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import click
 
@@ -18,7 +19,6 @@ from .dataset import (
     DEFAULT_ALIGNMENT_THRESHOLD,
     DEFAULT_RECENCY_YEARS,
     DatasetFormatError,
-    EvaluationDataset,
     InfeasibleTargetsError,
     build_dataset,
     load_dataset,
@@ -46,17 +46,15 @@ from .metrics import (
     MATCH_FAMILY,
     MATCH_RULES,
 )
-from .query import DEFAULT_MAX_QUERY_CHARS, build_queries
+from .query import DEFAULT_MAX_QUERY_CHARS, build_query
 from .report import (
     IntegrityMismatchError,
     MetricsReport,
-    OVERALL_DIMENSION,
     REPORT_DIMENSIONS,
     REPORT_FORMATS,
-    breakdown_by,
     compare_systems,
-    cross_language_recall,
     emit_report,
+    evaluate_run,
 )
 
 EXIT_USAGE = 2
@@ -81,29 +79,21 @@ def _parse_int_list(raw: str, name: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_dimensions(raw: str) -> tuple[str, ...]:
-    dims: list[str] = []
+def _parse_choices(
+    raw: str, what: str, allowed: Sequence[str], aliases: Mapping[str, str]
+) -> tuple[str, ...]:
+    """The comma-separated values of ``raw``, aliases resolved; exits 2 on a
+    value outside ``allowed``."""
+    values: list[str] = []
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
-        dim = _DIMENSION_ALIASES.get(part, part)
-        if dim not in REPORT_DIMENSIONS:
-            _fail(EXIT_USAGE, f"unknown dimension {part!r} (use {', '.join(REPORT_DIMENSIONS)})")
-        dims.append(dim)
-    return tuple(dims)
-
-
-def _parse_formats(raw: str) -> tuple[str, ...]:
-    formats: list[str] = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part not in REPORT_FORMATS:
-            _fail(EXIT_USAGE, f"unknown format {part!r} (use {', '.join(REPORT_FORMATS)})")
-        formats.append(part)
-    return tuple(formats)
+        value = aliases.get(part, part)
+        if value not in allowed:
+            _fail(EXIT_USAGE, f"unknown {what} {part!r} (use {', '.join(allowed)})")
+        values.append(value)
+    return tuple(values)
 
 
 def _load_corpus_or_fail(path: str, lenient: bool) -> Corpus:
@@ -124,14 +114,15 @@ def _read_or_fail(loader, path: str):
         _fail(EXIT_USAGE, str(exc))
 
 
-def _check_hash(run: RunRecord, dataset: EvaluationDataset, run_name: str) -> None:
-    if run.dataset_manifest_hash != dataset.manifest_hash:
-        _fail(
-            EXIT_INTEGRITY,
-            f"{run_name} was produced against dataset manifest "
-            f"{run.dataset_manifest_hash[:12]}... but this dataset hashes to "
-            f"{dataset.manifest_hash[:12]}...",
-        )
+def _check_depth(ks: tuple[int, ...], *named_runs: tuple[str, RunRecord]) -> None:
+    """Exit 2 when the k grid reaches past the results a run retrieved."""
+    for name, run in named_runs:
+        if max(ks) > run.controls.max_depth:
+            _fail(
+                EXIT_USAGE,
+                f"k grid reaches {max(ks)} but {name} retrieved only "
+                f"{run.controls.max_depth} results per query",
+            )
 
 
 @click.group()
@@ -253,15 +244,15 @@ def cmd_run(
         adapter_id=system.adapter_id,
         parallelism=parallelism,
     )
+    # A query id missing from the corpus, or a document with no query text,
+    # gets no query and is recorded as ERROR by the runner.
     queries = {}
     for qid in dataset.query_ids():
-        doc = corpus.documents.get(qid)
-        if doc is None:
-            continue  # recorded as ERROR by the runner
-        try:
-            queries.update(build_queries(corpus, [qid], max_chars=max_chars))
-        except ValueError:
-            continue
+        if qid in corpus.documents:
+            try:
+                queries[qid] = build_query(corpus.documents[qid], max_chars=max_chars)
+            except ValueError:
+                pass
     click.echo(f"running {len(dataset.queries)} queries against {system.adapter_id}")
     try:
         record = run_evaluation(dataset, system, controls, queries=queries)
@@ -299,53 +290,22 @@ def cmd_evaluate(
 ) -> None:
     """Score one run log against its dataset and emit reports."""
     ks = _parse_int_list(k_grid, "--k-grid")
-    dims = _parse_dimensions(dimensions)
-    fmts = _parse_formats(formats)
+    dims = _parse_choices(dimensions, "dimension", REPORT_DIMENSIONS, _DIMENSION_ALIASES)
+    fmts = _parse_choices(formats, "format", REPORT_FORMATS, {})
     dataset = _read_or_fail(load_dataset, dataset_path)
     run = _read_or_fail(load_run_log, run_path)
-    _check_hash(run, dataset, "run log")
-    if max(ks) > run.controls.max_depth:
-        _fail(
-            EXIT_USAGE,
-            f"k grid reaches {max(ks)} but the run retrieved only "
-            f"{run.controls.max_depth} results per query",
-        )
+    _check_depth(ks, ("the run", run))
     corpus = _load_corpus_or_fail(corpus_path, False) if corpus_path else None
     if match_rule == MATCH_FAMILY and corpus is None:
         _fail(EXIT_USAGE, "family match rule requires --corpus")
-    family_of = corpus.family_of if corpus is not None else {}
-
     try:
-        overall = breakdown_by(
-            run, dataset, OVERALL_DIMENSION, ks=ks, match_rule=match_rule, family_of=family_of
-        )
-        breakdowns = tuple(
-            breakdown_by(run, dataset, dim, ks=ks, match_rule=match_rule, family_of=family_of)
-            for dim in dims
-        )
-        family_overall = None
-        if corpus is not None and match_rule != MATCH_FAMILY and any(family_of.values()):
-            family_overall = breakdown_by(
-                run, dataset, OVERALL_DIMENSION, ks=ks,
-                match_rule=MATCH_FAMILY, family_of=family_of,
-            )
-        cross = (
-            cross_language_recall(
-                run, dataset, corpus, match_rule=match_rule, family_of=family_of
-            )
-            if corpus is not None
-            else ()
-        )
+        report = evaluate_run(run, dataset, corpus, ks=ks, match_rule=match_rule, dimensions=dims)
+    except IntegrityMismatchError as exc:
+        _fail(EXIT_INTEGRITY, str(exc))
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
-    report = MetricsReport(
-        match_rule=match_rule,
-        overall=overall,
-        breakdowns=breakdowns,
-        cross_language=cross,
-        family_overall=family_overall,
-    )
     written = emit_report(report, out_dir, fmts)
+    overall = report.overall
     for k, rate in zip(overall.ks, overall.totals.rates):
         click.echo(f"top-{k} detection: {rate * 100:.1f}%")
     click.echo(
@@ -364,7 +324,6 @@ def cmd_evaluate(
 @click.option("--k-grid", default=",".join(str(k) for k in DEFAULT_K_GRID), show_default=True)
 @click.option("--match-rule", default="exact", show_default=True,
               type=click.Choice(list(MATCH_RULES)))
-@click.option("--dimensions", default="", show_default="none")
 @click.option("--formats", default=",".join(REPORT_FORMATS), show_default=True)
 @click.option("--n-resamples", default=DEFAULT_N_RESAMPLES, show_default=True,
               type=click.IntRange(min=1000))
@@ -379,7 +338,6 @@ def cmd_compare(
     out_dir: str,
     k_grid: str,
     match_rule: str,
-    dimensions: str,
     formats: str,
     n_resamples: int,
     seed: int,
@@ -387,14 +345,12 @@ def cmd_compare(
 ) -> None:
     """Compare two run logs over the same dataset, with significance."""
     ks = _parse_int_list(k_grid, "--k-grid")
-    dims = _parse_dimensions(dimensions) if dimensions else ()
-    fmts = _parse_formats(formats)
-    strata_dims = _parse_dimensions(strata) if strata else ()
+    fmts = _parse_choices(formats, "format", REPORT_FORMATS, {})
+    strata_dims = _parse_choices(strata, "dimension", REPORT_DIMENSIONS, _DIMENSION_ALIASES)
     dataset = _read_or_fail(load_dataset, dataset_path)
     run_a = _read_or_fail(load_run_log, run_a_path)
     run_b = _read_or_fail(load_run_log, run_b_path)
-    _check_hash(run_a, dataset, "run A")
-    _check_hash(run_b, dataset, "run B")
+    _check_depth(ks, ("run A", run_a), ("run B", run_b))
     corpus = _load_corpus_or_fail(corpus_path, False) if corpus_path else None
     if match_rule == MATCH_FAMILY and corpus is None:
         _fail(EXIT_USAGE, "family match rule requires --corpus")
@@ -405,7 +361,6 @@ def cmd_compare(
             run_b,
             dataset,
             ks=ks,
-            dimensions=dims,
             match_rule=match_rule,
             family_of=family_of,
             n_resamples=n_resamples,

@@ -12,10 +12,10 @@ import re
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 import requests
@@ -550,42 +550,37 @@ class RemoteAdapter:
 # ---------------------------------------------------------------------------
 
 
-def _controls_dict(controls: RunControls) -> dict:
-    return {
-        "seed": controls.seed,
-        "timeout_ms": controls.timeout_ms,
-        "max_depth": controls.max_depth,
-        "adapter_id": controls.adapter_id,
-        "parallelism": controls.parallelism,
+def _log_records(record: RunRecord) -> Iterator[dict]:
+    """The run log's records in file order: the header, then one ranked list
+    per query in query-id order."""
+    yield {
+        "kind": "run_header",
+        "controls": asdict(record.controls),
+        "dataset_manifest_hash": record.dataset_manifest_hash,
+        "started": record.started,
+        "finished": record.finished,
+        "anomaly_count": record.anomaly_count,
     }
+    for query_id, ranked in sorted(record.results.items()):
+        yield {
+            "kind": "ranked_list",
+            "query_id": query_id,
+            "status": ranked.status,
+            "latency_ms": ranked.latency_ms,
+            "hits": [[h.doc_id, h.score, h.rank] for h in ranked.hits],
+        }
+
+
+def _log_line(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def write_run_log(record: RunRecord, path: str | Path) -> Path:
     """Line-delimited run log: header record, then one result per line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = {
-        "kind": "run_header",
-        "controls": _controls_dict(record.controls),
-        "dataset_manifest_hash": record.dataset_manifest_hash,
-        "started": record.started,
-        "finished": record.finished,
-        "anomaly_count": record.anomaly_count,
-    }
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False))
-        fh.write("\n")
-        for query_id in sorted(record.results):
-            ranked = record.results[query_id]
-            rec = {
-                "kind": "ranked_list",
-                "query_id": query_id,
-                "status": ranked.status,
-                "latency_ms": ranked.latency_ms,
-                "hits": [[h.doc_id, h.score, h.rank] for h in ranked.hits],
-            }
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+        fh.writelines(map(_log_line, _log_records(record)))
     return path
 
 
@@ -657,24 +652,11 @@ def sanitize_run_log(path: str | Path) -> bytes:
     the parallelism setting are execution detail, not result content, so
     they are the only fields allowed to differ.
     """
-    record = load_run_log(path)
-    lines: list[str] = []
-    controls = _controls_dict(record.controls)
-    del controls["parallelism"]
-    header = {
-        "kind": "run_header",
-        "controls": controls,
-        "dataset_manifest_hash": record.dataset_manifest_hash,
-        "anomaly_count": record.anomaly_count,
-    }
-    lines.append(json.dumps(header, sort_keys=True, ensure_ascii=False))
-    for query_id in sorted(record.results):
-        ranked = record.results[query_id]
-        rec = {
-            "kind": "ranked_list",
-            "query_id": query_id,
-            "status": ranked.status,
-            "hits": [[h.doc_id, h.score, h.rank] for h in ranked.hits],
-        }
-        lines.append(json.dumps(rec, sort_keys=True, ensure_ascii=False))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    records = _log_records(load_run_log(path))
+    header = next(records)
+    del header["started"], header["finished"], header["controls"]["parallelism"]
+    lines = [_log_line(header)]
+    for rec in records:
+        del rec["latency_ms"]
+        lines.append(_log_line(rec))
+    return "".join(lines).encode("utf-8")

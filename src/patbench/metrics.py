@@ -204,6 +204,15 @@ def query_outcomes(
     )
 
 
+def validate_k_grid(ks: Sequence[int]) -> tuple[int, ...]:
+    """``ks`` as a tuple, checked to be a non-empty, strictly increasing grid
+    of cutoffs >= 1; raises :class:`UndefinedMetricError` otherwise."""
+    ks = tuple(ks)
+    if not ks or any(k < 1 for k in ks) or any(a >= b for a, b in zip(ks, ks[1:])):
+        raise UndefinedMetricError(f"k grid must be strictly increasing and >= 1: {ks}")
+    return ks
+
+
 def topk_detection_rate(
     run: RunRecord,
     dataset: EvaluationDataset,
@@ -228,9 +237,7 @@ def detection_curve(
     family_of: Mapping[str, str] | None = None,
 ) -> DetectionCurve:
     """Detection rates over a strictly increasing k grid."""
-    ks = tuple(ks)
-    if not ks or any(k < 1 for k in ks) or any(a >= b for a, b in zip(ks, ks[1:])):
-        raise UndefinedMetricError(f"k grid must be strictly increasing and >= 1: {ks}")
+    ks = validate_k_grid(ks)
     if not dataset.queries:
         raise UndefinedMetricError("detection curve is undefined on an empty dataset")
     counts = query_outcomes(run, dataset, match_rule, family_of).detected(ks).sum(axis=0)

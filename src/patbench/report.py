@@ -20,11 +20,13 @@ from .metrics import (
     DEFAULT_K_GRID,
     DEFAULT_N_RESAMPLES,
     MATCH_EXACT,
+    MATCH_FAMILY,
     QueryOutcomes,
     SignificanceResult,
     UndefinedMetricError,
     paired_bootstrap_outcomes,
     query_outcomes,
+    validate_k_grid,
 )
 
 logger = logging.getLogger(__name__)
@@ -113,6 +115,17 @@ class MetricsReport:
     comparison: SystemComparison | None = None
 
 
+def _check_manifest(run: RunRecord, dataset: EvaluationDataset, run_name: str) -> None:
+    """Raise :class:`IntegrityMismatchError` unless ``run`` was produced
+    against ``dataset``'s manifest."""
+    if run.dataset_manifest_hash != dataset.manifest_hash:
+        raise IntegrityMismatchError(
+            f"{run_name} was produced against dataset manifest "
+            f"{run.dataset_manifest_hash[:12]}... but this dataset hashes to "
+            f"{dataset.manifest_hash[:12]}..."
+        )
+
+
 def _groups(labels: Sequence[Hashable]) -> dict[Hashable, list[int]]:
     """Row indices by label, in first-seen order."""
     groups: dict[Hashable, list[int]] = {}
@@ -125,10 +138,11 @@ def _breakdown(
     outcomes: QueryOutcomes,
     dataset: EvaluationDataset,
     dimension: str,
-    ks: tuple[int, ...],
+    ks: Sequence[int],
 ) -> BreakdownTable:
     if dimension != OVERALL_DIMENSION and dimension not in REPORT_DIMENSIONS:
         raise ValueError(f"unknown breakdown dimension {dimension!r}")
+    ks = validate_k_grid(ks)
     if not dataset.queries:
         raise UndefinedMetricError("breakdown is undefined on an empty dataset")
     # Per query: a hit within each k, then the recall numerator and denominator.
@@ -180,7 +194,7 @@ def breakdown_by(
     metrics; per-stratum hit counts sum exactly to its counts.
     """
     outcomes = query_outcomes(run, dataset, match_rule, family_of)
-    return _breakdown(outcomes, dataset, dimension, tuple(ks))
+    return _breakdown(outcomes, dataset, dimension, ks)
 
 
 def cross_language_recall(
@@ -197,7 +211,12 @@ def cross_language_recall(
     ``unknown`` language bucket.  Only observed pairs produce cells, so a
     monolingual corpus yields no off-diagonal entries.
     """
-    outcomes = query_outcomes(run, dataset, match_rule, family_of)
+    return _cross_language(query_outcomes(run, dataset, match_rule, family_of), dataset, corpus)
+
+
+def _cross_language(
+    outcomes: QueryOutcomes, dataset: EvaluationDataset, corpus: Corpus
+) -> tuple[CrossLanguageCell, ...]:
     query_language = [
         str(dataset.strata.get(case.query_doc_id, {}).get("language", "unknown"))
         for case in dataset.queries
@@ -224,6 +243,42 @@ def cross_language_recall(
     return tuple(cells)
 
 
+def evaluate_run(
+    run: RunRecord,
+    dataset: EvaluationDataset,
+    corpus: Corpus | None = None,
+    *,
+    ks: Sequence[int] = DEFAULT_K_GRID,
+    match_rule: str = MATCH_EXACT,
+    dimensions: Sequence[str] = REPORT_DIMENSIONS,
+) -> MetricsReport:
+    """Everything ``patbench evaluate`` reports for one run.
+
+    The overall table, one breakdown per dimension and, given a corpus, the
+    cross-language recall all read one outcome table under ``match_rule``.
+    Under the exact rule, a corpus with families adds the overall table
+    under the family rule.  The family rule needs a corpus.  Raises
+    :class:`IntegrityMismatchError` when the run was produced against a
+    different dataset manifest, and ``ValueError`` for other unusable input.
+    """
+    _check_manifest(run, dataset, "run log")
+    family_of = corpus.family_of if corpus is not None else None
+    outcomes = query_outcomes(run, dataset, match_rule, family_of)
+    overall = _breakdown(outcomes, dataset, OVERALL_DIMENSION, ks)
+    breakdowns = tuple(_breakdown(outcomes, dataset, dim, ks) for dim in dimensions)
+    family_overall = None
+    if corpus is not None and match_rule != MATCH_FAMILY and corpus.family_of:
+        family = query_outcomes(run, dataset, MATCH_FAMILY, family_of)
+        family_overall = _breakdown(family, dataset, OVERALL_DIMENSION, ks)
+    return MetricsReport(
+        match_rule=match_rule,
+        overall=overall,
+        breakdowns=breakdowns,
+        cross_language=_cross_language(outcomes, dataset, corpus) if corpus is not None else (),
+        family_overall=family_overall,
+    )
+
+
 def compare_systems(
     run_a: RunRecord,
     run_b: RunRecord,
@@ -245,13 +300,8 @@ def compare_systems(
     paired bootstrap.  Raises :class:`IntegrityMismatchError` when either run
     was produced against a different dataset manifest.
     """
-    expected = dataset.manifest_hash
-    for name, run in (("A", run_a), ("B", run_b)):
-        if run.dataset_manifest_hash != expected:
-            raise IntegrityMismatchError(
-                f"run {name} was produced against manifest "
-                f"{run.dataset_manifest_hash[:12]}..., dataset has {expected[:12]}..."
-            )
+    _check_manifest(run_a, dataset, "run A")
+    _check_manifest(run_b, dataset, "run B")
     ks = tuple(ks)
     outcomes_a = query_outcomes(run_a, dataset, match_rule, family_of)
     outcomes_b = query_outcomes(run_b, dataset, match_rule, family_of)

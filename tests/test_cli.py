@@ -356,6 +356,70 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "200" in result.output
 
+    @pytest.mark.parametrize(
+        "command, k_grid, named",
+        [
+            ("evaluate", "10,1", "(10, 1)"),
+            ("evaluate", "0,10", "(0, 10)"),
+            ("evaluate", "10,10", "(10, 10)"),
+            ("compare", "10,1", "(10, 1)"),
+            ("compare", "0,10", "(0, 10)"),
+            ("compare", "10,10", "(10, 10)"),
+            ("compare", "1,10,200", "200"),
+        ],
+    )
+    def test_bad_k_grid_exit_2(
+        self, runner, tmp_path, dataset_path, run_paths, command, k_grid, named
+    ):
+        """Every report takes only a strictly increasing grid of cutoffs from
+        1 to the depth of the runs (50 here)."""
+        runs = {
+            "evaluate": ["--run", str(run_paths["a"])],
+            "compare": [
+                "--run-a", str(run_paths["a"]), "--run-b", str(run_paths["b"]),
+                "--n-resamples", "1000",
+            ],
+        }[command]
+        result = runner.invoke(
+            main,
+            [command, *runs, "--dataset", str(dataset_path), "--out", str(tmp_path / "out"),
+             "--k-grid", k_grid],
+        )
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("match_rule, tables", [("exact", 2), ("family", 1)])
+    def test_one_outcome_table_per_match_rule(
+        self, runner, tmp_path, quickstart, monkeypatch, match_rule, tables
+    ):
+        """Overall, breakdowns and cross-language recall share one outcome
+        table; the exact rule adds the family-rule overall table."""
+        import patbench.report
+
+        calls = []
+        real = patbench.report.query_outcomes
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])  # the match rule
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(patbench.report, "query_outcomes", counting)
+        result = runner.invoke(
+            main,
+            [
+                "evaluate",
+                "--run", str(quickstart["exclude"]),
+                "--dataset", str(quickstart["dataset"]),
+                "--corpus", str(quickstart["corpus"]),
+                "--out", str(tmp_path / "out"),
+                "--match-rule", match_rule,
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == tables
+        assert sorted(set(calls)) == sorted({match_rule, "family"})
+
     def test_family_rule_requires_corpus(self, runner, workdir, dataset_path, run_paths):
         result = runner.invoke(
             main,
@@ -528,7 +592,6 @@ class TestGoldenReports:
                 "compare_short_family",
                 ["compare", "--run-a", "{exclude}", "--run-b", "{short}",
                  "--corpus", "{corpus}", "--match-rule", "family",
-                 "--dimensions", "language,ipc_section,jurisdiction",
                  "--seed", "7", "--n-resamples", "2000"],
             ),
         ],

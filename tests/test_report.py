@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from patbench.report import (
     compare_systems,
     cross_language_recall,
     emit_report,
+    evaluate_run,
 )
 
 KS = (1, 5, 10)
@@ -239,6 +241,8 @@ class TestCompareSystems:
         run_other = build_run(other, {"Q0": ["R0A"]})
         with pytest.raises(IntegrityMismatchError):
             compare_systems(run_a, run_other, dataset, ks=KS, n_resamples=1000)
+        with pytest.raises(IntegrityMismatchError):
+            evaluate_run(run_other, dataset, ks=KS)
 
     def test_breakdown_dimensions_included(self):
         dataset, run_a, run_b = _comparison_fixture()
@@ -478,3 +482,48 @@ class TestScalarSpecOracle:
         assert repr(compare_systems(run_a, run_b, dataset, **compare_kw)) == repr(
             scalar_compare_systems(run_a, run_b, dataset, **compare_kw)
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=_evaluation_case(),
+        match_rule=st.sampled_from(["exact", "family"]),
+        ks=st.sampled_from([(1, 2, 3, 5, 10), (1, 3, 8)]),
+        dimensions=st.sampled_from([REPORT_DIMENSIONS, ("jurisdiction", "language"), ()]),
+    )
+    def test_evaluate_run_matches_scalar_spec(self, case, match_rule, ks, dimensions):
+        """``evaluate_run`` equals the report assembled from the scalar
+        breakdowns and cross-language recall, with the families read from
+        the corpus documents."""
+        dataset, run, _, corpus, family_of = case
+        docs = dict(corpus.documents)
+        family_corpus = make_corpus(
+            dataclasses.replace(docs.get(doc_id) or make_doc(doc_id), family_id=family)
+            for doc_id, family in sorted({**dict.fromkeys(docs, ""), **family_of}.items())
+        )
+        for corp in (None, family_corpus):
+            kw = dict(ks=ks, match_rule=match_rule, dimensions=dimensions)
+            if corp is None and match_rule == "family":
+                with pytest.raises(ValueError):
+                    evaluate_run(run, dataset, corp, **kw)
+                continue
+            fam = {} if corp is None else {d.doc_id: d.family_id for d in corp.documents.values()}
+            spec = dict(match_rule=match_rule, family_of=fam)
+            expected = MetricsReport(
+                match_rule=match_rule,
+                overall=scalar_breakdown_by(run, dataset, OVERALL_DIMENSION, ks, **spec),
+                breakdowns=tuple(
+                    scalar_breakdown_by(run, dataset, dim, ks, **spec) for dim in dimensions
+                ),
+                cross_language=(
+                    () if corp is None
+                    else scalar_cross_language_recall(run, dataset, corp, **spec)
+                ),
+                family_overall=(
+                    scalar_breakdown_by(
+                        run, dataset, OVERALL_DIMENSION, ks, match_rule="family", family_of=fam
+                    )
+                    if match_rule == "exact" and any(fam.values())
+                    else None
+                ),
+            )
+            assert repr(evaluate_run(run, dataset, corp, **kw)) == repr(expected)
