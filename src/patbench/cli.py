@@ -1,7 +1,7 @@
 """Command-line interface: build datasets, run systems, evaluate, compare.
 
-Exit codes: 0 success, 2 argument, feasibility or input-format errors, 3 run
-aborted on the failure threshold, 4 dataset integrity mismatch.
+Exit codes: 0 success, 2 argument, feasibility, input-format or file errors,
+3 run aborted on the failure threshold, 4 dataset integrity mismatch.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from .corpus import Corpus, CorpusError, load_corpus
 from .dataset import (
     DEFAULT_ALIGNMENT_THRESHOLD,
     DEFAULT_RECENCY_YEARS,
-    DatasetFormatError,
-    InfeasibleTargetsError,
+    EvaluationDataset,
     build_dataset,
     load_dataset,
     write_dataset,
@@ -32,7 +31,6 @@ from .execution import (
     RemoteEndpointConfig,
     RunControls,
     RunFailureError,
-    RunLogFormatError,
     RunRecord,
     load_run_log,
     run_evaluation,
@@ -64,26 +62,40 @@ EXIT_INTEGRITY = 4
 _DIMENSION_ALIASES = {"ipc": "ipc_section", "country": "jurisdiction"}
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _ExitCodeGroup(click.Group):
+    """The one map from errors to exit codes: commands raise, and this group
+    prints ``error: <message>`` and exits with the error's code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # left to click's own handling of a closed stdout
+        except IntegrityMismatchError as exc:  # a ValueError, so it comes first
+            code, error = EXIT_INTEGRITY, exc
+        except RunFailureError as exc:
+            code, error = EXIT_RUN_FAILURES, exc
+        except (ValueError, CorpusError, OSError) as exc:
+            code, error = EXIT_USAGE, exc
+        click.echo(f"error: {error}", err=True)
+        sys.exit(code)
 
 
 def _parse_int_list(raw: str, name: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        _fail(EXIT_USAGE, f"{name} must be a comma-separated list of integers: {raw!r}")
+        raise ValueError(f"{name} must be a comma-separated list of integers: {raw!r}") from None
     if not values:
-        _fail(EXIT_USAGE, f"{name} must not be empty")
+        raise ValueError(f"{name} must not be empty")
     return values
 
 
 def _parse_choices(
     raw: str, what: str, allowed: Sequence[str], aliases: Mapping[str, str]
 ) -> tuple[str, ...]:
-    """The comma-separated values of ``raw``, aliases resolved; exits 2 on a
-    value outside ``allowed``."""
+    """The comma-separated values of ``raw``, aliases resolved; raises
+    ``ValueError`` on a value outside ``allowed``."""
     values: list[str] = []
     for part in raw.split(","):
         part = part.strip()
@@ -91,41 +103,48 @@ def _parse_choices(
             continue
         value = aliases.get(part, part)
         if value not in allowed:
-            _fail(EXIT_USAGE, f"unknown {what} {part!r} (use {', '.join(allowed)})")
+            raise ValueError(f"unknown {what} {part!r} (use {', '.join(allowed)})")
         values.append(value)
     return tuple(values)
 
 
-def _load_corpus_or_fail(path: str, lenient: bool) -> Corpus:
-    try:
-        corpus = load_corpus(path, lenient=lenient)
-    except (CorpusError, OSError) as exc:
-        _fail(EXIT_USAGE, str(exc))
+def _load_corpus(path: str, lenient: bool) -> Corpus:
+    corpus = load_corpus(path, lenient=lenient)
     if corpus.load_skips:
         click.echo(f"skipped {len(corpus.load_skips)} malformed lines", err=True)
     return corpus
 
 
-def _read_or_fail(loader, path: str):
-    """``loader(path)``, exiting 2 when the dataset or run log is malformed."""
-    try:
-        return loader(path)
-    except (DatasetFormatError, RunLogFormatError) as exc:
-        _fail(EXIT_USAGE, str(exc))
-
-
-def _check_depth(ks: tuple[int, ...], *named_runs: tuple[str, RunRecord]) -> None:
-    """Exit 2 when the k grid reaches past the results a run retrieved."""
-    for name, run in named_runs:
-        if max(ks) > run.controls.max_depth:
-            _fail(
-                EXIT_USAGE,
-                f"k grid reaches {max(ks)} but {name} retrieved only "
-                f"{run.controls.max_depth} results per query",
+def _load_report_inputs(
+    ks: tuple[int, ...],
+    dataset_path: str,
+    run_paths: Mapping[str, str],
+    corpus_path: str | None,
+    match_rule: str,
+) -> tuple[EvaluationDataset, list[RunRecord], Corpus | None]:
+    """The dataset, the named run logs and the optional corpus of ``evaluate``
+    and ``compare``, checked against the k grid and the match rule."""
+    dataset = load_dataset(dataset_path)
+    runs = [load_run_log(path) for path in run_paths.values()]
+    depths = [run.controls.max_depth for run in runs]
+    for name, depth in zip(run_paths, depths):
+        if max(ks) > depth:
+            raise ValueError(
+                f"k grid reaches {max(ks)} but {name} retrieved only {depth} results per query"
             )
+    if len(set(depths)) > 1:
+        raise ValueError(
+            "runs of different --max-depth: "
+            + " but ".join(f"{name} retrieved {depth}" for name, depth in zip(run_paths, depths))
+            + " results per query"
+        )
+    corpus = load_corpus(corpus_path) if corpus_path else None
+    if match_rule == MATCH_FAMILY and corpus is None:
+        raise ValueError("family match rule requires --corpus")
+    return dataset, runs, corpus
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 def main() -> None:
     """Evaluation harness for patent novelty search systems."""
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
@@ -155,26 +174,21 @@ def cmd_build_dataset(
     lenient: bool,
 ) -> None:
     """Construct an evaluation dataset from a corpus."""
-    corpus = _load_corpus_or_fail(corpus_path, lenient)
+    corpus = _load_corpus(corpus_path, lenient)
     targets = None
     if targets_path:
         try:
             targets = json.loads(Path(targets_path).read_text(encoding="utf-8"))
         except ValueError as exc:
-            _fail(EXIT_USAGE, f"bad targets file: {exc}")
-    try:
-        dataset = build_dataset(
-            corpus,
-            threshold=threshold,
-            recency_years=recency_years,
-            targets=targets,
-            sample_size=sample_size or None,
-            seed=seed,
-        )
-    except InfeasibleTargetsError as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+            raise ValueError(f"bad targets file: {exc}") from exc
+    dataset = build_dataset(
+        corpus,
+        threshold=threshold,
+        recency_years=recency_years,
+        targets=targets,
+        sample_size=sample_size or None,
+        seed=seed,
+    )
     write_dataset(dataset, out)
     manifest = dataset.build_manifest
     click.echo(f"wrote {len(dataset.queries)} query cases to {out}")
@@ -194,12 +208,12 @@ def _make_adapter(
         if ":" in adapter:
             config_path = adapter.split(":", 1)[1]
         if not config_path:
-            _fail(EXIT_USAGE, "remote adapter needs --adapter-config or remote:<config.json>")
+            raise ValueError("remote adapter needs --adapter-config or remote:<config.json>")
         try:
             return RemoteAdapter(RemoteEndpointConfig.from_file(config_path))
         except (OSError, ValueError) as exc:
-            _fail(EXIT_USAGE, f"bad adapter config: {exc}")
-    _fail(EXIT_USAGE, f"unknown adapter {adapter!r} (use reference or remote:<config.json>)")
+            raise ValueError(f"bad adapter config: {exc}") from exc
+    raise ValueError(f"unknown adapter {adapter!r} (use reference or remote:<config.json>)")
 
 
 @main.command("run")
@@ -234,8 +248,8 @@ def cmd_run(
     lenient: bool,
 ) -> None:
     """Run a retrieval system over every dataset query."""
-    corpus = _load_corpus_or_fail(corpus_path, lenient)
-    dataset = _read_or_fail(load_dataset, dataset_path)
+    corpus = _load_corpus(corpus_path, lenient)
+    dataset = load_dataset(dataset_path)
     system = _make_adapter(adapter, adapter_config, corpus, exclude_family)
     controls = RunControls(
         seed=seed,
@@ -254,10 +268,7 @@ def cmd_run(
             except ValueError:
                 pass
     click.echo(f"running {len(dataset.queries)} queries against {system.adapter_id}")
-    try:
-        record = run_evaluation(dataset, system, controls, queries=queries)
-    except RunFailureError as exc:
-        _fail(EXIT_RUN_FAILURES, str(exc))
+    record = run_evaluation(dataset, system, controls, queries=queries)
     write_run_log(record, out)
     tally = tally_statuses(record)
     click.echo(
@@ -276,7 +287,7 @@ def cmd_run(
 @click.option("--k-grid", default=",".join(str(k) for k in DEFAULT_K_GRID), show_default=True)
 @click.option("--match-rule", default="exact", show_default=True,
               type=click.Choice(list(MATCH_RULES)))
-@click.option("--dimensions", default="language,ipc_section,jurisdiction", show_default=True)
+@click.option("--dimensions", default=",".join(REPORT_DIMENSIONS), show_default=True)
 @click.option("--formats", default=",".join(REPORT_FORMATS), show_default=True)
 def cmd_evaluate(
     run_path: str,
@@ -292,18 +303,10 @@ def cmd_evaluate(
     ks = _parse_int_list(k_grid, "--k-grid")
     dims = _parse_choices(dimensions, "dimension", REPORT_DIMENSIONS, _DIMENSION_ALIASES)
     fmts = _parse_choices(formats, "format", REPORT_FORMATS, {})
-    dataset = _read_or_fail(load_dataset, dataset_path)
-    run = _read_or_fail(load_run_log, run_path)
-    _check_depth(ks, ("the run", run))
-    corpus = _load_corpus_or_fail(corpus_path, False) if corpus_path else None
-    if match_rule == MATCH_FAMILY and corpus is None:
-        _fail(EXIT_USAGE, "family match rule requires --corpus")
-    try:
-        report = evaluate_run(run, dataset, corpus, ks=ks, match_rule=match_rule, dimensions=dims)
-    except IntegrityMismatchError as exc:
-        _fail(EXIT_INTEGRITY, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    dataset, (run,), corpus = _load_report_inputs(
+        ks, dataset_path, {"the run": run_path}, corpus_path, match_rule
+    )
+    report = evaluate_run(run, dataset, corpus, ks=ks, match_rule=match_rule, dimensions=dims)
     written = emit_report(report, out_dir, fmts)
     overall = report.overall
     for k, rate in zip(overall.ks, overall.totals.rates):
@@ -328,7 +331,7 @@ def cmd_evaluate(
 @click.option("--n-resamples", default=DEFAULT_N_RESAMPLES, show_default=True,
               type=click.IntRange(min=1000))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--strata", default="language,ipc_section", show_default=True,
+@click.option("--strata", default=",".join(DEFAULT_BOOTSTRAP_STRATA), show_default=True,
               help="Stratification dimensions for the paired bootstrap.")
 def cmd_compare(
     run_a_path: str,
@@ -347,30 +350,20 @@ def cmd_compare(
     ks = _parse_int_list(k_grid, "--k-grid")
     fmts = _parse_choices(formats, "format", REPORT_FORMATS, {})
     strata_dims = _parse_choices(strata, "dimension", REPORT_DIMENSIONS, _DIMENSION_ALIASES)
-    dataset = _read_or_fail(load_dataset, dataset_path)
-    run_a = _read_or_fail(load_run_log, run_a_path)
-    run_b = _read_or_fail(load_run_log, run_b_path)
-    _check_depth(ks, ("run A", run_a), ("run B", run_b))
-    corpus = _load_corpus_or_fail(corpus_path, False) if corpus_path else None
-    if match_rule == MATCH_FAMILY and corpus is None:
-        _fail(EXIT_USAGE, "family match rule requires --corpus")
-    family_of = corpus.family_of if corpus is not None else {}
-    try:
-        comparison = compare_systems(
-            run_a,
-            run_b,
-            dataset,
-            ks=ks,
-            match_rule=match_rule,
-            family_of=family_of,
-            n_resamples=n_resamples,
-            seed=seed,
-            strata_dims=strata_dims or DEFAULT_BOOTSTRAP_STRATA,
-        )
-    except IntegrityMismatchError as exc:
-        _fail(EXIT_INTEGRITY, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    dataset, (run_a, run_b), corpus = _load_report_inputs(
+        ks, dataset_path, {"run A": run_a_path, "run B": run_b_path}, corpus_path, match_rule
+    )
+    comparison = compare_systems(
+        run_a,
+        run_b,
+        dataset,
+        ks=ks,
+        match_rule=match_rule,
+        family_of=corpus.family_of if corpus is not None else {},
+        n_resamples=n_resamples,
+        seed=seed,
+        strata_dims=strata_dims or DEFAULT_BOOTSTRAP_STRATA,
+    )
     report = MetricsReport(
         match_rule=match_rule,
         overall=None,

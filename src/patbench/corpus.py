@@ -14,6 +14,7 @@ import gc
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -37,6 +38,9 @@ ISO_639_1 = frozenset(
     "sl sm sn so sq sr ss st su sv sw ta te tg th ti tk tl tn to tr ts tt tw "
     "ty ug uk ur uz ve vi vo wa wo xh yi yo za zh zu".split()
 )
+
+_ID_WS_RE = re.compile(r"\s+")
+_ID_OK_RE = re.compile(r"^[A-Z0-9][A-Z0-9./-]*$")
 
 
 class CorpusError(Exception):
@@ -158,6 +162,16 @@ _REQUIRED_PATENT_FIELDS = ("doc_id", "jurisdiction", "language", "ipc_codes", "f
 _REQUIRED_CITATION_FIELDS = ("citing_id", "cited_id", "category")
 
 
+def normalize_doc_id(raw: object) -> str | None:
+    """Uppercase, whitespace-free publication id; ``None`` when unmappable."""
+    if not isinstance(raw, str):
+        return None
+    norm = _ID_WS_RE.sub("", raw).upper()
+    if not _ID_OK_RE.match(norm):
+        return None
+    return norm
+
+
 def _parse_date(value: str) -> date:
     # date.fromisoformat accepts only YYYY-MM-DD in 3.10, which is what the
     # format prescribes; anything else should fail loudly.
@@ -212,7 +226,7 @@ def read_jsonl(
     """Call ``handle(record, line_number)`` on each non-blank line of a JSONL file.
 
     The one format-error policy of the corpus, dataset and run-log loaders: a
-    line that is not JSON or not an object, or whose handler raises
+    line that is not UTF-8, not JSON or not an object, or whose handler raises
     ``ValueError``, ``KeyError`` (a missing field) or ``TypeError``, raises
     ``error_cls("path:line: message")``.  With ``skips`` given, the
     ``(line_number, message)`` pair is appended there instead and reading goes
@@ -227,11 +241,14 @@ def read_jsonl(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+        # Bytes in, one line decoded at a time: a bad byte is an error of its
+        # own line, under the same policy as bad JSON.
+        with path.open("rb") as fh:
+            for line_number, raw in enumerate(fh, start=1):
                 try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
                     rec = json.loads(line)
                     if not isinstance(rec, dict):
                         raise ValueError("record is not a JSON object")
@@ -251,7 +268,9 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
 
     Strict mode (default) raises :class:`CorpusFormatError` on the first
     malformed line.  Lenient mode skips malformed lines and records them in
-    ``Corpus.load_skips``.  A duplicate doc_id is fatal in both modes.
+    ``Corpus.load_skips``.  A patent whose doc_id is not its own
+    :func:`normalize_doc_id` form is malformed, since run logs hold
+    normalized ids only.  A duplicate doc_id is fatal in both modes.
 
     Args:
         path: corpus file location.
@@ -271,6 +290,11 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
         kind = rec.get("kind")
         if kind == "patent":
             doc = _parse_patent(rec)
+            if normalize_doc_id(doc.doc_id) != doc.doc_id:
+                raise ValueError(
+                    f"doc_id {doc.doc_id!r} is not a canonical publication id: "
+                    "upper-case letters, digits, '.', '/' and '-', led by a letter or digit"
+                )
             if doc.doc_id in documents:
                 raise DuplicateDocIdError(doc.doc_id, line_number)
             documents[doc.doc_id] = doc

@@ -320,7 +320,7 @@ def stratum_labels(doc: PatentDocument) -> dict[str, str]:
     }
 
 
-def _largest_remainder(proportions: Mapping[str, float], total: int) -> dict[str, int]:
+def largest_remainder(proportions: Mapping[str, float], total: int) -> dict[str, int]:
     """Integer allocation summing to ``total``; ties by ascending key."""
     quotas = {key: p * total for key, p in proportions.items()}
     alloc = {key: math.floor(q) for key, q in quotas.items()}
@@ -332,11 +332,17 @@ def _largest_remainder(proportions: Mapping[str, float], total: int) -> dict[str
 
 
 def _validate_targets(targets: Mapping[str, Mapping[str, float]]) -> None:
+    if not isinstance(targets, Mapping):
+        raise ValueError("targets must map each dimension to stratum proportions")
     for dim, props in targets.items():
         if dim not in STRATUM_DIMENSIONS:
             raise ValueError(f"unknown stratification dimension {dim!r}")
+        if not isinstance(props, Mapping):
+            raise ValueError(f"targets for dimension {dim!r} must map strata to proportions")
         if not props:
             raise ValueError(f"empty target map for dimension {dim!r}")
+        if not all(type(p) in (int, float) and math.isfinite(p) for p in props.values()):
+            raise ValueError(f"proportions for {dim!r} must be finite numbers")
         if any(p < 0 for p in props.values()):
             raise ValueError(f"negative proportion in dimension {dim!r}")
         if abs(sum(props.values()) - 1.0) > 1e-9:
@@ -364,7 +370,7 @@ def _composite_allocation(
     label_of = {key: "|".join(key) for key in keys}
     avail = {key: len(pools.get(key, ())) for key in keys}
 
-    alloc = _largest_remainder({label_of[k]: props[k] for k in keys}, sample_size)
+    alloc = largest_remainder({label_of[k]: props[k] for k in keys}, sample_size)
     alloc = {k: alloc[label_of[k]] for k in keys}
     capped: set[tuple[str, ...]] = set()
     while True:
@@ -383,7 +389,7 @@ def _composite_allocation(
             demanded = over[worst] + avail[worst]
             raise InfeasibleTargetsError(label_of[worst], demanded, avail[worst])
         weight = sum(props[k] for k in open_keys)
-        extra = _largest_remainder(
+        extra = largest_remainder(
             {label_of[k]: props[k] / weight for k in open_keys}, shortfall
         )
         for k in open_keys:

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_ch
 import numpy as np
 import requests
 
-from .corpus import Corpus, read_jsonl
+from .corpus import Corpus, normalize_doc_id, read_jsonl
 from .dataset import EvaluationDataset
 from .query import EmptyInputError, Query
 
@@ -37,8 +37,6 @@ DEFAULT_MAX_DEPTH = 100
 # Latin alnum runs, or single CJK ideographs: Chinese text has no spaces, so
 # each ideograph indexes as its own token.
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[㐀-䶿一-鿿]")
-_ID_WS_RE = re.compile(r"\s+")
-_ID_OK_RE = re.compile(r"^[A-Z0-9][A-Z0-9./-]*$")
 
 
 class AdapterError(Exception):
@@ -114,16 +112,6 @@ class RunRecord:
     started: str
     finished: str
     anomaly_count: int = 0
-
-
-def normalize_doc_id(raw: object) -> str | None:
-    """Uppercase, whitespace-free publication id; ``None`` when unmappable."""
-    if not isinstance(raw, str):
-        return None
-    norm = _ID_WS_RE.sub("", raw).upper()
-    if not _ID_OK_RE.match(norm):
-        return None
-    return norm
 
 
 def _coerce_hit(item: object) -> tuple[object, float | None]:

@@ -12,6 +12,7 @@ import random
 from datetime import date, timedelta
 
 from .corpus import CitationRecord, Corpus, PatentDocument
+from .dataset import largest_remainder
 
 DEFAULT_REFERENCE_DATE = date(2020, 6, 15)
 
@@ -98,15 +99,6 @@ def _mutate(rng: random.Random, text: str, pool: list[str], n_edits: int) -> str
     return " ".join(words) + " " + _en_sentence(rng, pool)
 
 
-def _allocate(mix: dict[str, float], total: int) -> dict[str, int]:
-    quotas = {key: p * total for key, p in mix.items()}
-    alloc = {key: int(q) for key, q in quotas.items()}
-    leftover = total - sum(alloc.values())
-    for key in sorted(quotas, key=lambda k: (-(quotas[k] - alloc[k]), k))[:leftover]:
-        alloc[key] += 1
-    return alloc
-
-
 def synthetic_corpus(
     n_docs: int = 200,
     seed: int = 0,
@@ -125,7 +117,7 @@ def synthetic_corpus(
     """
     mix = jurisdiction_mix or {"CN": 0.5, "US": 0.2, "EP": 0.2, "WO": 0.1}
     rng = random.Random(seed)
-    alloc = _allocate(mix, n_docs)
+    alloc = largest_remainder(mix, n_docs)
     jurisdictions: list[str] = []
     for jur in sorted(alloc):
         jurisdictions.extend([jur] * alloc[jur])

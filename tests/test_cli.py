@@ -768,3 +768,134 @@ class TestMalformedInputs:
         where = str(bad) if line is None else f"{bad}:{line}:"
         assert where in result.output
         assert not (tmp_path / "out").exists()
+
+
+def _assert_input_error(result, *named):
+    """Exit 2 through the group's error map: an ``error:`` line naming each
+    of ``named``, and no escaped exception."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "error:" in result.output
+    for text in named:
+        assert text in result.output
+
+
+def _with_bad_byte(source, dest, line):
+    """Copy ``source`` to ``dest`` with a 0xFF byte, never valid UTF-8, in
+    the given 1-based line."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][5:]
+    dest.write_bytes(b"".join(lines))
+    return dest
+
+
+class TestInputErrors:
+    """Input faults that escaped as tracebacks (exit 1) or passed silently
+    (exit 0) now exit 2 with an ``error:`` line."""
+
+    @pytest.mark.parametrize("broken", ["exclude", "dataset"])
+    def test_non_utf8_run_log_or_dataset(self, runner, tmp_path, quickstart, broken):
+        bad = _with_bad_byte(quickstart[broken], tmp_path / "bad.jsonl", 2)
+        paths = {name: str(quickstart[name]) for name in ("dataset", "exclude")}
+        paths[broken] = str(bad)
+        result = runner.invoke(
+            main,
+            ["evaluate", "--run", paths["exclude"], "--dataset", paths["dataset"],
+             "--out", str(tmp_path / "out")],
+        )
+        _assert_input_error(result, f"{bad}:2:", "0xff")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_corpus_line(self, runner, tmp_path, bundled_corpus_path):
+        bad = _with_bad_byte(bundled_corpus_path, tmp_path / "corpus.jsonl", 3)
+        argv = ["build-dataset", "--corpus", str(bad), "--out", str(tmp_path / "ds.jsonl")]
+        _assert_input_error(runner.invoke(main, argv), f"{bad}:3:", "0xff")
+        lenient = runner.invoke(main, argv + ["--lenient"])
+        assert lenient.exit_code == 0, lenient.output
+        assert "skipped" in lenient.output
+
+    @pytest.mark.parametrize(
+        "targets, named",
+        [
+            ([1, 2], "targets must map"),
+            ({"language": [0.5]}, "'language' must map"),
+            ({"language": {"en": "x"}}, "'language' must be finite numbers"),
+        ],
+        ids=["list", "dimension-list", "string-proportion"],
+    )
+    def test_malformed_targets_file(
+        self, runner, tmp_path, bundled_corpus_path, targets, named
+    ):
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(targets))
+        result = runner.invoke(
+            main,
+            ["build-dataset", "--corpus", str(bundled_corpus_path),
+             "--out", str(tmp_path / "ds.jsonl"), "--targets", str(path)],
+        )
+        _assert_input_error(result, named)
+        assert not (tmp_path / "ds.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["build-dataset", "run"])
+    def test_out_under_a_regular_file(
+        self, runner, tmp_path, dataset_path, bundled_corpus_path, command
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = {
+            "build-dataset": ["build-dataset", "--sample-size", "5"],
+            "run": ["run", "--dataset", str(dataset_path)],
+        }[command]
+        result = runner.invoke(
+            main, argv + ["--corpus", str(bundled_corpus_path), "--out", str(blocker / "x.jsonl")]
+        )
+        _assert_input_error(result, str(blocker))
+
+    def test_compare_runs_of_different_depth(self, runner, tmp_path, quickstart):
+        shallow = tmp_path / "run_depth10.jsonl"
+        result = runner.invoke(
+            main,
+            ["run", "--dataset", str(quickstart["dataset"]), "--corpus", str(quickstart["corpus"]),
+             "--out", str(shallow), "--seed", "7", "--max-depth", "10"],
+        )
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(
+            main,
+            ["compare", "--run-a", str(shallow), "--run-b", str(quickstart["exclude"]),
+             "--dataset", str(quickstart["dataset"]), "--out", str(tmp_path / "cmp"),
+             "--k-grid", "1,10", "--n-resamples", "1000"],
+        )
+        _assert_input_error(result, "--max-depth", "run A retrieved 10", "run B retrieved 100")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_lower_case_corpus_id(self, runner, tmp_path, bundled_corpus_path):
+        lines = bundled_corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        rec["doc_id"] = rec["doc_id"].lower()
+        lowered = tmp_path / "corpus.jsonl"
+        lowered.write_text(json.dumps(rec) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        argv = ["build-dataset", "--corpus", str(lowered), "--out", str(tmp_path / "ds.jsonl")]
+        _assert_input_error(runner.invoke(main, argv), f"{lowered}:1:", repr(rec["doc_id"]))
+        lenient = runner.invoke(main, argv + ["--lenient"])
+        assert lenient.exit_code == 0, lenient.output
+        assert "skipped" in lenient.output
+
+    def test_closed_stdout_keeps_clicks_exit_1(
+        self, runner, tmp_path, bundled_corpus_path, monkeypatch
+    ):
+        """A closed stdout is an OSError, but not an input error."""
+        import errno
+
+        import patbench.cli
+
+        def closed_pipe(*args, **kwargs):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(patbench.cli, "write_dataset", closed_pipe)
+        result = runner.invoke(
+            main,
+            ["build-dataset", "--corpus", str(bundled_corpus_path), "--sample-size", "5",
+             "--out", str(tmp_path / "ds.jsonl")],
+        )
+        assert result.exit_code == 1
+        assert "error:" not in result.output

@@ -23,7 +23,7 @@ from patbench.corpus import (
     validate_corpus,
     write_corpus,
 )
-from patbench.synth import corpus_with_planted_defects
+from patbench.synth import corpus_with_planted_defects, synthetic_corpus
 
 
 def test_write_then_load_round_trips(synth_corpus, tmp_path):
@@ -53,6 +53,14 @@ def test_bundled_corpus_matches_generator(synth_corpus, bundled_corpus_path):
     assert validate_corpus(loaded).clean
 
 
+def test_bundled_corpus_regenerates_byte_for_byte(bundled_corpus_path, tmp_path):
+    # scripts/make_synthetic_corpus.py promises that rerunning it leaves data/
+    # unchanged.
+    out = write_corpus(synthetic_corpus(n_docs=200, seed=0), tmp_path / "corpus.jsonl")
+    assert out.read_bytes() == bundled_corpus_path.read_bytes()
+    assert manifest_path_for(out).read_bytes() == manifest_path_for(bundled_corpus_path).read_bytes()
+
+
 def _write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
@@ -78,6 +86,58 @@ def test_strict_load_rejects_malformed_line_with_location(tmp_path):
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(path)
     assert f"{path}:2" in str(err.value)
+
+
+class TestEncoding:
+    """Lines are decoded one at a time, so a byte that is not UTF-8 is a format
+    error of its own line."""
+
+    def test_strict_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        latin1 = _patent_line("US2A", title="cafe").encode().replace(b"cafe", b"caf\xe9")
+        path.write_bytes(_patent_line("US1A").encode() + b"\n" + latin1 + b"\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert f"{path}:2:" in str(err.value)
+        assert "0xe9" in str(err.value)
+
+    def test_lenient_skips_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        lines = [_patent_line("US1A").encode(), b"\xff", _patent_line("US3A").encode()]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        corpus = load_corpus(path, lenient=True)
+        assert sorted(corpus.documents) == ["US1A", "US3A"]
+        assert [line for line, _ in corpus.load_skips] == [2]
+
+    def test_crlf_and_non_ascii_text_load(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        raw_utf8 = _patent_line("CN1A", title="TITLE").replace("TITLE", "\u4e2d\u6587")
+        lines = [raw_utf8, _patent_line("US2A")]
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        corpus = load_corpus(path)
+        assert corpus.documents["CN1A"].title == "\u4e2d\u6587"
+        assert sorted(corpus.documents) == ["CN1A", "US2A"]
+
+
+class TestCanonicalDocIds:
+    """Run logs hold normalized ids, so a corpus id must already be normalized
+    or no hit could ever match it."""
+
+    @pytest.mark.parametrize("doc_id", ["us2a", "US 2A", "US2A!"])
+    def test_strict_rejects_with_location(self, tmp_path, doc_id):
+        path = tmp_path / "ids.jsonl"
+        _write_lines(path, [_patent_line("US1A"), _patent_line(doc_id)])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert f"{path}:2:" in str(err.value)
+        assert repr(doc_id) in str(err.value)
+
+    def test_lenient_skips(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        _write_lines(path, [_patent_line("us1a"), _patent_line("US2A")])
+        corpus = load_corpus(path, lenient=True)
+        assert sorted(corpus.documents) == ["US2A"]
+        assert [line for line, _ in corpus.load_skips] == [1]
 
 
 class TestReadJsonlPausesGc:

@@ -14,13 +14,13 @@ from patbench.dataset import (
     QueryCase,
     TrigramJaccardScorer,
     UndefinedScoreError,
-    _largest_remainder,
     alignment_score,
     apply_quality_filters,
     assemble_dataset,
     augment_with_family_citations,
     build_dataset,
     extract_x_citations,
+    largest_remainder,
     load_dataset,
     profile_distributions,
     write_dataset,
@@ -312,11 +312,11 @@ class TestLargestRemainder:
     def test_hand_case_with_tie(self):
         # quotas: CN 9.0, US 3.6, EP 3.6, WO 1.8; two seats remain after
         # flooring and EP beats US on the ascending-key tie at .6.
-        alloc = _largest_remainder({"CN": 0.5, "US": 0.2, "EP": 0.2, "WO": 0.1}, 18)
+        alloc = largest_remainder({"CN": 0.5, "US": 0.2, "EP": 0.2, "WO": 0.1}, 18)
         assert alloc == {"CN": 9, "US": 3, "EP": 4, "WO": 2}
 
     def test_exact_split_needs_no_remainder(self):
-        assert _largest_remainder({"a": 0.25, "b": 0.75}, 8) == {"a": 2, "b": 6}
+        assert largest_remainder({"a": 0.25, "b": 0.75}, 8) == {"a": 2, "b": 6}
 
     @settings(max_examples=150)
     @given(
@@ -331,7 +331,7 @@ class TestLargestRemainder:
     def test_sums_to_total_and_respects_floors(self, weights, total):
         norm = sum(weights.values())
         proportions = {k: v / norm for k, v in weights.items()}
-        alloc = _largest_remainder(proportions, total)
+        alloc = largest_remainder(proportions, total)
         assert sum(alloc.values()) == total
         for key, share in proportions.items():
             assert alloc[key] >= int(share * total) - 1
@@ -472,6 +472,22 @@ class TestAssembleDataset:
                 assemble_dataset(
                     cases, corpus, targets, sample_size=4, seed=0, **_ASSEMBLE_KW
                 )
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [1, 2],
+            {"language": [0.5, 0.5]},
+            {"language": {"zh": "0.5", "en": 0.5}},
+            {"language": {"zh": True, "en": 0.0}},
+            {"language": {"zh": float("nan"), "en": 0.5}},
+        ],
+        ids=["list", "dimension-list", "string", "bool", "nan"],
+    )
+    def test_malformed_target_shapes_rejected(self, targets):
+        corpus, cases = _cases_by_language(n_zh=5, n_en=5)
+        with pytest.raises(ValueError):
+            assemble_dataset(cases, corpus, targets, sample_size=4, seed=0, **_ASSEMBLE_KW)
 
 
 class TestBuildAndSerialize:
