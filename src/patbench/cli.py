@@ -267,6 +267,8 @@ def cmd_run(
                 queries[qid] = build_query(corpus.documents[qid], max_chars=max_chars)
             except ValueError:
                 pass
+    # An unwritable --out fails here, before any query is searched.
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     click.echo(f"running {len(dataset.queries)} queries against {system.adapter_id}")
     record = run_evaluation(dataset, system, controls, queries=queries)
     write_run_log(record, out)

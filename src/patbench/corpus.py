@@ -166,10 +166,27 @@ def normalize_doc_id(raw: object) -> str | None:
     """Uppercase, whitespace-free publication id; ``None`` when unmappable."""
     if not isinstance(raw, str):
         return None
+    return _normalize_str_id(raw)
+
+
+# Ids repeat heavily: a corpus load sees each id once per patent and citation,
+# and a run sees the same few thousand ids in every query's hits.  The type
+# test stays outside the cache so that unhashable ids never reach it.  At
+# about 140 bytes an entry, the bound keeps the cache under 5 MB.
+@functools.lru_cache(maxsize=1 << 15)
+def _normalize_str_id(raw: str) -> str | None:
     norm = _ID_WS_RE.sub("", raw).upper()
     if not _ID_OK_RE.match(norm):
         return None
     return norm
+
+
+def _require_canonical(field_name: str, doc_id: str) -> None:
+    if normalize_doc_id(doc_id) != doc_id:
+        raise ValueError(
+            f"{field_name} {doc_id!r} is not a canonical publication id: "
+            "upper-case letters, digits, '.', '/' and '-', led by a letter or digit"
+        )
 
 
 def _parse_date(value: str) -> date:
@@ -268,9 +285,10 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
 
     Strict mode (default) raises :class:`CorpusFormatError` on the first
     malformed line.  Lenient mode skips malformed lines and records them in
-    ``Corpus.load_skips``.  A patent whose doc_id is not its own
-    :func:`normalize_doc_id` form is malformed, since run logs hold
-    normalized ids only.  A duplicate doc_id is fatal in both modes.
+    ``Corpus.load_skips``.  A patent whose doc_id, or a citation whose
+    citing_id or cited_id, is not its own :func:`normalize_doc_id` form is
+    malformed, since run logs hold normalized ids only.  A duplicate doc_id
+    is fatal in both modes.
 
     Args:
         path: corpus file location.
@@ -290,16 +308,15 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
         kind = rec.get("kind")
         if kind == "patent":
             doc = _parse_patent(rec)
-            if normalize_doc_id(doc.doc_id) != doc.doc_id:
-                raise ValueError(
-                    f"doc_id {doc.doc_id!r} is not a canonical publication id: "
-                    "upper-case letters, digits, '.', '/' and '-', led by a letter or digit"
-                )
+            _require_canonical("doc_id", doc.doc_id)
             if doc.doc_id in documents:
                 raise DuplicateDocIdError(doc.doc_id, line_number)
             documents[doc.doc_id] = doc
         elif kind == "citation":
-            citations.append(_parse_citation(rec))
+            cit = _parse_citation(rec)
+            _require_canonical("citing_id", cit.citing_id)
+            _require_canonical("cited_id", cit.cited_id)
+            citations.append(cit)
             citation_lines.append(line_number)
         else:
             raise ValueError(f"unknown record kind {kind!r}")

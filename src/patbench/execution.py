@@ -115,10 +115,12 @@ class RunRecord:
 
 
 def _coerce_hit(item: object) -> tuple[object, float | None]:
-    if isinstance(item, Mapping):
-        return item.get("doc_id"), item.get("score")
+    # Pairs first: most adapters return them, and the Mapping test is an ABC
+    # check that costs more than the tuple/list one.
     if isinstance(item, (tuple, list)) and len(item) == 2:
         return item[0], item[1]
+    if isinstance(item, Mapping):
+        return item.get("doc_id"), item.get("score")
     if isinstance(item, str):
         return item, None
     return None, None
@@ -276,9 +278,12 @@ def tally_statuses(record: RunRecord) -> dict[str, int]:
 # hold as their oracle, so:
 #   - weights come from math.log through a table over tf, never np.log,
 #     which may differ in the last bit;
-#   - terms accumulate in the query's Counter order as (qtf * w) * idf;
+#   - each posting contributes (qtf * w) * idf, and one np.bincount adds a
+#     row's contributions in input order, which is the query's Counter order;
 #   - the sum is divided by sqrt(len), not multiplied by its reciprocal;
-#   - only documents sharing a term with the query are ranked.
+#   - only documents sharing a term with the query are ranked.  Every
+#     contribution is positive (w >= 1, idf = ln(1 + N/df) > 0), so those
+#     are exactly the rows whose sum is above zero.
 # ---------------------------------------------------------------------------
 
 
@@ -359,15 +364,18 @@ def reference_retrieve(
     if not q_tokens:
         raise EmptyInputError(f"query {query.query_id!r} has no indexable tokens")
 
-    acc = np.zeros(index.n_docs)
-    touched = np.zeros(index.n_docs, dtype=bool)
-    for term, qtf in Counter(q_tokens).items():
-        entry = index.terms.get(term)
-        if entry is None:
-            continue
-        rows, weights, idf = entry
-        acc[rows] += (qtf * weights) * idf
-        touched[rows] = True
+    found = [(term, qtf) for term, qtf in Counter(q_tokens).items() if term in index.terms]
+    if not found:
+        return RankedList(query_id=query.query_id, hits=(), status=STATUS_OK)
+    terms, qtfs = zip(*found)
+    term_rows, term_weights, idfs = zip(*map(index.terms.__getitem__, terms))
+    lengths = np.fromiter(map(len, term_rows), dtype=np.intp, count=len(term_rows))
+    # (qtf * w) * idf for every posting, in place on the concatenated weights.
+    contributions = np.concatenate(term_weights)
+    contributions *= np.repeat(qtfs, lengths)
+    contributions *= np.repeat(idfs, lengths)
+    acc = np.bincount(np.concatenate(term_rows), weights=contributions, minlength=index.n_docs)
+    touched = acc > 0.0
 
     q_row = index.row_of.get(query.query_id)
     if q_row is not None:
@@ -380,8 +388,12 @@ def reference_retrieve(
     scores = acc[rows] / index.sqrt_len[rows]
     order = np.lexsort((rows, -scores))[:max_depth]
     hits = tuple(
-        Hit(doc_id=index.doc_ids[row], score=score, rank=i + 1)
-        for i, (row, score) in enumerate(zip(rows[order].tolist(), scores[order].tolist()))
+        map(
+            Hit,
+            map(index.doc_ids.__getitem__, rows[order].tolist()),
+            scores[order].tolist(),
+            range(1, len(order) + 1),
+        )
     )
     return RankedList(query_id=query.query_id, hits=hits, status=STATUS_OK)
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
+from collections.abc import Mapping
 from datetime import date
 
 from patbench.corpus import CitationRecord, Corpus, PatentDocument
@@ -155,6 +157,66 @@ def scalar_reference_retrieve(query, index, max_depth=100, *, exclude_family=Tru
         for i, (doc_id, score) in enumerate(ranked[:max_depth])
     )
     return RankedList(query_id=query.query_id, hits=hits, status=STATUS_OK)
+
+
+_SCALAR_ID_WS_RE = re.compile(r"\s+")
+_SCALAR_ID_OK_RE = re.compile(r"^[A-Z0-9][A-Z0-9./-]*$")
+
+
+def scalar_normalize_doc_id(raw):
+    """Uncached spec of ``patbench.corpus.normalize_doc_id``."""
+    if not isinstance(raw, str):
+        return None
+    norm = _SCALAR_ID_WS_RE.sub("", raw).upper()
+    if not _SCALAR_ID_OK_RE.match(norm):
+        return None
+    return norm
+
+
+def _scalar_coerce_hit(item):
+    if isinstance(item, Mapping):
+        return item.get("doc_id"), item.get("score")
+    if isinstance(item, (tuple, list)) and len(item) == 2:
+        return item[0], item[1]
+    if isinstance(item, str):
+        return item, None
+    return None, None
+
+
+def scalar_standardize_results(raw, *, query_id, max_depth, latency_ms=0):
+    """Spec of ``patbench.execution.standardize_results``, with the id rule
+    evaluated afresh for every hit.  The library must match it by ``repr`` of
+    the whole ``(RankedList, dropped)`` result."""
+    from patbench.execution import STATUS_OK, Hit, RankedList
+
+    dropped = 0
+    seen = set()
+    kept = []
+    for item in raw:
+        raw_id, score = _scalar_coerce_hit(item)
+        norm = scalar_normalize_doc_id(raw_id)
+        if norm is None:
+            dropped += 1
+            continue
+        if norm in seen:
+            continue
+        seen.add(norm)
+        kept.append((norm, score))
+        if len(kept) == max_depth:
+            break
+
+    hits = []
+    prev = math.inf
+    for i, (doc_id, score) in enumerate(kept):
+        if score is None or not isinstance(score, (int, float)) or not math.isfinite(score):
+            score = 1.0 if prev is math.inf else prev
+        score = float(min(score, prev))
+        prev = score
+        hits.append(Hit(doc_id=doc_id, score=score, rank=i + 1))
+    ranked = RankedList(
+        query_id=query_id, hits=tuple(hits), status=STATUS_OK, latency_ms=latency_ms
+    )
+    return ranked, dropped
 
 
 # ---------------------------------------------------------------------------

@@ -838,8 +838,14 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", ["build-dataset", "run"])
     def test_out_under_a_regular_file(
-        self, runner, tmp_path, dataset_path, bundled_corpus_path, command
+        self, runner, tmp_path, dataset_path, bundled_corpus_path, command, monkeypatch
     ):
+        import patbench.cli
+
+        def no_queries(*args, **kwargs):
+            pytest.fail("queries were searched before --out was checked")
+
+        monkeypatch.setattr(patbench.cli, "run_evaluation", no_queries)
         blocker = tmp_path / "file"
         blocker.write_text("")
         argv = {
@@ -879,6 +885,22 @@ class TestInputErrors:
         lenient = runner.invoke(main, argv + ["--lenient"])
         assert lenient.exit_code == 0, lenient.output
         assert "skipped" in lenient.output
+
+    def test_lower_case_cited_ids(self, runner, tmp_path, bundled_corpus_path):
+        lines = bundled_corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        first_citation = None
+        for number, line in enumerate(lines, start=1):
+            rec = json.loads(line)
+            if rec["kind"] == "citation":
+                rec["cited_id"] = rec["cited_id"].lower()
+                lines[number - 1] = json.dumps(rec) + "\n"
+                first_citation = first_citation or (number, rec["cited_id"])
+        lowered = tmp_path / "corpus.jsonl"
+        lowered.write_text("".join(lines), encoding="utf-8")
+        argv = ["build-dataset", "--corpus", str(lowered), "--out", str(tmp_path / "ds.jsonl")]
+        number, cited_id = first_citation
+        _assert_input_error(runner.invoke(main, argv), f"{lowered}:{number}:", repr(cited_id))
+        assert not (tmp_path / "ds.jsonl").exists()
 
     def test_closed_stdout_keeps_clicks_exit_1(
         self, runner, tmp_path, bundled_corpus_path, monkeypatch

@@ -65,6 +65,12 @@ def _write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _citation_line(citing_id: str, cited_id: str) -> str:
+    return json.dumps(
+        {"kind": "citation", "citing_id": citing_id, "cited_id": cited_id, "category": "X"}
+    )
+
+
 def _patent_line(doc_id: str, **overrides) -> str:
     rec = {
         "kind": "patent",
@@ -138,6 +144,33 @@ class TestCanonicalDocIds:
         corpus = load_corpus(path, lenient=True)
         assert sorted(corpus.documents) == ["US2A"]
         assert [line for line, _ in corpus.load_skips] == [1]
+
+    @pytest.mark.parametrize("field, doc_id", [("citing_id", "us1a"), ("cited_id", "US 2A")])
+    def test_citation_ids_strict_rejects_with_location(self, tmp_path, field, doc_id):
+        path = tmp_path / "ids.jsonl"
+        ids = {"citing_id": "US1A", "cited_id": "US2A", field: doc_id}
+        _write_lines(
+            path, [_patent_line("US1A"), _patent_line("US2A"), _citation_line(**ids)]
+        )
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert f"{path}:3:" in str(err.value)
+        assert f"{field} {doc_id!r}" in str(err.value)
+
+    def test_citation_ids_lenient_skips(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        _write_lines(
+            path,
+            [
+                _patent_line("US1A"),
+                _patent_line("US2A"),
+                _citation_line("US1A", "us2a"),
+                _citation_line("US2A", "US1A"),
+            ],
+        )
+        corpus = load_corpus(path, lenient=True)
+        assert [(c.citing_id, c.cited_id) for c in corpus.citations] == [("US2A", "US1A")]
+        assert [line for line, _ in corpus.load_skips] == [3]
 
 
 class TestReadJsonlPausesGc:

@@ -10,10 +10,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_corpus, make_doc, scalar_reference_retrieve
+from helpers import (
+    make_corpus,
+    make_doc,
+    scalar_reference_retrieve,
+    scalar_standardize_results,
+)
 from patbench.dataset import EvaluationDataset, QueryCase
 from patbench.execution import (
     AdapterError,
@@ -91,6 +96,47 @@ class TestNormalizeDocId:
         assert normalize_doc_id(raw) is None
 
 
+# Mappable ids, repeated across forms: bare, lower-case and with whitespace.
+_GOOD_IDS = st.one_of(
+    st.sampled_from(["US1A", "us1a", " US 1A ", "EP-2/B1", "ep-2/b1", "CN3"]),
+    st.from_regex(r"[A-Za-z0-9][A-Za-z0-9 ./-]{0,3}", fullmatch=True),
+)
+_RAW_IDS = st.one_of(
+    _GOOD_IDS,
+    st.sampled_from(["??", "", "-X1"]),
+    st.text(max_size=6),
+    st.integers(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_RAW_SCORES = st.one_of(
+    st.none(),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=3),
+)
+_RAW_HITS = st.one_of(
+    st.tuples(_GOOD_IDS, _RAW_SCORES),
+    _RAW_IDS,
+    st.tuples(_RAW_IDS, _RAW_SCORES),
+    st.tuples(_RAW_IDS, _RAW_SCORES).map(list),
+    st.tuples(_RAW_IDS, _RAW_SCORES, _RAW_SCORES),
+    st.fixed_dictionaries({}, optional={"doc_id": _RAW_IDS, "score": _RAW_SCORES}),
+)
+
+
+def _outcome(standardize, raw, max_depth):
+    """``repr`` of the result, or the exception type: where the spec raises,
+    the library must raise the same type, and nowhere else."""
+    try:
+        return repr(standardize(raw, query_id="Q", max_depth=max_depth, latency_ms=7))
+    except Exception as exc:
+        return f"raised {type(exc).__name__}"
+
+
 class TestStandardizeResults:
     def test_accepts_mixed_shapes(self):
         raw = [
@@ -159,6 +205,21 @@ class TestStandardizeResults:
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert all(math.isfinite(s) for s in scores)
         assert dropped >= 0
+
+    @settings(max_examples=300, deadline=None)
+    # An inherited score above 1.0, a 3-tuple and unhashable ids, every run.
+    @example(
+        raw=[("US1A", 5.0), (" cn 3", None), ("EP-2/B1", 2.0, 1), ([1], 0.5), {"doc_id": {}}],
+        max_depth=25,
+    )
+    @given(
+        raw=st.lists(_RAW_HITS, max_size=30),
+        max_depth=st.integers(min_value=1, max_value=25),
+    )
+    def test_matches_scalar_spec(self, raw, max_depth):
+        assert _outcome(standardize_results, raw, max_depth) == _outcome(
+            scalar_standardize_results, raw, max_depth
+        )
 
 
 class ListAdapter:
@@ -456,6 +517,35 @@ class TestReferenceRetriever:
             scores = [h.score for h in ranked.hits]
             assert all(a >= b for a, b in zip(scores, scores[1:]))
 
+    def test_run_loop_calls_retriever_and_standardizer_through_the_module(self, monkeypatch):
+        # perfbench times these two layers by replacing the module attributes,
+        # so the run loop and the adapter must look them up there, once per query.
+        import patbench.execution as execution
+
+        calls: Counter[str] = Counter()
+
+        def counting(name):
+            real = getattr(execution, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("reference_retrieve", "standardize_results"):
+            monkeypatch.setattr(execution, name, counting(name))
+        corpus = self._corpus()
+        qids = ["US1A", "US2A", "US4A"]
+        record = run_evaluation(
+            tiny_dataset(qids),
+            ReferenceAdapter(corpus),
+            RunControls(seed=0, adapter_id="reference"),
+            queries={q: _query(q, corpus.documents[q].description) for q in qids},
+        )
+        assert tally_statuses(record)["OK"] == len(qids)
+        assert calls == {"reference_retrieve": len(qids), "standardize_results": len(qids)}
+
     def test_large_tf_matches_scalar_spec(self):
         # With numpy 2.4 on x86-64, np.log(9170) and math.log(9170) differ in
         # the last bit; the weights must come from math.log.
@@ -475,6 +565,15 @@ class TestReferenceRetriever:
         ]
 
     @settings(max_examples=300, deadline=None)
+    # Repeated query terms, three of them shared with US2A: computing a
+    # contribution as qtf * (w * idf), or adding the terms in sorted rather
+    # than Counter order, changes the last bit of a score.
+    @example(
+        docs=[(["池", "valve", "pump"], ""), (["pump", "轴", "a1", "pump", "seal", "轴"], "")],
+        queries=[("US99Z", ["pump", "pump", "轴", "pump", "seal"])],
+        max_depth=50,
+        exclude_family=False,
+    )
     @given(
         docs=st.lists(
             st.tuples(
