@@ -114,6 +114,18 @@ class RunRecord:
     anomaly_count: int = 0
 
 
+def _finite_score(score: object) -> float | None:
+    """``score`` as a finite float, or ``None`` when it is not a number or
+    has no finite float value (NaN, an infinity, an int beyond float range)."""
+    if not isinstance(score, (int, float)):
+        return None
+    try:
+        value = float(score)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _coerce_hit(item: object) -> tuple[object, float | None]:
     # Pairs first: most adapters return them, and the Mapping test is an ABC
     # check that costs more than the tuple/list one.
@@ -161,9 +173,10 @@ def standardize_results(
     hits: list[Hit] = []
     prev = math.inf
     for i, (doc_id, score) in enumerate(kept):
-        if score is None or not isinstance(score, (int, float)) or not math.isfinite(score):
+        score = _finite_score(score)
+        if score is None:
             score = 1.0 if prev is math.inf else prev
-        score = float(min(score, prev))
+        score = min(score, prev)
         prev = score
         hits.append(Hit(doc_id=doc_id, score=score, rank=i + 1))
     ranked = RankedList(
@@ -386,6 +399,12 @@ def reference_retrieve(
 
     rows = np.flatnonzero(touched)
     scores = acc[rows] / index.sqrt_len[rows]
+    if len(rows) > max_depth:
+        # Only rows scoring at least the max_depth-th best score can be
+        # ranked; rows tied at that score stay for the doc_id tie-break.
+        cut = np.partition(scores, len(scores) - max_depth)[len(scores) - max_depth]
+        kept = scores >= cut
+        rows, scores = rows[kept], scores[kept]
     order = np.lexsort((rows, -scores))[:max_depth]
     hits = tuple(
         map(
@@ -626,9 +645,12 @@ def load_run_log(path: str | Path) -> RunRecord:
                     raise ValueError(f"hit {doc_id!r} at rank {rank!r}: ranks must be the integers 1, 2, ...")
                 if type(doc_id) is not str or not doc_id:
                     raise ValueError(f"hit at rank {rank}: doc_id {doc_id!r} is not a non-empty string")
-                if type(score) not in (int, float) or not math.isfinite(score):
-                    raise ValueError(f"hit {doc_id!r}: score {score!r} is not a finite number")
-                hits.append(Hit(doc_id, float(score), rank))
+                if type(score) is not float or not math.isfinite(score):
+                    value = _finite_score(score) if type(score) is int else None
+                    if value is None:
+                        raise ValueError(f"hit {doc_id!r}: score {score!r} is not a finite number")
+                    score = value
+                hits.append(Hit(doc_id, score, rank))
             results[query_id] = RankedList(
                 query_id=query_id,
                 hits=tuple(hits),

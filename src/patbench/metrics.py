@@ -28,7 +28,9 @@ DEFAULT_N_RESAMPLES = 10_000
 DEFAULT_BOOTSTRAP_STRATA = ("language", "ipc_section")
 MIN_STRATUM_SIZE = 2
 _CATCH_ALL = "__rest__"
-_BOOTSTRAP_CHUNK = 2048
+# Draws per chunk of the sampled bootstrap: its working arrays hold about this
+# many elements whatever the stratum size.
+_BOOTSTRAP_DRAWS = 1 << 17
 _EXHAUSTIVE_LIMIT = 200_000
 
 
@@ -510,20 +512,33 @@ def _resampled_diffs(
 ) -> list[np.ndarray]:
     """Resampled differences of each statistic, all from one draw per chunk.
 
-    Only one gathered ``(chunk, stratum size)`` array is alive at a time.
+    Every statistic's ``u`` and ``m`` columns (ones for detection) form one
+    ``(n, 2 * stats)`` matrix.  A chunk of ``rows`` resamples of a stratum of
+    ``n_s`` queries becomes one ``(rows, n_s)`` matrix of how often each
+    query was drawn, and one product with the stratum's rows sums every
+    column.  A chunk holds at most ``_BOOTSTRAP_DRAWS`` draws, so memory does
+    not grow with the stratum size.  The columns hold integers and every
+    partial sum stays below 2**53, so the sums are exact in any order; the
+    draws do not depend on the chunk shape either.
     """
-    sum_u = np.zeros((len(stats), n_resamples), dtype=np.float64)
-    sum_m = np.zeros((len(stats), n_resamples), dtype=np.float64)
+    n_stats = len(stats)
+    columns = [u for _, _, u, _ in stats] + [
+        np.ones_like(u) if m is None else m for _, _, u, m in stats
+    ]
+    values = np.column_stack(columns)
+    sums = np.zeros((n_resamples, 2 * n_stats), dtype=np.float64)
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(strata))
     for (_, idxs), child in zip(strata, children):
         rng = np.random.default_rng(child)
-        parts = [(u[idxs], None if m is None else m[idxs]) for _, _, u, m in stats]
+        values_s = values[idxs]
         n_s = len(idxs)
-        for start in range(0, n_resamples, _BOOTSTRAP_CHUNK):
-            stop = min(start + _BOOTSTRAP_CHUNK, n_resamples)
+        rows = max(1, _BOOTSTRAP_DRAWS // n_s)
+        offsets = np.arange(rows, dtype=np.int64)[:, None] * n_s
+        for start in range(0, n_resamples, rows):
+            stop = min(start + rows, n_resamples)
             draw = rng.integers(0, n_s, size=(stop - start, n_s))
-            for j, (u_s, m_s) in enumerate(parts):
-                sum_u[j, start:stop] += np.take(u_s, draw).sum(axis=1)
-                sum_m[j, start:stop] += n_s if m_s is None else np.take(m_s, draw).sum(axis=1)
-    return list(sum_u / sum_m)
+            draw += offsets[: stop - start]
+            counts = np.bincount(draw.ravel(), minlength=draw.size).astype(np.float64)
+            sums[start:stop] += counts.reshape(draw.shape) @ values_s
+    return list(sums[:, :n_stats].T / sums[:, n_stats:].T)

@@ -208,7 +208,11 @@ def scalar_standardize_results(raw, *, query_id, max_depth, latency_ms=0):
     hits = []
     prev = math.inf
     for i, (doc_id, score) in enumerate(kept):
-        if score is None or not isinstance(score, (int, float)) or not math.isfinite(score):
+        try:
+            finite = isinstance(score, (int, float)) and math.isfinite(float(score))
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not finite:
             score = 1.0 if prev is math.inf else prev
         score = float(min(score, prev))
         prev = score

@@ -723,6 +723,8 @@ class TestMalformedInputs:
             ("compare", "exclude", _first_hit_with(2, "1"), 2),
             ("evaluate", "exclude", _first_hit_with(0, 123), 2),
             ("compare", "exclude", _first_hit_with(1, "nan"), 2),
+            ("evaluate", "exclude", _first_hit_with(1, 10**400), 2),
+            ("compare", "exclude", _first_hit_with(1, -(10**400)), 2),
             ("evaluate", "exclude", _second_line_repeated, 3),
             ("compare", "exclude", _second_line_repeated, 3),
             ("run", "dataset", _second_line_repeated, 3),
@@ -742,6 +744,8 @@ class TestMalformedInputs:
             "compare-run-log-string-rank",
             "evaluate-run-log-int-doc-id",
             "compare-run-log-string-score",
+            "evaluate-run-log-int-score-beyond-float-range",
+            "compare-run-log-negative-int-score-beyond-float-range",
             "evaluate-run-log-repeated-ranked-list",
             "compare-run-log-repeated-ranked-list",
             "run-dataset-repeated-query-case",

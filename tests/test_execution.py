@@ -171,6 +171,10 @@ class TestStandardizeResults:
         raw = ["US1A", ("US2A", 0.6), "US3A"]
         ranked, _ = standardize_results(raw, query_id="Q", max_depth=10)
         assert [h.score for h in ranked.hits] == [1.0, 0.6, 0.6]
+        # An int beyond float range has no float value, so it counts as missing.
+        raw = [("US1A", 10**400), ("US2A", 0.6), ("US3A", -(10**400))]
+        ranked, _ = standardize_results(raw, query_id="Q", max_depth=10)
+        assert [h.score for h in ranked.hits] == [1.0, 0.6, 0.6]
 
     def test_increasing_scores_are_clamped(self):
         raw = [("US1A", 0.5), ("US2A", 0.9), ("US3A", float("nan"))]
@@ -210,6 +214,12 @@ class TestStandardizeResults:
     # An inherited score above 1.0, a 3-tuple and unhashable ids, every run.
     @example(
         raw=[("US1A", 5.0), (" cn 3", None), ("EP-2/B1", 2.0, 1), ([1], 0.5), {"doc_id": {}}],
+        max_depth=25,
+    )
+    # Ints beyond float range, which float() and math.isfinite reject with
+    # OverflowError, after a finite score and first in the list.
+    @example(
+        raw=[("US1A", 10**400), ("US2A", 3), ("US3A", -(10**400)), {"doc_id": "US4A", "score": 10**400}],
         max_depth=25,
     )
     @given(
@@ -574,6 +584,15 @@ class TestReferenceRetriever:
         max_depth=50,
         exclude_family=False,
     )
+    # Six documents tied at the third-best score, so the depth cut falls
+    # inside a tie and only the doc_id tie-break decides which one is kept.
+    @example(
+        docs=[(["pump", "pump"], "")] + [(["pump", "seal"], "")] * 6
+        + [(["pump", "pump", "pump"], "")],
+        queries=[("US99Z", ["pump"])],
+        max_depth=3,
+        exclude_family=False,
+    )
     @given(
         docs=st.lists(
             st.tuples(
@@ -880,6 +899,17 @@ class TestRunLogIO:
         assert a.read_bytes() != b.read_bytes()
         assert sanitize_run_log(a) == sanitize_run_log(b)
 
+    def test_load_reads_int_scores_as_floats(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        rec["hits"] = [["US1A", 3, 1], ["US2A", -(2**60 + 1), 2]]
+        lines[2] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        hits = load_run_log(path).results[rec["query_id"]].hits
+        assert [repr(h.score) for h in hits] == ["3.0", repr(float(-(2**60)))]
+
     def test_load_rejects_headerless_file(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"kind":"ranked_list","query_id":"Q1","status":"OK","hits":[]}\n')
@@ -902,11 +932,13 @@ class TestRunLogIO:
             [["US1A", float("nan"), 1]],
             [["US1A", float("inf"), 1]],
             [["US1A", None, 1]],
+            [["US1A", True, 1]],
+            [["US1A", 10**400, 1]],
         ],
         ids=[
             "rank-0", "rank-gap", "short-hit", "rank-fraction", "rank-float", "rank-bool",
             "rank-str", "doc-id-int", "doc-id-empty", "score-str", "score-nan", "score-inf",
-            "score-null",
+            "score-null", "score-bool", "score-int-beyond-float-range",
         ],
     )
     def test_load_rejects_broken_ranked_list(self, tmp_path, hits):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import pytest
 
-from helpers import build_eval_dataset, build_run
+from helpers import build_eval_dataset, build_run, scalar_paired_bootstrap
+from patbench import metrics
 from patbench.execution import RankedList
 from patbench.metrics import (
     CoverageError,
@@ -12,6 +14,8 @@ from patbench.metrics import (
     detection_curve,
     first_relevant_rank,
     paired_bootstrap,
+    paired_bootstrap_outcomes,
+    query_outcomes,
     recall,
     topk_detection_rate,
 )
@@ -285,3 +289,59 @@ class TestPairedBootstrap:
             paired_bootstrap(
                 run_a, run_b, dataset, metric="ndcg", n_resamples=1000, strata_dims=()
             )
+
+
+def _mixed_strata_fixture():
+    """17 queries in strata of 9, 5 and 3, each with one to three relevant
+    documents, found at varying ranks by two runs."""
+    relevants, strata, lists_a, lists_b = {}, {}, {}, {}
+    for i, language in enumerate(["en"] * 9 + ["zh"] * 5 + ["de"] * 3):
+        qid = f"Q{i:02d}"
+        relevants[qid] = {f"R{i}{j}A" for j in range(1 + i % 3)}
+        strata[qid] = {"language": language, "ipc_section": "G", "jurisdiction": "US"}
+        lists_a[qid] = [f"X{j}A" for j in range(i % 4)] + sorted(relevants[qid])[: 1 + i % 2]
+        lists_b[qid] = sorted(relevants[qid])[i % 3 :] + ["X9A"]
+    dataset = build_eval_dataset(relevants, strata=strata)
+    return dataset, build_run(dataset, lists_a), build_run(dataset, lists_b)
+
+
+class TestBootstrapKernel:
+    @pytest.mark.parametrize("draws", [1, 7, 64])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, draws):
+        # 1 and 7 give one resample per chunk of the 9-query stratum; 64
+        # gives chunks of 7, 12 and 21 resamples, none dividing 1000.
+        monkeypatch.setattr(metrics, "_BOOTSTRAP_DRAWS", draws)
+        dataset, run_a, run_b = _mixed_strata_fixture()
+        spec = dict(strata_dims=("language",), n_resamples=1000, seed=11)
+        got = paired_bootstrap_outcomes(
+            query_outcomes(run_a, dataset),
+            query_outcomes(run_b, dataset),
+            dataset,
+            (("detection", 2), ("recall", None)),
+            **spec,
+        )
+        expected = tuple(
+            scalar_paired_bootstrap(
+                run_a, run_b, dataset, metric=metric, k=k, match_rule="exact",
+                family_of=None, **spec,
+            )
+            for metric, k in (("detection", 2), ("recall", None))
+        )
+        assert repr(got) == repr(expected)
+
+    def test_working_memory_does_not_grow_with_stratum_size(self):
+        n = 20_000
+        dataset = build_eval_dataset({f"Q{i:05d}": {f"R{i}A"} for i in range(n)})
+        run_a = build_run(dataset, {f"Q{i:05d}": [f"R{i}A"] for i in range(0, n, 2)})
+        run_b = build_run(dataset, {f"Q{i:05d}": [f"R{i}A"] for i in range(0, n, 3)})
+        outcomes = (query_outcomes(run_a, dataset), query_outcomes(run_b, dataset))
+        tracemalloc.start()
+        try:
+            paired_bootstrap_outcomes(
+                *outcomes, dataset, (("detection", 1), ("recall", None)),
+                strata_dims=(), n_resamples=1000,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
