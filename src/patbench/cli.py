@@ -275,7 +275,7 @@ def cmd_run(
     tally = tally_statuses(record)
     click.echo(
         "statuses: " + ", ".join(f"{k}={v}" for k, v in tally.items())
-        + f"; dropped hits: {record.anomaly_count}"
+        + f"; anomalies: {record.anomaly_count}"
     )
     click.echo(f"wrote run log to {out}")
 

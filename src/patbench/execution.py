@@ -148,22 +148,21 @@ def standardize_results(
     """Convert raw adapter output into a RankedList.
 
     Accepts (doc_id, score) pairs, mappings with doc_id/score keys, or bare
-    id strings.  Ids are normalized; unmappable entries are dropped and
-    counted in the returned anomaly tally.  Duplicates keep their best rank.
-    A missing score inherits the previous one; scores are clamped to be
-    non-increasing so the ranking order stays authoritative.  The list is
-    truncated to ``max_depth``.
+    id strings.  Ids are normalized; unmappable entries are dropped.
+    Duplicates keep their best rank.  A missing or non-finite score inherits
+    the previous one; scores are clamped to be non-increasing so the ranking
+    order stays authoritative.  The list is truncated to ``max_depth``.
+    Returns the list and the anomaly tally: one per unmappable entry, dropped
+    duplicate, inherited score and clamped score.
     """
-    dropped = 0
+    repairs = 0
     seen: set[str] = set()
     kept: list[tuple[str, float | None]] = []
     for item in raw:
         raw_id, score = _coerce_hit(item)
         norm = normalize_doc_id(raw_id)
-        if norm is None:
-            dropped += 1
-            continue
-        if norm in seen:
+        if norm is None or norm in seen:
+            repairs += 1
             continue
         seen.add(norm)
         kept.append((norm, score))
@@ -175,14 +174,17 @@ def standardize_results(
     for i, (doc_id, score) in enumerate(kept):
         score = _finite_score(score)
         if score is None:
+            repairs += 1
             score = 1.0 if prev is math.inf else prev
-        score = min(score, prev)
+        elif score > prev:
+            repairs += 1
+            score = prev
         prev = score
         hits.append(Hit(doc_id=doc_id, score=score, rank=i + 1))
     ranked = RankedList(
         query_id=query_id, hits=tuple(hits), status=STATUS_OK, latency_ms=latency_ms
     )
-    return ranked, dropped
+    return ranked, repairs
 
 
 @runtime_checkable
@@ -243,8 +245,8 @@ def run_evaluation(
         for fut in as_completed(pending):
             qid = pending[fut]
             try:
-                ranked, dropped = fut.result()
-                anomalies += dropped
+                ranked, repairs = fut.result()
+                anomalies += repairs
                 results[qid] = ranked
             except AdapterTimeout:
                 results[qid] = RankedList(query_id=qid, hits=(), status=STATUS_TIMEOUT)

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from collections import Counter
 from collections.abc import Set as AbstractSet
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from operator import attrgetter
@@ -28,8 +31,9 @@ DEFAULT_N_RESAMPLES = 10_000
 DEFAULT_BOOTSTRAP_STRATA = ("language", "ipc_section")
 MIN_STRATUM_SIZE = 2
 _CATCH_ALL = "__rest__"
-# Draws per chunk of the sampled bootstrap: its working arrays hold about this
-# many elements whatever the stratum size.
+# Draws in flight at once in the sampled bootstrap, shared out among its
+# worker threads: its working arrays hold about this many elements whatever
+# the stratum size.
 _BOOTSTRAP_DRAWS = 1 << 17
 _EXHAUSTIVE_LIMIT = 200_000
 
@@ -448,10 +452,18 @@ def paired_bootstrap_outcomes(
 
     Every metric is evaluated on the same resamples, drawn once, so each
     result equals what :func:`paired_bootstrap` gives for that metric alone
-    with the same seed.
+    with the same seed.  Raises :class:`ValueError` unless both tables have
+    one row per query of ``dataset``.
     """
     if not dataset.queries:
         raise UndefinedMetricError("bootstrap is undefined on an empty dataset")
+    n_queries = len(dataset.queries)
+    for outcomes in (outcomes_a, outcomes_b):
+        if len(outcomes.first_rank) != n_queries:
+            raise ValueError(
+                f"outcome table has {len(outcomes.first_rank)} rows, "
+                f"the dataset {n_queries} queries"
+            )
     if not exhaustive and n_resamples < 1000:
         raise ValueError("n_resamples must be at least 1000 (or use exhaustive mode)")
     stats = [_paired_contributions(outcomes_a, outcomes_b, metric, k) for metric, k in metrics]
@@ -504,6 +516,16 @@ def paired_bootstrap_outcomes(
     return tuple(results)
 
 
+def _bootstrap_workers(n_strata: int) -> int:
+    """Threads for the sampled bootstrap: one per stratum, at most one per
+    CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_strata, cpus)
+
+
 def _resampled_diffs(
     stats: Sequence[tuple[str, float, np.ndarray, np.ndarray | None]],
     strata: list[tuple[str, list[int]]],
@@ -516,10 +538,18 @@ def _resampled_diffs(
     ``(n, 2 * stats)`` matrix.  A chunk of ``rows`` resamples of a stratum of
     ``n_s`` queries becomes one ``(rows, n_s)`` matrix of how often each
     query was drawn, and one product with the stratum's rows sums every
-    column.  A chunk holds at most ``_BOOTSTRAP_DRAWS`` draws, so memory does
-    not grow with the stratum size.  The columns hold integers and every
-    partial sum stays below 2**53, so the sums are exact in any order; the
-    draws do not depend on the chunk shape either.
+    column.
+
+    Strata are resampled concurrently, one task per stratum on a pool of
+    :func:`_bootstrap_workers` threads; numpy draws, casts and multiplies
+    without holding the interpreter lock (``np.bincount`` holds it).  Each worker's chunks hold at most
+    ``_BOOTSTRAP_DRAWS // workers`` draws, so memory does not grow with the
+    stratum size or the thread count.  Workers add each chunk's sums into
+    one shared array under a lock.  The result does not depend on the thread
+    count or the scheduling: each stratum draws from its own generator,
+    spawned from ``seed`` by its position in sorted order, and the draws do
+    not depend on the chunk shape; the columns hold integers and every
+    partial sum stays below 2**53, so the sums are exact in any order.
     """
     n_stats = len(stats)
     columns = [u for _, _, u, _ in stats] + [
@@ -527,18 +557,28 @@ def _resampled_diffs(
     ]
     values = np.column_stack(columns)
     sums = np.zeros((n_resamples, 2 * n_stats), dtype=np.float64)
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(strata))
-    for (_, idxs), child in zip(strata, children):
+    lock = threading.Lock()
+    workers = _bootstrap_workers(len(strata))
+    draws = _BOOTSTRAP_DRAWS // workers
+
+    def resample(idxs: list[int], child: np.random.SeedSequence) -> None:
         rng = np.random.default_rng(child)
         values_s = values[idxs]
         n_s = len(idxs)
-        rows = max(1, _BOOTSTRAP_DRAWS // n_s)
+        rows = max(1, draws // n_s)
         offsets = np.arange(rows, dtype=np.int64)[:, None] * n_s
         for start in range(0, n_resamples, rows):
             stop = min(start + rows, n_resamples)
             draw = rng.integers(0, n_s, size=(stop - start, n_s))
             draw += offsets[: stop - start]
             counts = np.bincount(draw.ravel(), minlength=draw.size).astype(np.float64)
-            sums[start:stop] += counts.reshape(draw.shape) @ values_s
+            chunk_sums = counts.reshape(draw.shape) @ values_s
+            with lock:
+                sums[start:stop] += chunk_sums
+
+    children = np.random.SeedSequence(seed).spawn(len(strata))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = [pool.submit(resample, idxs, child) for (_, idxs), child in zip(strata, children)]
+        for task in tasks:
+            task.result()
     return list(sums[:, :n_stats].T / sums[:, n_stats:].T)

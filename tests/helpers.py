@@ -186,19 +186,21 @@ def _scalar_coerce_hit(item):
 def scalar_standardize_results(raw, *, query_id, max_depth, latency_ms=0):
     """Spec of ``patbench.execution.standardize_results``, with the id rule
     evaluated afresh for every hit.  The library must match it by ``repr`` of
-    the whole ``(RankedList, dropped)`` result."""
+    the whole ``(RankedList, repairs)`` result; ``repairs`` counts each
+    unmappable entry, dropped duplicate, inherited score and clamped score."""
     from patbench.execution import STATUS_OK, Hit, RankedList
 
-    dropped = 0
+    unmappable = duplicates = inherited = clamped = 0
     seen = set()
     kept = []
     for item in raw:
         raw_id, score = _scalar_coerce_hit(item)
         norm = scalar_normalize_doc_id(raw_id)
         if norm is None:
-            dropped += 1
+            unmappable += 1
             continue
         if norm in seen:
+            duplicates += 1
             continue
         seen.add(norm)
         kept.append((norm, score))
@@ -213,14 +215,17 @@ def scalar_standardize_results(raw, *, query_id, max_depth, latency_ms=0):
         except OverflowError:  # an int beyond float range
             finite = False
         if not finite:
+            inherited += 1
             score = 1.0 if prev is math.inf else prev
+        elif float(score) > prev:
+            clamped += 1
         score = float(min(score, prev))
         prev = score
         hits.append(Hit(doc_id=doc_id, score=score, rank=i + 1))
     ranked = RankedList(
         query_id=query_id, hits=tuple(hits), status=STATUS_OK, latency_ms=latency_ms
     )
-    return ranked, dropped
+    return ranked, unmappable + duplicates + inherited + clamped
 
 
 # ---------------------------------------------------------------------------

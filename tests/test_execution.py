@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import (
     make_corpus,
     make_doc,
+    scalar_normalize_doc_id,
     scalar_reference_retrieve,
     scalar_standardize_results,
 )
@@ -144,16 +145,17 @@ class TestStandardizeResults:
             ("us 2a", 0.8),
             "US3A",
         ]
-        ranked, dropped = standardize_results(raw, query_id="Q", max_depth=10)
-        assert dropped == 0
+        ranked, repairs = standardize_results(raw, query_id="Q", max_depth=10)
+        assert repairs == 1  # the bare id's missing score, inherited
         assert ranked.doc_ids() == ["US1A", "US2A", "US3A"]
         assert [h.rank for h in ranked.hits] == [1, 2, 3]
 
     def test_duplicates_keep_best_rank(self):
         raw = [("us1a", 0.9), ("US2A", 0.8), ("US1A", 0.7)]
-        ranked, _ = standardize_results(raw, query_id="Q", max_depth=10)
+        ranked, repairs = standardize_results(raw, query_id="Q", max_depth=10)
         assert ranked.doc_ids() == ["US1A", "US2A"]
         assert ranked.hits[0].score == 0.9
+        assert repairs == 1
 
     def test_truncates_to_max_depth(self):
         raw = [(f"US{i}A", 1.0 - i / 100) for i in range(20)]
@@ -169,17 +171,45 @@ class TestStandardizeResults:
 
     def test_missing_scores_inherit_previous(self):
         raw = ["US1A", ("US2A", 0.6), "US3A"]
-        ranked, _ = standardize_results(raw, query_id="Q", max_depth=10)
+        ranked, repairs = standardize_results(raw, query_id="Q", max_depth=10)
         assert [h.score for h in ranked.hits] == [1.0, 0.6, 0.6]
+        assert repairs == 2
         # An int beyond float range has no float value, so it counts as missing.
         raw = [("US1A", 10**400), ("US2A", 0.6), ("US3A", -(10**400))]
-        ranked, _ = standardize_results(raw, query_id="Q", max_depth=10)
+        ranked, repairs = standardize_results(raw, query_id="Q", max_depth=10)
         assert [h.score for h in ranked.hits] == [1.0, 0.6, 0.6]
+        assert repairs == 2
 
     def test_increasing_scores_are_clamped(self):
         raw = [("US1A", 0.5), ("US2A", 0.9), ("US3A", float("nan"))]
-        ranked, _ = standardize_results(raw, query_id="Q", max_depth=10)
+        ranked, repairs = standardize_results(raw, query_id="Q", max_depth=10)
         assert [h.score for h in ranked.hits] == [0.5, 0.5, 0.5]
+        assert repairs == 2  # one clamp, one inherited NaN
+
+    @settings(max_examples=200)
+    @given(
+        raw=st.lists(
+            st.tuples(
+                st.one_of(_GOOD_IDS, st.sampled_from(["??", ""])),
+                st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+            ),
+            max_size=30,
+        ),
+        max_depth=st.integers(min_value=1, max_value=25),
+    )
+    def test_tally_counts_every_entry_not_kept_as_given(self, raw, max_depth):
+        # Each raw entry read is either kept with the score it was given, or
+        # counted: dropped (unmappable or duplicate) or given another score.
+        ranked, repairs = standardize_results(raw, query_id="Q", max_depth=max_depth)
+        first_seen: dict[str, int] = {}
+        for i, (raw_id, _) in enumerate(raw):
+            norm = scalar_normalize_doc_id(raw_id)
+            if norm is not None:
+                first_seen.setdefault(norm, i)
+        positions = [first_seen[h.doc_id] for h in ranked.hits]
+        read = positions[-1] + 1 if len(positions) == max_depth else len(raw)
+        rescored = sum(h.score != raw[i][1] for h, i in zip(ranked.hits, positions))
+        assert repairs == read - len(positions) + rescored
 
     @settings(max_examples=200)
     @given(

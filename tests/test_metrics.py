@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import logging
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -283,6 +285,21 @@ class TestPairedBootstrap:
         with pytest.raises(CoverageError):
             paired_bootstrap(run_a, run_other, dataset, n_resamples=1000)
 
+    # Without the check, a 1-row table broadcast against the other, and two
+    # 12-row tables were resampled through the 10 queries' strata.
+    @pytest.mark.parametrize("rows_a, rows_b", [(1, 10), (12, 12)])
+    def test_outcome_tables_must_match_the_dataset(self, rows_a, rows_b):
+        def table(n):
+            dataset, run, _ = _paired_fixture({f"Q{i:02d}": (i % 2 == 0, False) for i in range(n)})
+            return query_outcomes(run, dataset)
+
+        dataset, _, _ = _paired_fixture({f"Q{i:02d}": (True, False) for i in range(10)})
+        with pytest.raises(ValueError, match="the dataset 10 queries"):
+            paired_bootstrap_outcomes(
+                table(rows_a), table(rows_b), dataset, (("detection", 1),),
+                strata_dims=(), n_resamples=1000,
+            )
+
     def test_unknown_metric_rejected(self):
         dataset, run_a, run_b = _paired_fixture({"Q0": (True, False), "Q1": (True, True)})
         with pytest.raises(UndefinedMetricError):
@@ -305,43 +322,86 @@ def _mixed_strata_fixture():
     return dataset, build_run(dataset, lists_a), build_run(dataset, lists_b)
 
 
+def _kernel_result_and_oracle(dataset, run_a, run_b):
+    spec = dict(strata_dims=("language",), n_resamples=1000, seed=11)
+    metric_list = (("detection", 2), ("recall", None))
+    got = paired_bootstrap_outcomes(
+        query_outcomes(run_a, dataset), query_outcomes(run_b, dataset), dataset, metric_list,
+        **spec,
+    )
+    expected = tuple(
+        scalar_paired_bootstrap(
+            run_a, run_b, dataset, metric=metric, k=k, match_rule="exact",
+            family_of=None, **spec,
+        )
+        for metric, k in metric_list
+    )
+    return got, expected
+
+
+def _stratified_runs(n_strata, per_stratum):
+    """Queries in ``n_strata`` languages; run A finds every second query's
+    relevant document, run B every third."""
+    n = n_strata * per_stratum
+    qids = [f"Q{i:05d}" for i in range(n)]
+    strata = {
+        qid: {"language": f"L{i % n_strata}", "ipc_section": "G", "jurisdiction": "US"}
+        for i, qid in enumerate(qids)
+    }
+    dataset = build_eval_dataset({qid: {f"R{i}A"} for i, qid in enumerate(qids)}, strata=strata)
+    run_a = build_run(dataset, {qid: [f"R{i}A"] for i, qid in enumerate(qids) if i % 2 == 0})
+    run_b = build_run(dataset, {qid: [f"R{i}A"] for i, qid in enumerate(qids) if i % 3 == 0})
+    return dataset, run_a, run_b
+
+
+def _traced_peak(dataset, run_a, run_b, strata_dims):
+    """tracemalloc peak of one bootstrap call on two prepared outcome tables."""
+    outcomes = (query_outcomes(run_a, dataset), query_outcomes(run_b, dataset))
+    tracemalloc.start()
+    try:
+        paired_bootstrap_outcomes(
+            *outcomes, dataset, (("detection", 1), ("recall", None)),
+            strata_dims=strata_dims, n_resamples=1000,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestBootstrapKernel:
     @pytest.mark.parametrize("draws", [1, 7, 64])
     def test_chunk_size_does_not_change_results(self, monkeypatch, draws):
         # 1 and 7 give one resample per chunk of the 9-query stratum; 64
         # gives chunks of 7, 12 and 21 resamples, none dividing 1000.
         monkeypatch.setattr(metrics, "_BOOTSTRAP_DRAWS", draws)
-        dataset, run_a, run_b = _mixed_strata_fixture()
-        spec = dict(strata_dims=("language",), n_resamples=1000, seed=11)
-        got = paired_bootstrap_outcomes(
-            query_outcomes(run_a, dataset),
-            query_outcomes(run_b, dataset),
-            dataset,
-            (("detection", 2), ("recall", None)),
-            **spec,
-        )
-        expected = tuple(
-            scalar_paired_bootstrap(
-                run_a, run_b, dataset, metric=metric, k=k, match_rule="exact",
-                family_of=None, **spec,
-            )
-            for metric, k in (("detection", 2), ("recall", None))
-        )
+        got, expected = _kernel_result_and_oracle(*_mixed_strata_fixture())
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_thread_count_does_not_change_results(self, monkeypatch, workers):
+        # Seven workers for three strata is more threads than tasks and than
+        # the two cores this was written on.  Small chunks and a short switch
+        # interval interleave the workers' adds into the shared sums, so a
+        # lost update would change the result.
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda n_strata: workers)
+        monkeypatch.setattr(metrics, "_BOOTSTRAP_DRAWS", 64 * workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, expected = _kernel_result_and_oracle(*_mixed_strata_fixture())
+        finally:
+            sys.setswitchinterval(interval)
         assert repr(got) == repr(expected)
 
     def test_working_memory_does_not_grow_with_stratum_size(self):
-        n = 20_000
-        dataset = build_eval_dataset({f"Q{i:05d}": {f"R{i}A"} for i in range(n)})
-        run_a = build_run(dataset, {f"Q{i:05d}": [f"R{i}A"] for i in range(0, n, 2)})
-        run_b = build_run(dataset, {f"Q{i:05d}": [f"R{i}A"] for i in range(0, n, 3)})
-        outcomes = (query_outcomes(run_a, dataset), query_outcomes(run_b, dataset))
-        tracemalloc.start()
-        try:
-            paired_bootstrap_outcomes(
-                *outcomes, dataset, (("detection", 1), ("recall", None)),
-                strata_dims=(), n_resamples=1000,
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        assert _traced_peak(*_stratified_runs(1, 20_000), strata_dims=()) < 16 * 2**20
+
+    def test_working_memory_does_not_grow_with_thread_count(self, monkeypatch):
+        # One worker per stratum: eight chunks in flight at once share the
+        # draw budget of one.
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda n_strata: n_strata)
+        threads = threading.active_count()
+        peak = _traced_peak(*_stratified_runs(8, 2_500), strata_dims=("language",))
         assert peak < 16 * 2**20
+        assert threading.active_count() == threads
