@@ -77,7 +77,14 @@ class RunControls:
 
 class Hit(NamedTuple):
     """One retrieved document.  A tuple, because run logs hold hundreds of
-    thousands of hits and a tuple is the cheapest immutable record to build."""
+    thousands of hits and a tuple is the cheapest immutable record to build.
+
+    :func:`load_run_log` gives equal doc ids one shared string per load,
+    since ``json.loads`` makes a new string for every occurrence and a log
+    repeats a few thousand ids hundreds of thousands of times.  It builds
+    each hit with ``tuple.__new__(Hit, ...)``, as ``Hit._make`` does, which
+    skips the Python-level ``__new__`` of a ``Hit(...)`` call and so pays for
+    the id lookup."""
 
     doc_id: str
     score: float
@@ -616,6 +623,8 @@ def load_run_log(path: str | Path) -> RunRecord:
     path = Path(path)
     header: dict | None = None
     results: dict[str, RankedList] = {}
+    # One id object per distinct doc id in this log (see :class:`Hit`).
+    shared: dict[str, str] = {}
 
     def add(rec: dict, line_number: int) -> None:
         nonlocal header
@@ -652,7 +661,8 @@ def load_run_log(path: str | Path) -> RunRecord:
                     if value is None:
                         raise ValueError(f"hit {doc_id!r}: score {score!r} is not a finite number")
                     score = value
-                hits.append(Hit(doc_id, score, rank))
+                doc_id = shared.setdefault(doc_id, doc_id)
+                hits.append(tuple.__new__(Hit, (doc_id, score, rank)))
             results[query_id] = RankedList(
                 query_id=query_id,
                 hits=tuple(hits),

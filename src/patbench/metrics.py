@@ -150,12 +150,13 @@ def first_relevant_rank(
 class QueryOutcomes:
     """What one run retrieved for each query of a dataset under one match rule.
 
-    The per-query columns follow ``dataset.queries`` order.  The pair columns
-    have one row per (query, relevant document): queries in the same order,
-    relevant ids sorted within a query.  Every metric and report is a count
-    or sum over these columns.
+    The per-query columns follow ``query_ids``, the dataset's query ids in
+    ``dataset.queries`` order.  The pair columns have one row per (query,
+    relevant document): queries in the same order, relevant ids sorted within
+    a query.  Every metric and report is a count or sum over these columns.
     """
 
+    query_ids: tuple[str, ...]
     first_rank: np.ndarray  # int64: rank of the earliest matching hit, 0 for none
     matched: np.ndarray  # int64: relevant documents retrieved
     relevant: np.ndarray  # int64: size of the relevant set
@@ -168,6 +169,22 @@ class QueryOutcomes:
         """Boolean (query, k) matrix: a matching hit lies within the top k."""
         first = self.first_rank[:, None]
         return (first > 0) & (first <= np.asarray(ks, dtype=np.int64)[None, :])
+
+    def check_dataset(self, dataset: EvaluationDataset) -> None:
+        """Raise :class:`ValueError` unless the rows follow the queries of
+        ``dataset``, in its order."""
+        expected = tuple(dataset.query_ids())
+        if self.query_ids == expected:
+            return
+        if len(self.query_ids) != len(expected):
+            raise ValueError(
+                f"outcome table has {len(self.query_ids)} rows, "
+                f"the dataset {len(expected)} queries"
+            )
+        row, got, wanted = next(
+            (i, a, b) for i, (a, b) in enumerate(zip(self.query_ids, expected)) if a != b
+        )
+        raise ValueError(f"outcome table row {row} is query {got!r}, the dataset's is {wanted!r}")
 
 
 def query_outcomes(
@@ -200,6 +217,7 @@ def query_outcomes(
         pair_matched += retrieved
     relevant_col = np.array(relevant, dtype=np.int64)
     return QueryOutcomes(
+        query_ids=tuple(dataset.query_ids()),
         first_rank=np.array(first_rank, dtype=np.int64),
         matched=np.array(matched, dtype=np.int64),
         relevant=relevant_col,
@@ -452,18 +470,13 @@ def paired_bootstrap_outcomes(
 
     Every metric is evaluated on the same resamples, drawn once, so each
     result equals what :func:`paired_bootstrap` gives for that metric alone
-    with the same seed.  Raises :class:`ValueError` unless both tables have
-    one row per query of ``dataset``.
+    with the same seed.  Raises :class:`ValueError` unless both tables follow
+    the queries of ``dataset`` (:meth:`QueryOutcomes.check_dataset`).
     """
     if not dataset.queries:
         raise UndefinedMetricError("bootstrap is undefined on an empty dataset")
-    n_queries = len(dataset.queries)
-    for outcomes in (outcomes_a, outcomes_b):
-        if len(outcomes.first_rank) != n_queries:
-            raise ValueError(
-                f"outcome table has {len(outcomes.first_rank)} rows, "
-                f"the dataset {n_queries} queries"
-            )
+    outcomes_a.check_dataset(dataset)
+    outcomes_b.check_dataset(dataset)
     if not exhaustive and n_resamples < 1000:
         raise ValueError("n_resamples must be at least 1000 (or use exhaustive mode)")
     stats = [_paired_contributions(outcomes_a, outcomes_b, metric, k) for metric, k in metrics]

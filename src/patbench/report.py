@@ -145,6 +145,7 @@ def _breakdown(
     ks = validate_k_grid(ks)
     if not dataset.queries:
         raise UndefinedMetricError("breakdown is undefined on an empty dataset")
+    outcomes.check_dataset(dataset)
     # Per query: a hit within each k, then the recall numerator and denominator.
     columns = np.column_stack((outcomes.detected(ks), outcomes.matched, outcomes.relevant))
 
@@ -217,6 +218,7 @@ def cross_language_recall(
 def _cross_language(
     outcomes: QueryOutcomes, dataset: EvaluationDataset, corpus: Corpus
 ) -> tuple[CrossLanguageCell, ...]:
+    outcomes.check_dataset(dataset)
     query_language = [
         str(dataset.strata.get(case.query_doc_id, {}).get("language", "unknown"))
         for case in dataset.queries

@@ -5,6 +5,7 @@ import math
 import re
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -32,6 +33,7 @@ from patbench.execution import (
     RunControls,
     RunFailureError,
     RunLogFormatError,
+    RunRecord,
     build_reference_index,
     load_run_log,
     normalize_doc_id,
@@ -917,6 +919,62 @@ class TestRunLogIO:
         path = tmp_path / "run.jsonl"
         write_run_log(record, path)
         assert load_run_log(path) == record
+
+    @staticmethod
+    def _write_lists(path, lists):
+        """Write a run log of ``{query_id: [doc ids best-first]}``."""
+        results = {
+            qid: RankedList(
+                query_id=qid,
+                hits=tuple(Hit(d, 1.0 - r / 1000, r + 1) for r, d in enumerate(ids)),
+            )
+            for qid, ids in lists.items()
+        }
+        record = RunRecord(
+            controls=RunControls(seed=0, adapter_id="fixture"),
+            dataset_manifest_hash="0" * 64,
+            results=results,
+            started="",
+            finished="",
+        )
+        write_run_log(record, path)
+        return record
+
+    def test_load_shares_equal_doc_ids_and_builds_hits(self, tmp_path):
+        # `json.loads` makes a new string per occurrence, so without the
+        # per-load dict equal ids are distinct objects; and a plain tuple
+        # compares equal to a Hit, so only a type test catches one.
+        path = tmp_path / "run.jsonl"
+        record = self._write_lists(
+            path, {"Q1": ["US1A", "US2A"], "Q2": ["US2A", "US3A", "US1A"], "Q3": ["US3A"]}
+        )
+        loaded = load_run_log(path)
+        assert loaded == record
+        hits = [h for ranked in loaded.results.values() for h in ranked.hits]
+        assert all(type(h) is Hit for h in hits)
+        first: dict[str, str] = {}
+        for h in hits:
+            assert first.setdefault(h.doc_id, h.doc_id) is h.doc_id
+        assert len(first) == 3
+
+    def test_load_keeps_hits_small(self, tmp_path):
+        # 500 lists of 100 hits over 300 ids: a hit is its tuple, its float
+        # score and its list slot, not also its own copy of the id string
+        # (166 B per hit with one, 107 B without).
+        ids = [f"US{j:07d}A" for j in range(300)]
+        path = tmp_path / "run.jsonl"
+        self._write_lists(
+            path, {f"Q{i:03d}": [ids[(i + r) % 300] for r in range(100)] for i in range(500)}
+        )
+        tracemalloc.start()
+        try:
+            loaded = load_run_log(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_hits = sum(len(ranked.hits) for ranked in loaded.results.values())
+        assert n_hits == 50_000
+        assert retained / n_hits < 130
 
     def test_sanitized_bytes_ignore_wall_clock(self, tmp_path):
         record = self._record()

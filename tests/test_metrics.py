@@ -300,6 +300,18 @@ class TestPairedBootstrap:
                 strata_dims=(), n_resamples=1000,
             )
 
+    # Ten rows each, as the dataset has, but of queries Z0-Z9 that only run B
+    # finds: without the query-id check this gave -1.0 with p=0.002.
+    def test_outcome_tables_of_another_dataset_rejected(self):
+        other, run_a, run_b = _paired_fixture({f"Z{i}": (False, True) for i in range(10)})
+        dataset, _, _ = _paired_fixture({f"Q{i}": (True, False) for i in range(10)})
+        assert other.build_manifest == dataset.build_manifest
+        with pytest.raises(ValueError, match="row 0 is query 'Z0', the dataset's is 'Q0'"):
+            paired_bootstrap_outcomes(
+                query_outcomes(run_a, other), query_outcomes(run_b, other), dataset,
+                (("detection", 1),), strata_dims=(), n_resamples=1000,
+            )
+
     def test_unknown_metric_rejected(self):
         dataset, run_a, run_b = _paired_fixture({"Q0": (True, False), "Q1": (True, True)})
         with pytest.raises(UndefinedMetricError):

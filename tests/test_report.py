@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import patbench.report
 from helpers import (
     build_eval_dataset,
     build_run,
@@ -22,6 +23,7 @@ from patbench.metrics import (
     UndefinedMetricError,
     detection_curve,
     first_relevant_rank,
+    query_outcomes,
     recall,
     topk_detection_rate,
 )
@@ -190,6 +192,32 @@ class TestCrossLanguage:
         )
         assert exact[0].n_retrieved == 0
         assert family[0].n_retrieved == 1
+
+
+class TestOutcomeTablesOfAnotherDataset:
+    """Two 10-query datasets whose manifests are equal but whose query ids
+    differ: a table of one must not be reported against the other."""
+
+    @pytest.mark.parametrize(
+        "tabulate",
+        [
+            lambda outcomes, dataset: patbench.report._breakdown(
+                outcomes, dataset, "language", KS
+            ),
+            lambda outcomes, dataset: patbench.report._cross_language(
+                outcomes, dataset, make_corpus([])
+            ),
+        ],
+        ids=["breakdown", "cross-language"],
+    )
+    def test_rejected(self, tabulate):
+        other = build_eval_dataset({f"Z{i}": {f"Z{i}.R"} for i in range(10)})
+        dataset = build_eval_dataset({f"Q{i}": {f"Q{i}.R"} for i in range(10)})
+        assert other.manifest_hash == dataset.manifest_hash
+        outcomes = query_outcomes(build_run(other, {"Z0": ["Z0.R"]}), other)
+        with pytest.raises(ValueError, match="row 0 is query 'Z0', the dataset's is 'Q0'"):
+            tabulate(outcomes, dataset)
+        tabulate(outcomes, other)
 
 
 def _comparison_fixture():
