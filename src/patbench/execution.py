@@ -76,15 +76,11 @@ class RunControls:
 
 
 class Hit(NamedTuple):
-    """One retrieved document.  A tuple, because run logs hold hundreds of
-    thousands of hits and a tuple is the cheapest immutable record to build.
+    """One retrieved document, as :attr:`RankedList.hits` hands it out.
 
-    :func:`load_run_log` gives equal doc ids one shared string per load,
-    since ``json.loads`` makes a new string for every occurrence and a log
-    repeats a few thousand ids hundreds of thousands of times.  It builds
-    each hit with ``tuple.__new__(Hit, ...)``, as ``Hit._make`` does, which
-    skips the Python-level ``__new__`` of a ``Hit(...)`` call and so pays for
-    the id lookup."""
+    No library path builds hits: a :class:`RankedList` stores its doc ids
+    and scores as two columns, and :func:`load_run_log` fills those columns
+    directly."""
 
     doc_id: str
     score: float
@@ -93,22 +89,36 @@ class Hit(NamedTuple):
 
 @dataclass(frozen=True)
 class RankedList:
-    """Standardized result for one query.  Ranks are contiguous from 1, doc
-    ids unique, scores non-increasing; non-OK statuses carry no hits."""
+    """Standardized result for one query, stored as two columns.
+
+    The hit at position i is ``(doc_ids[i], scores[i])`` and has rank i + 1.
+    Doc ids are unique and scores non-increasing; non-OK statuses carry no
+    hits.  Both columns are tuples, so the record stays immutable and
+    hashable; a tuple of floats keeps the float objects a loader or
+    retriever already made.
+    """
 
     query_id: str
-    hits: tuple[Hit, ...]
+    doc_ids: tuple[str, ...] = ()
+    scores: tuple[float, ...] = ()
     status: str = STATUS_OK
     latency_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status != STATUS_OK and self.hits:
+        if len(self.doc_ids) != len(self.scores):
+            raise ValueError(
+                f"{len(self.doc_ids)} doc ids but {len(self.scores)} scores"
+            )
+        if self.status != STATUS_OK and self.doc_ids:
             raise ValueError("non-OK results must carry no hits")
 
-    def doc_ids(self) -> list[str]:
-        return [h.doc_id for h in self.hits]
+    @property
+    def hits(self) -> tuple[Hit, ...]:
+        """The hits as records, built afresh on every access (O(n)); code
+        that reads many lists should read the columns instead."""
+        return tuple(map(Hit, self.doc_ids, self.scores, range(1, len(self.doc_ids) + 1)))
 
 
 @dataclass(frozen=True)
@@ -163,22 +173,21 @@ def standardize_results(
     duplicate, inherited score and clamped score.
     """
     repairs = 0
-    seen: set[str] = set()
-    kept: list[tuple[str, float | None]] = []
+    # Normalized id -> its raw score, in the order the ids were first seen.
+    kept: dict[str, object] = {}
     for item in raw:
         raw_id, score = _coerce_hit(item)
         norm = normalize_doc_id(raw_id)
-        if norm is None or norm in seen:
+        if norm is None or norm in kept:
             repairs += 1
             continue
-        seen.add(norm)
-        kept.append((norm, score))
+        kept[norm] = score
         if len(kept) == max_depth:
             break
 
-    hits: list[Hit] = []
+    scores: list[float] = []
     prev = math.inf
-    for i, (doc_id, score) in enumerate(kept):
+    for score in kept.values():
         score = _finite_score(score)
         if score is None:
             repairs += 1
@@ -187,9 +196,9 @@ def standardize_results(
             repairs += 1
             score = prev
         prev = score
-        hits.append(Hit(doc_id=doc_id, score=score, rank=i + 1))
+        scores.append(score)
     ranked = RankedList(
-        query_id=query_id, hits=tuple(hits), status=STATUS_OK, latency_ms=latency_ms
+        query_id=query_id, doc_ids=tuple(kept), scores=tuple(scores), latency_ms=latency_ms
     )
     return ranked, repairs
 
@@ -256,11 +265,11 @@ def run_evaluation(
                 anomalies += repairs
                 results[qid] = ranked
             except AdapterTimeout:
-                results[qid] = RankedList(query_id=qid, hits=(), status=STATUS_TIMEOUT)
+                results[qid] = RankedList(query_id=qid, status=STATUS_TIMEOUT)
             except Exception as exc:
                 logger.debug("query %s failed: %s", qid, exc)
                 errors += 1
-                results[qid] = RankedList(query_id=qid, hits=(), status=STATUS_ERROR)
+                results[qid] = RankedList(query_id=qid, status=STATUS_ERROR)
             if errors * 2 > total:
                 for other in pending:
                     other.cancel()
@@ -388,7 +397,7 @@ def reference_retrieve(
 
     found = [(term, qtf) for term, qtf in Counter(q_tokens).items() if term in index.terms]
     if not found:
-        return RankedList(query_id=query.query_id, hits=(), status=STATUS_OK)
+        return RankedList(query_id=query.query_id)
     terms, qtfs = zip(*found)
     term_rows, term_weights, idfs = zip(*map(index.terms.__getitem__, terms))
     lengths = np.fromiter(map(len, term_rows), dtype=np.intp, count=len(term_rows))
@@ -415,15 +424,11 @@ def reference_retrieve(
         kept = scores >= cut
         rows, scores = rows[kept], scores[kept]
     order = np.lexsort((rows, -scores))[:max_depth]
-    hits = tuple(
-        map(
-            Hit,
-            map(index.doc_ids.__getitem__, rows[order].tolist()),
-            scores[order].tolist(),
-            range(1, len(order) + 1),
-        )
+    return RankedList(
+        query_id=query.query_id,
+        doc_ids=tuple(map(index.doc_ids.__getitem__, rows[order].tolist())),
+        scores=tuple(scores[order].tolist()),
     )
-    return RankedList(query_id=query.query_id, hits=hits, status=STATUS_OK)
 
 
 class ReferenceAdapter:
@@ -442,7 +447,7 @@ class ReferenceAdapter:
             max_depth=controls.max_depth,
             exclude_family=self._exclude_family,
         )
-        return [(h.doc_id, h.score) for h in ranked.hits]
+        return list(zip(ranked.doc_ids, ranked.scores))
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +595,14 @@ def _log_records(record: RunRecord) -> Iterator[dict]:
         "anomaly_count": record.anomaly_count,
     }
     for query_id, ranked in sorted(record.results.items()):
+        ranks = range(1, len(ranked.doc_ids) + 1)
         yield {
             "kind": "ranked_list",
             "query_id": query_id,
             "status": ranked.status,
             "latency_ms": ranked.latency_ms,
-            "hits": [[h.doc_id, h.score, h.rank] for h in ranked.hits],
+            # Encodes to the same bytes as a list of [doc_id, score, rank].
+            "hits": list(zip(ranked.doc_ids, ranked.scores, ranks)),
         }
 
 
@@ -623,7 +630,9 @@ def load_run_log(path: str | Path) -> RunRecord:
     path = Path(path)
     header: dict | None = None
     results: dict[str, RankedList] = {}
-    # One id object per distinct doc id in this log (see :class:`Hit`).
+    # One id object per distinct doc id in this log: `json.loads` makes a new
+    # string for every occurrence, and a log repeats a few thousand ids
+    # hundreds of thousands of times.
     shared: dict[str, str] = {}
 
     def add(rec: dict, line_number: int) -> None:
@@ -648,7 +657,8 @@ def load_run_log(path: str | Path) -> RunRecord:
             query_id = rec["query_id"]
             if query_id in results:
                 raise ValueError(f"second ranked_list for query {query_id!r}")
-            hits: list[Hit] = []
+            doc_ids: list[str] = []
+            scores: list[float] = []
             # JSON values come back as exactly these types, so `type(x) is`
             # tests suffice, and they keep bool out of int.
             for expected, (doc_id, score, rank) in enumerate(rec["hits"], start=1):
@@ -661,11 +671,12 @@ def load_run_log(path: str | Path) -> RunRecord:
                     if value is None:
                         raise ValueError(f"hit {doc_id!r}: score {score!r} is not a finite number")
                     score = value
-                doc_id = shared.setdefault(doc_id, doc_id)
-                hits.append(tuple.__new__(Hit, (doc_id, score, rank)))
+                doc_ids.append(shared.setdefault(doc_id, doc_id))
+                scores.append(score)
             results[query_id] = RankedList(
                 query_id=query_id,
-                hits=tuple(hits),
+                doc_ids=tuple(doc_ids),
+                scores=tuple(scores),
                 status=rec["status"],
                 latency_ms=int(rec.get("latency_ms", 0)),
             )

@@ -11,14 +11,13 @@ from collections import Counter
 from collections.abc import Set as AbstractSet
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from operator import attrgetter
+from itertools import combinations_with_replacement, compress, count, product
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import EvaluationDataset
-from .execution import RankedList, RunRecord, STATUS_OK
+from .execution import RankedList, RunRecord
 
 logger = logging.getLogger(__name__)
 
@@ -92,9 +91,6 @@ def _validate_match_args(match_rule: str, family_of: Mapping[str, str] | None) -
         raise ValueError("family match rule requires a family_of mapping")
 
 
-_doc_id = attrgetter("doc_id")
-
-
 def _match(
     ranked: RankedList,
     relevant: AbstractSet[str],
@@ -111,23 +107,23 @@ def _match(
     retrieved.
     """
     relevant_ids = sorted(relevant)
-    if ranked.status != STATUS_OK or not ranked.hits:
-        return 0, relevant_ids, [False] * len(relevant_ids)
-    ids = list(map(_doc_id, ranked.hits))
+    ids = ranked.doc_ids  # non-OK results carry none
     found_ids = relevant.intersection(ids)
-    positions = [ids.index(doc_id) for doc_id in found_ids]
+    # Position of the earliest match so far; len(ids) while there is none.
+    first = min(map(ids.index, found_ids), default=len(ids))
     retrieved = [rid in found_ids for rid in relevant_ids]
     families = set(map(family_of.get, relevant_ids)) - {None, ""} if family_of else None
     if families:
-        hit_families = list(map(family_of.get, ids))
-        found_families = families.intersection(hit_families)
-        positions += [hit_families.index(fam) for fam in found_families]
-        retrieved = [
-            hit or family_of.get(rid) in found_families
-            for rid, hit in zip(relevant_ids, retrieved)
-        ]
-    first = ranked.hits[min(positions)].rank if positions else 0
-    return first, relevant_ids, retrieved
+        found_families = families.intersection(map(family_of.get, ids))
+        if found_families:
+            # One scan of the hits before `first`, up to the first family match.
+            in_family = map(found_families.__contains__, map(family_of.get, ids[:first]))
+            first = next(compress(count(), in_family), first)
+            retrieved = [
+                hit or family_of.get(rid) in found_families
+                for rid, hit in zip(relevant_ids, retrieved)
+            ]
+    return (first + 1 if first < len(ids) else 0), relevant_ids, retrieved
 
 
 def first_relevant_rank(

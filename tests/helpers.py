@@ -96,21 +96,18 @@ def build_eval_dataset(relevants, strata=None, manifest_extra=None):
 def build_run(dataset, lists, max_depth=100, statuses=None, adapter_id="fixture", seed=0):
     """RunRecord from {query_id: [doc ids best-first]}; statuses overrides
     individual queries to TIMEOUT or ERROR (empty hit lists)."""
-    from patbench.execution import Hit, RankedList, RunControls, RunRecord
+    from patbench.execution import RankedList, RunControls, RunRecord
 
     statuses = statuses or {}
     results = {}
     for qid in dataset.query_ids():
         status = statuses.get(qid, "OK")
         if status != "OK":
-            results[qid] = RankedList(query_id=qid, hits=(), status=status)
+            results[qid] = RankedList(query_id=qid, status=status)
             continue
-        ids = lists.get(qid, [])[:max_depth]
-        hits = tuple(
-            Hit(doc_id=doc_id, score=round(1.0 - i / max(len(ids), 1) / 2, 6), rank=i + 1)
-            for i, doc_id in enumerate(ids)
-        )
-        results[qid] = RankedList(query_id=qid, hits=hits, status="OK")
+        ids = tuple(lists.get(qid, [])[:max_depth])
+        scores = tuple(round(1.0 - i / max(len(ids), 1) / 2, 6) for i in range(len(ids)))
+        results[qid] = RankedList(query_id=qid, doc_ids=ids, scores=scores, status="OK")
     controls = RunControls(seed=seed, max_depth=max_depth, adapter_id=adapter_id)
     return RunRecord(
         controls=controls,
@@ -125,7 +122,7 @@ def scalar_reference_retrieve(query, index, max_depth=100, *, exclude_family=Tru
     """Term-at-a-time spec of the reference retriever, computed from the
     index's dict fields only.  ``patbench.execution.reference_retrieve`` must
     match it byte for byte: same hits, same ``repr`` of every score."""
-    from patbench.execution import STATUS_OK, Hit, RankedList, tokenize
+    from patbench.execution import STATUS_OK, RankedList, tokenize
     from patbench.query import EmptyInputError
 
     q_tokens = tokenize(query.text)
@@ -152,11 +149,12 @@ def scalar_reference_retrieve(query, index, max_depth=100, *, exclude_family=Tru
         ranked.append((doc_id, scores[doc_id] / math.sqrt(length)))
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))
 
-    hits = tuple(
-        Hit(doc_id=doc_id, score=score, rank=i + 1)
-        for i, (doc_id, score) in enumerate(ranked[:max_depth])
+    return RankedList(
+        query_id=query.query_id,
+        doc_ids=tuple(doc_id for doc_id, _ in ranked[:max_depth]),
+        scores=tuple(score for _, score in ranked[:max_depth]),
+        status=STATUS_OK,
     )
-    return RankedList(query_id=query.query_id, hits=hits, status=STATUS_OK)
 
 
 _SCALAR_ID_WS_RE = re.compile(r"\s+")
@@ -188,7 +186,7 @@ def scalar_standardize_results(raw, *, query_id, max_depth, latency_ms=0):
     evaluated afresh for every hit.  The library must match it by ``repr`` of
     the whole ``(RankedList, repairs)`` result; ``repairs`` counts each
     unmappable entry, dropped duplicate, inherited score and clamped score."""
-    from patbench.execution import STATUS_OK, Hit, RankedList
+    from patbench.execution import STATUS_OK, RankedList
 
     unmappable = duplicates = inherited = clamped = 0
     seen = set()
@@ -207,9 +205,9 @@ def scalar_standardize_results(raw, *, query_id, max_depth, latency_ms=0):
         if len(kept) == max_depth:
             break
 
-    hits = []
+    scores = []
     prev = math.inf
-    for i, (doc_id, score) in enumerate(kept):
+    for _, score in kept:
         try:
             finite = isinstance(score, (int, float)) and math.isfinite(float(score))
         except OverflowError:  # an int beyond float range
@@ -221,9 +219,13 @@ def scalar_standardize_results(raw, *, query_id, max_depth, latency_ms=0):
             clamped += 1
         score = float(min(score, prev))
         prev = score
-        hits.append(Hit(doc_id=doc_id, score=score, rank=i + 1))
+        scores.append(score)
     ranked = RankedList(
-        query_id=query_id, hits=tuple(hits), status=STATUS_OK, latency_ms=latency_ms
+        query_id=query_id,
+        doc_ids=tuple(doc_id for doc_id, _ in kept),
+        scores=tuple(scores),
+        status=STATUS_OK,
+        latency_ms=latency_ms,
     )
     return ranked, unmappable + duplicates + inherited + clamped
 

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from patbench.cli import main
-from patbench.execution import sanitize_run_log
+from patbench.execution import RankedList, sanitize_run_log
 
 BUNDLED = "data/synthetic_corpus.jsonl"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -67,6 +67,10 @@ def run_paths(runner, workdir, dataset_path, bundled_corpus_path):
     return paths
 
 
+def _hits_forbidden(ranked):
+    raise AssertionError(f"RankedList.hits read for {ranked.query_id!r}")
+
+
 @pytest.fixture(scope="module")
 def quickstart(runner, workdir, bundled_corpus_path):
     """The README quick start: dataset and run logs with and without family
@@ -85,26 +89,30 @@ def quickstart(runner, workdir, bundled_corpus_path):
     )
     assert result.exit_code == 0, result.output
     paths = {"dataset": dataset, "corpus": bundled_corpus_path}
-    for name, extra in (
-        ("exclude", ["--exclude-family"]),
-        ("include", ["--include-family"]),
-        ("short", ["--max-chars", "120"]),
-    ):
-        out = workdir / f"quickstart_run_{name}.jsonl"
-        result = runner.invoke(
-            main,
-            [
-                "run",
-                "--dataset", str(dataset),
-                "--corpus", str(bundled_corpus_path),
-                "--adapter", "reference",
-                "--out", str(out),
-                "--seed", "7",
-            ]
-            + extra,
-        )
-        assert result.exit_code == 0, result.output
-        paths[name] = out
+    # `run` reads a ranked list's doc id and score columns and never builds
+    # its Hit records.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RankedList, "hits", property(_hits_forbidden))
+        for name, extra in (
+            ("exclude", ["--exclude-family"]),
+            ("include", ["--include-family"]),
+            ("short", ["--max-chars", "120"]),
+        ):
+            out = workdir / f"quickstart_run_{name}.jsonl"
+            result = runner.invoke(
+                main,
+                [
+                    "run",
+                    "--dataset", str(dataset),
+                    "--corpus", str(bundled_corpus_path),
+                    "--adapter", "reference",
+                    "--out", str(out),
+                    "--seed", "7",
+                ]
+                + extra,
+            )
+            assert result.exit_code == 0, result.output
+            paths[name] = out
     return paths
 
 
@@ -573,6 +581,11 @@ class TestCompare:
 
 class TestGoldenReports:
     """Every report file of the quick start, pinned byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def _columns_only(self, monkeypatch):
+        # `evaluate` and `compare` read the columns too, under both rules.
+        monkeypatch.setattr(RankedList, "hits", property(_hits_forbidden))
 
     @pytest.mark.parametrize(
         "name, args",

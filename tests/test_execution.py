@@ -149,13 +149,13 @@ class TestStandardizeResults:
         ]
         ranked, repairs = standardize_results(raw, query_id="Q", max_depth=10)
         assert repairs == 1  # the bare id's missing score, inherited
-        assert ranked.doc_ids() == ["US1A", "US2A", "US3A"]
+        assert ranked.doc_ids == ("US1A", "US2A", "US3A")
         assert [h.rank for h in ranked.hits] == [1, 2, 3]
 
     def test_duplicates_keep_best_rank(self):
         raw = [("us1a", 0.9), ("US2A", 0.8), ("US1A", 0.7)]
         ranked, repairs = standardize_results(raw, query_id="Q", max_depth=10)
-        assert ranked.doc_ids() == ["US1A", "US2A"]
+        assert ranked.doc_ids == ("US1A", "US2A")
         assert ranked.hits[0].score == 0.9
         assert repairs == 1
 
@@ -168,7 +168,7 @@ class TestStandardizeResults:
     def test_unmappable_entries_counted_as_anomalies(self):
         raw = [42, "??", ("US1A", 0.5), None, {"doc_id": ""}]
         ranked, dropped = standardize_results(raw, query_id="Q", max_depth=10)
-        assert ranked.doc_ids() == ["US1A"]
+        assert ranked.doc_ids == ("US1A",)
         assert dropped == 4
 
     def test_missing_scores_inherit_previous(self):
@@ -233,7 +233,7 @@ class TestStandardizeResults:
     )
     def test_output_invariants(self, raw, max_depth):
         ranked, dropped = standardize_results(raw, query_id="Q", max_depth=max_depth)
-        ids = ranked.doc_ids()
+        ids = ranked.doc_ids
         assert len(ids) == len(set(ids))
         assert len(ids) <= max_depth
         assert [h.rank for h in ranked.hits] == list(range(1, len(ids) + 1))
@@ -385,14 +385,31 @@ class TestRunEvaluation:
             RunControls(seed=0, parallelism=0)
 
     def test_non_ok_ranked_list_cannot_carry_hits(self):
-        from patbench.execution import Hit
-
         with pytest.raises(ValueError):
             RankedList(
                 query_id="Q",
-                hits=(Hit(doc_id="US1A", score=1.0, rank=1),),
+                doc_ids=("US1A",),
+                scores=(1.0,),
                 status="ERROR",
             )
+
+
+class TestRankedList:
+    def test_hits_are_built_from_the_columns(self):
+        ranked = RankedList(
+            query_id="Q", doc_ids=("US2A", "US1A", "EP3B"), scores=(0.9, 0.5, 0.5)
+        )
+        hits = ranked.hits
+        assert all(type(h) is Hit for h in hits)
+        assert [h.rank for h in hits] == [1, 2, 3]
+        assert tuple(h.doc_id for h in hits) == ranked.doc_ids
+        assert tuple(h.score for h in hits) == ranked.scores
+        assert RankedList(query_id="Q").hits == ()
+
+    @pytest.mark.parametrize("doc_ids, scores", [(("US1A", "US2A"), (1.0,)), ((), (1.0,))])
+    def test_columns_of_unequal_length_are_rejected(self, doc_ids, scores):
+        with pytest.raises(ValueError, match="scores"):
+            RankedList(query_id="Q", doc_ids=doc_ids, scores=scores)
 
 
 class TestHit:
@@ -469,7 +486,7 @@ class TestReferenceRetriever:
         oracle = _oracle_scores(corpus, "rotor stator")
         oracle.pop("US1A")
         expected_order = sorted(oracle, key=lambda d: (-oracle[d], d))
-        assert ranked.doc_ids() == expected_order
+        assert list(ranked.doc_ids) == expected_order
         for hit in ranked.hits:
             assert hit.score == pytest.approx(oracle[hit.doc_id], rel=1e-12)
 
@@ -484,7 +501,7 @@ class TestReferenceRetriever:
         )
         index = build_reference_index(corpus)
         ranked = reference_retrieve(_query("US1A", "turbine blade"), index)
-        assert ranked.doc_ids() == ["US2A", "US5A", "US9A"]
+        assert ranked.doc_ids == ("US2A", "US5A", "US9A")
 
     def test_excludes_self_always(self):
         index = build_reference_index(self._corpus())
@@ -492,7 +509,7 @@ class TestReferenceRetriever:
             ranked = reference_retrieve(
                 _query("US1A", "rotor"), index, exclude_family=exclude_family
             )
-            assert "US1A" not in ranked.doc_ids()
+            assert "US1A" not in ranked.doc_ids
 
     def test_family_exclusion_toggle(self):
         index = build_reference_index(self._corpus())
@@ -502,8 +519,8 @@ class TestReferenceRetriever:
         without_family = reference_retrieve(
             _query("US4A", "rotor stator alignment"), index, exclude_family=True
         )
-        assert "US5A" in with_family.doc_ids()
-        assert "US5A" not in without_family.doc_ids()
+        assert "US5A" in with_family.doc_ids
+        assert "US5A" not in without_family.doc_ids
 
     def test_max_depth_truncates(self):
         index = build_reference_index(self._corpus())
@@ -552,7 +569,7 @@ class TestReferenceRetriever:
             doc = synth_corpus.documents[doc_id]
             query = _query(doc_id, doc.description[:200])
             ranked = reference_retrieve(query, index, max_depth=50)
-            ids = ranked.doc_ids()
+            ids = ranked.doc_ids
             assert doc_id not in ids
             assert len(ids) == len(set(ids))
             assert len(ids) <= 50
@@ -768,7 +785,7 @@ class TestRemoteAdapter:
             RunControls(seed=0, max_depth=3, adapter_id="stub"),
             queries={"Q1": _query("Q1")},
         )
-        assert record.results["Q1"].doc_ids() == ["US0A", "US1A", "US2A"]
+        assert record.results["Q1"].doc_ids == ("US0A", "US1A", "US2A")
 
     def test_nested_hits_path_and_field_names(self, stub_server):
         config = _remote_config(
@@ -926,7 +943,8 @@ class TestRunLogIO:
         results = {
             qid: RankedList(
                 query_id=qid,
-                hits=tuple(Hit(d, 1.0 - r / 1000, r + 1) for r, d in enumerate(ids)),
+                doc_ids=tuple(ids),
+                scores=tuple(1.0 - r / 1000 for r in range(len(ids))),
             )
             for qid, ids in lists.items()
         }
@@ -958,9 +976,10 @@ class TestRunLogIO:
         assert len(first) == 3
 
     def test_load_keeps_hits_small(self, tmp_path):
-        # 500 lists of 100 hits over 300 ids: a hit is its tuple, its float
-        # score and its list slot, not also its own copy of the id string
-        # (166 B per hit with one, 107 B without).
+        # 500 lists of 100 hits over 300 ids: a hit is a slot in the id
+        # column, a slot in the score column and its float, not also a Hit
+        # tuple or its own copy of the id string (166 B per hit with both,
+        # 107 B with Hit tuples of shared ids, 44 B in columns).
         ids = [f"US{j:07d}A" for j in range(300)]
         path = tmp_path / "run.jsonl"
         self._write_lists(
@@ -974,7 +993,7 @@ class TestRunLogIO:
             tracemalloc.stop()
         n_hits = sum(len(ranked.hits) for ranked in loaded.results.values())
         assert n_hits == 50_000
-        assert retained / n_hits < 130
+        assert retained / n_hits < 60
 
     def test_sanitized_bytes_ignore_wall_clock(self, tmp_path):
         record = self._record()

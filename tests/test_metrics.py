@@ -24,12 +24,10 @@ from patbench.metrics import (
 
 
 def _ranked(qid: str, ids: list[str], status: str = "OK") -> RankedList:
-    from patbench.execution import Hit
-
-    hits = tuple(
-        Hit(doc_id=d, score=1.0 - i / 100, rank=i + 1) for i, d in enumerate(ids)
-    )
-    return RankedList(query_id=qid, hits=hits if status == "OK" else (), status=status)
+    if status != "OK":
+        return RankedList(query_id=qid, status=status)
+    scores = tuple(1.0 - i / 100 for i in range(len(ids)))
+    return RankedList(query_id=qid, doc_ids=tuple(ids), scores=scores, status=status)
 
 
 class TestFirstRelevantRank:
