@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 import requests
@@ -325,9 +325,7 @@ def tokenize(text: str) -> list[str]:
 @dataclass
 class ReferenceIndex:
     postings: dict[str, dict[str, int]]
-    doc_lengths: dict[str, int]
     n_docs: int
-    families: dict[str, str]
     # Scoring arrays derived from the fields above; see the comment block.
     doc_ids: list[str]
     row_of: dict[str, int]
@@ -365,9 +363,7 @@ def build_reference_index(corpus: Corpus) -> ReferenceIndex:
     code_of = {family: code for code, family in enumerate(sorted(corpus.families))}
     return ReferenceIndex(
         postings=postings,
-        doc_lengths=doc_lengths,
         n_docs=n_docs,
-        families=corpus.family_of,
         doc_ids=doc_ids,
         row_of=row_of,
         terms=terms,
@@ -455,6 +451,22 @@ class ReferenceAdapter:
 # ---------------------------------------------------------------------------
 
 
+# What a remote config key must hold, for the keys that are not strings.
+_CONFIG_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
+    "headers": (
+        lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
+        "an object of strings",
+    ),
+    "extra_params": (lambda v: isinstance(v, dict), "an object"),
+    "hits_path": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+    "max_retries": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "backoff_s": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a number >= 0"),
+}
+
+
 @dataclass(frozen=True)
 class RemoteEndpointConfig:
     """Shape of a remote system endpoint.
@@ -484,12 +496,18 @@ class RemoteEndpointConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RemoteEndpointConfig":
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: remote config must be a JSON object")
         if "adapter_id" not in rec or "url" not in rec:
             raise ValueError(f"{path}: remote config needs adapter_id and url")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(rec) - known
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in rec.items():
+            fits, expected = _CONFIG_TYPES.get(key, (lambda v: isinstance(v, str), "a string"))
+            if not fits(value):
+                raise ValueError(f"{path}: config key {key!r} must be {expected}, got {value!r}")
         if "hits_path" in rec:
             rec["hits_path"] = tuple(rec["hits_path"])
         return cls(**rec)

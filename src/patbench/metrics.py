@@ -4,14 +4,12 @@ depth, and stratified paired-bootstrap significance for system deltas."""
 from __future__ import annotations
 
 import logging
-import math
 import os
 import threading
-from collections import Counter
 from collections.abc import Set as AbstractSet
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, count, product
+from itertools import compress, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +32,6 @@ _CATCH_ALL = "__rest__"
 # worker threads: its working arrays hold about this many elements whatever
 # the stratum size.
 _BOOTSTRAP_DRAWS = 1 << 17
-_EXHAUSTIVE_LIMIT = 200_000
 
 
 class UndefinedMetricError(ValueError):
@@ -69,8 +66,6 @@ class SignificanceResult:
     n_resamples: int
     strata_spec: str
     seed: int
-    # Exhaustive mode only: the full (diff, probability) support.
-    distribution: tuple[tuple[float, float], ...] | None = None
 
 
 def _check_coverage(run: RunRecord, dataset: EvaluationDataset) -> None:
@@ -271,22 +266,12 @@ def recall(
     dataset: EvaluationDataset,
     match_rule: str = MATCH_EXACT,
     family_of: Mapping[str, str] | None = None,
-    macro: bool = False,
 ) -> float:
-    """Recall over the full returned lists (depth = the run's max_depth).
-
-    Micro-averaged by default: pooled retrieved-relevant count over pooled
-    relevant count.  ``macro=True`` averages per-query recall instead.
-    """
+    """Recall over the full returned lists (depth = the run's max_depth):
+    pooled retrieved-relevant count over pooled relevant count."""
     if not dataset.queries:
         raise UndefinedMetricError("recall is undefined on an empty dataset")
     outcomes = query_outcomes(run, dataset, match_rule, family_of)
-    if macro:
-        per_query = [
-            matched / relevant
-            for matched, relevant in zip(outcomes.matched.tolist(), outcomes.relevant.tolist())
-        ]
-        return sum(per_query) / len(per_query)
     return int(outcomes.matched.sum()) / int(outcomes.relevant.sum())
 
 
@@ -344,71 +329,13 @@ def _paired_contributions(
     raise UndefinedMetricError(f"unknown bootstrap metric {metric!r}")
 
 
-def _two_sided_p(observed: float, diffs: np.ndarray, weights: np.ndarray | None) -> float:
-    """Two-sided sign-opposition p-value.
-
-    Sampled mode (weights None) applies +1/(B+1) smoothing; exhaustive mode
-    uses exact probabilities.  A zero observed difference yields p = 1.
-    """
+def _two_sided_p(observed: float, diffs: np.ndarray) -> float:
+    """Two-sided sign-opposition p-value with +1/(B+1) smoothing.  A zero
+    observed difference yields p = 1."""
     if observed == 0.0:
         return 1.0
-    if observed > 0:
-        mask = diffs <= 0.0
-    else:
-        mask = diffs >= 0.0
-    if weights is None:
-        b = len(diffs)
-        return min(1.0, 2.0 * (int(mask.sum()) + 1) / (b + 1))
-    return min(1.0, 2.0 * float(weights[mask].sum()))
-
-
-def _weighted_percentile(
-    diffs: np.ndarray, weights: np.ndarray, q: float
-) -> float:
-    order = np.argsort(diffs, kind="stable")
-    sorted_diffs = diffs[order]
-    cum = np.cumsum(weights[order])
-    idx = int(np.searchsorted(cum, q, side="left"))
-    idx = min(idx, len(sorted_diffs) - 1)
-    return float(sorted_diffs[idx])
-
-
-def _multiset_weight(counts: Counter, n: int) -> float:
-    log_w = math.lgamma(n + 1) - n * math.log(n)
-    for c in counts.values():
-        log_w -= math.lgamma(c + 1)
-    return math.exp(log_w)
-
-
-def _exhaustive_support(
-    strata: list[tuple[str, list[int]]]
-) -> list[tuple[tuple[int, ...], float]]:
-    """All paired resamples as (index multiset, probability) per stratum,
-    combined across strata by cross product."""
-    total = 1
-    for _, idxs in strata:
-        n = len(idxs)
-        total *= math.comb(2 * n - 1, n)
-        if total > _EXHAUSTIVE_LIMIT:
-            raise UndefinedMetricError(
-                f"exhaustive enumeration too large ({total}+ combinations)"
-            )
-    per_stratum: list[list[tuple[tuple[int, ...], float]]] = []
-    for _, idxs in strata:
-        n = len(idxs)
-        options: list[tuple[tuple[int, ...], float]] = []
-        for combo in combinations_with_replacement(idxs, n):
-            options.append((combo, _multiset_weight(Counter(combo), n)))
-        per_stratum.append(options)
-    support: list[tuple[tuple[int, ...], float]] = []
-    for parts in product(*per_stratum):
-        indices: tuple[int, ...] = ()
-        weight = 1.0
-        for combo, w in parts:
-            indices += combo
-            weight *= w
-        support.append((indices, weight))
-    return support
+    opposed = diffs <= 0.0 if observed > 0 else diffs >= 0.0
+    return min(1.0, 2.0 * (int(opposed.sum()) + 1) / (len(diffs) + 1))
 
 
 def paired_bootstrap(
@@ -423,7 +350,6 @@ def paired_bootstrap(
     seed: int = 0,
     match_rule: str = MATCH_EXACT,
     family_of: Mapping[str, str] | None = None,
-    exhaustive: bool = False,
 ) -> SignificanceResult:
     """Stratified paired bootstrap for the metric difference run_a minus run_b.
 
@@ -433,9 +359,6 @@ def paired_bootstrap(
     seed: per-stratum random streams are derived from the seed and the
     stratum's position in sorted order, so results do not depend on
     evaluation order.
-
-    ``exhaustive=True`` replaces sampling with full enumeration of the
-    resample distribution (small datasets only) and exact probabilities.
     """
     (result,) = paired_bootstrap_outcomes(
         query_outcomes(run_a, dataset, match_rule, family_of),
@@ -445,7 +368,6 @@ def paired_bootstrap(
         strata_dims=strata_dims,
         n_resamples=n_resamples,
         seed=seed,
-        exhaustive=exhaustive,
     )
     return result
 
@@ -459,7 +381,6 @@ def paired_bootstrap_outcomes(
     strata_dims: Sequence[str] = DEFAULT_BOOTSTRAP_STRATA,
     n_resamples: int = DEFAULT_N_RESAMPLES,
     seed: int = 0,
-    exhaustive: bool = False,
 ) -> tuple[SignificanceResult, ...]:
     """:func:`paired_bootstrap` over two outcome tables of ``dataset``, for
     each ``(metric, k)`` of ``metrics``.
@@ -473,53 +394,26 @@ def paired_bootstrap_outcomes(
         raise UndefinedMetricError("bootstrap is undefined on an empty dataset")
     outcomes_a.check_dataset(dataset)
     outcomes_b.check_dataset(dataset)
-    if not exhaustive and n_resamples < 1000:
-        raise ValueError("n_resamples must be at least 1000 (or use exhaustive mode)")
+    if n_resamples < 1000:
+        raise ValueError("n_resamples must be at least 1000")
     stats = [_paired_contributions(outcomes_a, outcomes_b, metric, k) for metric, k in metrics]
     strata = _group_strata(dataset, strata_dims)
     strata_spec = f"{'x'.join(strata_dims)} ({len(strata)} strata)"
-
-    if exhaustive:
-        support = _exhaustive_support(strata)
-        n_resamples = len(support)
-        weights = np.array([w for _, w in support], dtype=np.float64)
-        weights = weights / weights.sum()
-        all_diffs = [
-            np.array(
-                [
-                    u[list(indices)].sum()
-                    / (len(indices) if m is None else m[list(indices)].sum())
-                    for indices, _ in support
-                ],
-                dtype=np.float64,
-            )
-            for _, _, u, m in stats
-        ]
-    else:
-        weights = None
-        all_diffs = _resampled_diffs(stats, strata, n_resamples, seed)
+    all_diffs = _resampled_diffs(stats, strata, n_resamples, seed)
 
     results = []
     for (metric_name, observed, _, _), diffs in zip(stats, all_diffs):
-        distribution = None
-        if weights is None:
-            ci_low, ci_high = (float(x) for x in np.percentile(diffs, [2.5, 97.5]))
-        else:
-            ci_low = _weighted_percentile(diffs, weights, 0.025)
-            ci_high = _weighted_percentile(diffs, weights, 0.975)
-            order = np.argsort(diffs, kind="stable")
-            distribution = tuple((float(diffs[i]), float(weights[i])) for i in order)
+        ci_low, ci_high = (float(x) for x in np.percentile(diffs, [2.5, 97.5]))
         results.append(
             SignificanceResult(
                 metric_name=metric_name,
                 observed_diff=observed,
-                p_value=_two_sided_p(observed, diffs, weights),
+                p_value=_two_sided_p(observed, diffs),
                 ci_low=ci_low,
                 ci_high=ci_high,
                 n_resamples=n_resamples,
                 strata_spec=strata_spec,
                 seed=seed,
-                distribution=distribution,
             )
         )
     return tuple(results)

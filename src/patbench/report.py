@@ -293,14 +293,13 @@ def compare_systems(
     n_resamples: int = DEFAULT_N_RESAMPLES,
     seed: int = 0,
     strata_dims: Sequence[str] = DEFAULT_BOOTSTRAP_STRATA,
-    significance_k: int = 10,
 ) -> SystemComparison:
     """Side-by-side metrics for two runs over the same dataset.
 
-    Deltas are system B minus system A.  Significance covers the headline
-    metrics (detection at ``significance_k`` and recall) via the stratified
-    paired bootstrap.  Raises :class:`IntegrityMismatchError` when either run
-    was produced against a different dataset manifest.
+    Deltas are system B minus system A.  The stratified paired bootstrap
+    tests detection at k = 10 (the grid's middle k without 10) and recall.
+    Raises :class:`IntegrityMismatchError` when either run was produced
+    against a different dataset manifest.
     """
     _check_manifest(run_a, dataset, "run A")
     _check_manifest(run_b, dataset, "run B")
@@ -314,7 +313,7 @@ def compare_systems(
     )
     recall_delta = table_b.totals.recall - table_a.totals.recall
 
-    sig_k = significance_k if significance_k in ks else ks[min(len(ks) - 1, len(ks) // 2)]
+    sig_k = 10 if 10 in ks else ks[len(ks) // 2]
     significance = paired_bootstrap_outcomes(
         outcomes_b,
         outcomes_a,
@@ -683,8 +682,6 @@ def emit_report(
             files[f"recall_{table.dimension}.svg"] = _svg_recall_bars(table)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not out_dir.is_dir():
-        raise OSError(f"{out_dir} is not a writable directory")
     written: list[Path] = []
     for name in sorted(files):
         path = out_dir / name

@@ -118,34 +118,43 @@ def build_run(dataset, lists, max_depth=100, statuses=None, adapter_id="fixture"
     )
 
 
-def scalar_reference_retrieve(query, index, max_depth=100, *, exclude_family=True):
+def scalar_reference_retrieve(query, corpus, max_depth=100, *, exclude_family=True):
     """Term-at-a-time spec of the reference retriever, computed from the
-    index's dict fields only.  ``patbench.execution.reference_retrieve`` must
-    match it byte for byte: same hits, same ``repr`` of every score."""
+    corpus alone, without its index.  ``patbench.execution.reference_retrieve``
+    over ``build_reference_index(corpus)`` must match it byte for byte: same
+    hits, same ``repr`` of every score."""
     from patbench.execution import STATUS_OK, RankedList, tokenize
     from patbench.query import EmptyInputError
 
     q_tokens = tokenize(query.text)
     if not q_tokens:
         raise EmptyInputError(f"query {query.query_id!r} has no indexable tokens")
-    q_family = index.families.get(query.query_id, "")
+    term_counts = {
+        doc_id: Counter(
+            tokenize(" ".join((doc.title, doc.abstract, doc.claims, doc.description)))
+        )
+        for doc_id, doc in corpus.documents.items()
+    }
+    q_doc = corpus.documents.get(query.query_id)
+    q_family = q_doc.family_id if q_doc else ""
 
     scores: dict[str, float] = {}
     for term, qtf in Counter(q_tokens).items():
-        plist = index.postings.get(term)
-        if not plist:
+        containing = [doc_id for doc_id, counts in term_counts.items() if term in counts]
+        if not containing:
             continue
-        idf = math.log(1.0 + index.n_docs / len(plist))
-        for doc_id, tf in plist.items():
+        idf = math.log(1.0 + len(corpus.documents) / len(containing))
+        for doc_id in containing:
+            tf = term_counts[doc_id][term]
             scores[doc_id] = scores.get(doc_id, 0.0) + qtf * (1.0 + math.log(tf)) * idf
 
     ranked: list[tuple[str, float]] = []
     for doc_id in sorted(scores):
         if doc_id == query.query_id:
             continue
-        if exclude_family and q_family and index.families.get(doc_id, "") == q_family:
+        if exclude_family and q_family and corpus.documents[doc_id].family_id == q_family:
             continue
-        length = index.doc_lengths.get(doc_id, 0) or 1
+        length = sum(term_counts[doc_id].values()) or 1
         ranked.append((doc_id, scores[doc_id] / math.sqrt(length)))
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))
 
@@ -284,7 +293,7 @@ def scalar_first_ranks(run, dataset, match_rule, family_of):
     ]
 
 
-def scalar_recall(run, dataset, match_rule="exact", family_of=None, macro=False):
+def scalar_recall(run, dataset, match_rule="exact", family_of=None):
     counts = [
         (
             scalar_matched_count(
@@ -294,9 +303,6 @@ def scalar_recall(run, dataset, match_rule="exact", family_of=None, macro=False)
         )
         for case in dataset.queries
     ]
-    if macro:
-        per_query = [matched / relevant for matched, relevant in counts]
-        return sum(per_query) / len(per_query)
     numerator = 0
     denominator = 0
     for matched, relevant in counts:
@@ -419,11 +425,12 @@ def scalar_per_query_arrays(run_a, run_b, dataset, metric, k, match_rule, family
 def scalar_paired_bootstrap(
     run_a, run_b, dataset, *, metric, k, strata_dims, n_resamples, seed, match_rule, family_of
 ):
-    """Sampled-mode stratified paired bootstrap, one draw of its own per
-    metric.  Strata grouping and the p-value are shared with the package."""
+    """Stratified paired bootstrap, one draw of its own per metric.  Strata
+    grouping is shared with the package; the two-sided p-value with
+    +1/(B+1) smoothing is computed here."""
     import numpy as np
 
-    from patbench.metrics import SignificanceResult, _group_strata, _two_sided_p
+    from patbench.metrics import SignificanceResult, _group_strata
 
     u, m, observed, name = scalar_per_query_arrays(
         run_a, run_b, dataset, metric, k, match_rule, family_of
@@ -444,10 +451,15 @@ def scalar_paired_bootstrap(
             sum_m[start:stop] += m_s[draw].sum(axis=1)
     diffs = sum_u / sum_m
     ci_low, ci_high = (float(x) for x in np.percentile(diffs, [2.5, 97.5]))
+    if observed == 0.0:
+        p_value = 1.0
+    else:
+        opposed = sum(1 for d in diffs.tolist() if (d <= 0.0 if observed > 0 else d >= 0.0))
+        p_value = min(1.0, 2.0 * (opposed + 1) / (n_resamples + 1))
     return SignificanceResult(
         metric_name=name,
         observed_diff=observed,
-        p_value=_two_sided_p(observed, diffs, None),
+        p_value=p_value,
         ci_low=ci_low,
         ci_high=ci_high,
         n_resamples=n_resamples,
@@ -458,14 +470,14 @@ def scalar_paired_bootstrap(
 
 def scalar_compare_systems(
     run_a, run_b, dataset, *, ks, dimensions, match_rule, family_of, n_resamples, seed,
-    strata_dims, significance_k=10,
+    strata_dims,
 ):
     from patbench.report import OVERALL_DIMENSION, SystemComparison
 
     ks = tuple(ks)
     table_a = scalar_breakdown_by(run_a, dataset, OVERALL_DIMENSION, ks, match_rule, family_of)
     table_b = scalar_breakdown_by(run_b, dataset, OVERALL_DIMENSION, ks, match_rule, family_of)
-    sig_k = significance_k if significance_k in ks else ks[min(len(ks) - 1, len(ks) // 2)]
+    sig_k = 10 if 10 in ks else ks[len(ks) // 2]
     common = dict(
         strata_dims=strata_dims, n_resamples=n_resamples, seed=seed,
         match_rule=match_rule, family_of=family_of,

@@ -282,6 +282,32 @@ class TestRun:
         )
         assert result.exit_code == 2
 
+    # A bad field escaped as a TypeError (exit 1) or failed every query
+    # against the adapter (exit 3); the config is at fault, so exit 2.
+    @pytest.mark.parametrize(
+        "key, value",
+        [("hits_path", 5), ("max_retries", "two"), ("headers", "abc")],
+        ids=["hits_path", "max_retries", "headers"],
+    )
+    def test_bad_remote_config_field_exit_2(
+        self, runner, workdir, dataset_path, bundled_corpus_path, tmp_path, key, value
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps({"adapter_id": "a", "url": "http://127.0.0.1:9/search", key: value})
+        )
+        result = runner.invoke(
+            main,
+            [
+                "run",
+                "--dataset", str(dataset_path),
+                "--corpus", str(bundled_corpus_path),
+                "--adapter", f"remote:{config}",
+                "--out", str(workdir / "bad_config_run.jsonl"),
+            ],
+        )
+        _assert_input_error(result, "bad adapter config", repr(key))
+
     def test_majority_failures_exit_3(
         self, runner, workdir, bundled_corpus_path, tmp_path
     ):
@@ -853,9 +879,9 @@ class TestInputErrors:
         _assert_input_error(result, named)
         assert not (tmp_path / "ds.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["build-dataset", "run"])
+    @pytest.mark.parametrize("command", ["build-dataset", "run", "evaluate", "compare"])
     def test_out_under_a_regular_file(
-        self, runner, tmp_path, dataset_path, bundled_corpus_path, command, monkeypatch
+        self, runner, tmp_path, dataset_path, run_paths, bundled_corpus_path, command, monkeypatch
     ):
         import patbench.cli
 
@@ -868,6 +894,11 @@ class TestInputErrors:
         argv = {
             "build-dataset": ["build-dataset", "--sample-size", "5"],
             "run": ["run", "--dataset", str(dataset_path)],
+            "evaluate": ["evaluate", "--dataset", str(dataset_path),
+                         "--run", str(run_paths["a"]), "--k-grid", "1,10"],
+            "compare": ["compare", "--dataset", str(dataset_path),
+                        "--run-a", str(run_paths["a"]), "--run-b", str(run_paths["b"]),
+                        "--k-grid", "1,10", "--n-resamples", "1000"],
         }[command]
         result = runner.invoke(
             main, argv + ["--corpus", str(bundled_corpus_path), "--out", str(blocker / "x.jsonl")]

@@ -542,7 +542,6 @@ class TestReferenceRetriever:
         index = build_reference_index(corpus)
         assert index.postings["pump"] == {"US1A": 2}
         assert index.postings["valve"] == {"US1A": 1, "US2A": 1}
-        assert index.doc_lengths == {"US1A": 3, "US2A": 2}
         assert index.n_docs == 2
 
     def test_adapter_is_deterministic_over_synth_corpus(self, synth_corpus, tmp_path):
@@ -618,7 +617,7 @@ class TestReferenceRetriever:
         index = build_reference_index(corpus)
         query = _query("US3A", "pump valve")
         got = reference_retrieve(query, index)
-        expected = scalar_reference_retrieve(query, index)
+        expected = scalar_reference_retrieve(query, corpus)
         assert [(h.doc_id, repr(h.score)) for h in got.hits] == [
             (h.doc_id, repr(h.score)) for h in expected.hits
         ]
@@ -683,7 +682,7 @@ class TestReferenceRetriever:
             query = _query(query_id, " ".join(words))
             kwargs = dict(max_depth=max_depth, exclude_family=exclude_family)
             try:
-                expected = scalar_reference_retrieve(query, index, **kwargs)
+                expected = scalar_reference_retrieve(query, corpus, **kwargs)
             except EmptyInputError:
                 with pytest.raises(EmptyInputError):
                     reference_retrieve(query, index, **kwargs)
@@ -756,6 +755,9 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def _remote_config(url: str, **overrides) -> RemoteEndpointConfig:
@@ -912,6 +914,10 @@ class TestRemoteAdapter:
         incomplete.write_text(json.dumps({"adapter_id": "x"}))
         with pytest.raises(ValueError):
             RemoteEndpointConfig.from_file(incomplete)
+        not_an_object = tmp_path / "list.json"
+        not_an_object.write_text(json.dumps(["adapter_id", "url"]))
+        with pytest.raises(ValueError, match="JSON object"):
+            RemoteEndpointConfig.from_file(not_an_object)
 
 
 class TestRunLogIO:

@@ -252,8 +252,7 @@ class TestCompareSystems:
     def test_significance_direction_matches_deltas(self):
         dataset, run_a, run_b = _comparison_fixture()
         comp = compare_systems(
-            run_a, run_b, dataset, ks=KS, n_resamples=1000, strata_dims=(),
-            significance_k=10,
+            run_a, run_b, dataset, ks=KS, n_resamples=1000, strata_dims=()
         )
         det = next(s for s in comp.significance if s.metric_name == "top10_detection")
         rec = next(s for s in comp.significance if s.metric_name.startswith("recall@"))
@@ -378,8 +377,7 @@ class TestEmission:
     def test_comparison_emission(self, tmp_path):
         dataset, run_a, run_b = _comparison_fixture()
         comp = compare_systems(
-            run_a, run_b, dataset, ks=KS, n_resamples=1000, strata_dims=(),
-            significance_k=10,
+            run_a, run_b, dataset, ks=KS, n_resamples=1000, strata_dims=()
         )
         report = MetricsReport(match_rule="exact", overall=None, comparison=comp)
         written = emit_report(report, tmp_path, formats=("csv", "table-text"))
@@ -499,10 +497,7 @@ class TestScalarSpecOracle:
         assert repr(cross_language_recall(run_a, dataset, corpus, **kw)) == repr(
             scalar_cross_language_recall(run_a, dataset, corpus, **kw)
         )
-        for macro in (False, True):
-            assert repr(recall(run_a, dataset, macro=macro, **kw)) == repr(
-                scalar_recall(run_a, dataset, macro=macro, **kw)
-            )
+        assert repr(recall(run_a, dataset, **kw)) == repr(scalar_recall(run_a, dataset, **kw))
         compare_kw = dict(
             ks=ks, dimensions=REPORT_DIMENSIONS, n_resamples=1000, seed=seed,
             strata_dims=("language", "ipc_section"), **kw,
