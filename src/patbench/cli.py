@@ -44,7 +44,7 @@ from .metrics import (
     MATCH_FAMILY,
     MATCH_RULES,
 )
-from .query import DEFAULT_MAX_QUERY_CHARS, build_query
+from .query import DEFAULT_MAX_QUERY_CHARS, build_queries
 from .report import (
     IntegrityMismatchError,
     MetricsReport,
@@ -198,17 +198,13 @@ def cmd_build_dataset(
         click.echo("stratum counts: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
 
 
-def _make_adapter(
-    adapter: str, adapter_config: str | None, corpus: Corpus, exclude_family: bool
-):
+def _make_adapter(adapter: str, corpus: Corpus, exclude_family: bool):
     if adapter == "reference":
         return ReferenceAdapter(corpus, exclude_family=exclude_family)
-    if adapter.startswith("remote"):
-        config_path = adapter_config
-        if ":" in adapter:
-            config_path = adapter.split(":", 1)[1]
+    kind, _, config_path = adapter.partition(":")
+    if kind == "remote":
         if not config_path:
-            raise ValueError("remote adapter needs --adapter-config or remote:<config.json>")
+            raise ValueError("remote adapter needs remote:<config.json>")
         try:
             return RemoteAdapter(RemoteEndpointConfig.from_file(config_path))
         except (OSError, ValueError) as exc:
@@ -222,7 +218,6 @@ def _make_adapter(
               help="Corpus used to build query text (and to serve the reference adapter).")
 @click.option("--adapter", default="reference", show_default=True,
               help="reference, or remote:<config.json>.")
-@click.option("--adapter-config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--timeout-ms", default=DEFAULT_TIMEOUT_MS, show_default=True, type=click.IntRange(min=1))
@@ -237,7 +232,6 @@ def cmd_run(
     dataset_path: str,
     corpus_path: str,
     adapter: str,
-    adapter_config: str | None,
     out: str,
     seed: int,
     timeout_ms: int,
@@ -250,7 +244,7 @@ def cmd_run(
     """Run a retrieval system over every dataset query."""
     corpus = _load_corpus(corpus_path, lenient)
     dataset = load_dataset(dataset_path)
-    system = _make_adapter(adapter, adapter_config, corpus, exclude_family)
+    system = _make_adapter(adapter, corpus, exclude_family)
     controls = RunControls(
         seed=seed,
         timeout_ms=timeout_ms,
@@ -258,15 +252,7 @@ def cmd_run(
         adapter_id=system.adapter_id,
         parallelism=parallelism,
     )
-    # A query id missing from the corpus, or a document with no query text,
-    # gets no query and is recorded as ERROR by the runner.
-    queries = {}
-    for qid in dataset.query_ids():
-        if qid in corpus.documents:
-            try:
-                queries[qid] = build_query(corpus.documents[qid], max_chars=max_chars)
-            except ValueError:
-                pass
+    queries = build_queries(corpus, dataset.query_ids(), max_chars=max_chars)
     # An unwritable --out fails here, before any query is searched.
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     click.echo(f"running {len(dataset.queries)} queries against {system.adapter_id}")

@@ -11,7 +11,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Mapping, Protocol, runtime_checkable
@@ -59,16 +59,6 @@ class DatasetFormatError(ValueError):
     """A dataset file violates the expected line-delimited layout."""
 
 
-@dataclass(frozen=True)
-class AlignmentScore:
-    value: float
-    scorer_id: str
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"alignment score {self.value} outside [0, 1]")
-
-
 @runtime_checkable
 class AlignmentScorer(Protocol):
     """Pluggable document-pair similarity backend."""
@@ -107,13 +97,6 @@ class TrigramJaccardScorer:
         return inter / union
 
 
-def alignment_score(
-    doc_a: PatentDocument, doc_b: PatentDocument, scorer: AlignmentScorer
-) -> AlignmentScore:
-    """Score a document pair with the given backend, validated into [0, 1]."""
-    return AlignmentScore(value=scorer.score(doc_a, doc_b), scorer_id=scorer.scorer_id)
-
-
 @dataclass(frozen=True)
 class QueryCase:
     """One evaluation query: a main patent and its relevant publication ids.
@@ -133,26 +116,6 @@ class QueryCase:
             raise ValueError(f"query {self.query_doc_id!r} lists itself as relevant")
         if set(self.relevant_provenance) != set(self.relevant_ids):
             raise ValueError("relevant_provenance must cover exactly relevant_ids")
-
-
-@dataclass(frozen=True)
-class DistributionProfile:
-    """Observed corpus distributions used to steer dataset assembly."""
-
-    citation_type_proportions: Mapping[str, float]
-    language_counts_primary: Mapping[str, int]
-    language_counts_cited: Mapping[str, int]
-    ipc_section_counts: Mapping[str, int]
-    jurisdiction_counts: Mapping[str, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "citation_type_proportions": dict(sorted(self.citation_type_proportions.items())),
-            "language_counts_primary": dict(sorted(self.language_counts_primary.items())),
-            "language_counts_cited": dict(sorted(self.language_counts_cited.items())),
-            "ipc_section_counts": dict(sorted(self.ipc_section_counts.items())),
-            "jurisdiction_counts": dict(sorted(self.jurisdiction_counts.items())),
-        }
 
 
 @dataclass(frozen=True)
@@ -194,13 +157,14 @@ def extract_x_citations(corpus: Corpus) -> dict[str, set[str]]:
     return out
 
 
-def profile_distributions(corpus: Corpus) -> DistributionProfile:
-    """Corpus-level distributions.
+def profile_distributions(corpus: Corpus) -> dict[str, dict]:
+    """Corpus-level distributions, as the build manifest's ``profile``.
 
-    Citation type proportions are over all citation records.  Language,
-    IPC section, and jurisdiction counts cover the corpus documents
-    (candidate main patents); cited-language counts cover the distinct
-    in-corpus targets of X citations.
+    ``citation_type_proportions`` is over all citation records.
+    ``language_counts_primary``, ``ipc_section_counts`` and
+    ``jurisdiction_counts`` cover the corpus documents (candidate main
+    patents); ``language_counts_cited`` covers the distinct in-corpus
+    targets of X citations.
     """
     type_counts = Counter(c.category for c in corpus.citations)
     total = sum(type_counts.values())
@@ -212,15 +176,13 @@ def profile_distributions(corpus: Corpus) -> DistributionProfile:
         for c in corpus.citations
         if c.category == "X" and c.cited_id in corpus.documents
     }
-    return DistributionProfile(
-        citation_type_proportions=proportions,
-        language_counts_primary=dict(Counter(d.language for d in docs)),
-        language_counts_cited=dict(
-            Counter(corpus.documents[i].language for i in cited_ids)
-        ),
-        ipc_section_counts=dict(Counter(ipc_section_of(d) for d in docs)),
-        jurisdiction_counts=dict(Counter(d.jurisdiction for d in docs)),
-    )
+    return {
+        "citation_type_proportions": proportions,
+        "language_counts_primary": dict(Counter(d.language for d in docs)),
+        "language_counts_cited": dict(Counter(corpus.documents[i].language for i in cited_ids)),
+        "ipc_section_counts": dict(Counter(ipc_section_of(d) for d in docs)),
+        "jurisdiction_counts": dict(Counter(d.jurisdiction for d in docs)),
+    }
 
 
 def augment_with_family_citations(
@@ -253,7 +215,9 @@ def augment_with_family_citations(
             if not member_x:
                 continue
             try:
-                score = alignment_score(main_doc, member, scorer)
+                score = scorer.score(main_doc, member)
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"alignment score {score} outside [0, 1]")
             except Exception as exc:
                 logger.warning(
                     "alignment scoring failed for (%s, %s): %s; member skipped",
@@ -262,7 +226,7 @@ def augment_with_family_citations(
                     exc,
                 )
                 continue
-            if score.value < threshold:
+            if score < threshold:
                 continue
             for cited in sorted(member_x):
                 if cited == main_id or cited in family_ids:
@@ -407,7 +371,7 @@ def assemble_dataset(
     scorer_id: str,
     threshold: float,
     recency_years: int,
-    profile: DistributionProfile | None = None,
+    profile: Mapping[str, object] | None = None,
 ) -> EvaluationDataset:
     """Draw a stratified sample of cases and pin the build manifest.
 
@@ -464,7 +428,7 @@ def assemble_dataset(
         "filters": ["recency", "non_empty_description", "non_empty_relevants"],
         "corpus_hash": corpus_content_hash(corpus),
         "stratum_counts": dict(sorted(realized.items())),
-        "profile": profile.as_dict() if profile is not None else None,
+        "profile": profile,
     }
     return EvaluationDataset(queries=queries, strata=strata, build_manifest=manifest)
 

@@ -218,8 +218,21 @@ def build_queries(
     doc_ids: Iterable[str],
     max_chars: int = DEFAULT_MAX_QUERY_CHARS,
 ) -> dict[str, Query]:
-    """Build queries for the given doc ids; raises on ids missing from the corpus."""
+    """Build queries for the given doc ids.
+
+    An id missing from the corpus, or whose document yields no query text
+    (:func:`build_query` raises ``ValueError``), gets no query; the runner
+    records it as ERROR.
+    """
+    if max_chars < 1:
+        raise ValueError("max_chars must be at least 1")
     out: dict[str, Query] = {}
     for doc_id in doc_ids:
-        out[doc_id] = build_query(corpus.documents[doc_id], max_chars=max_chars)
+        doc = corpus.documents.get(doc_id)
+        if doc is None:
+            continue
+        try:
+            out[doc_id] = build_query(doc, max_chars=max_chars)
+        except ValueError:
+            continue
     return out

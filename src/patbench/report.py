@@ -13,7 +13,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .dataset import EvaluationDataset
+from .dataset import STRATUM_DIMENSIONS, EvaluationDataset
 from .execution import RunRecord
 from .metrics import (
     DEFAULT_BOOTSTRAP_STRATA,
@@ -31,7 +31,7 @@ from .metrics import (
 
 logger = logging.getLogger(__name__)
 
-REPORT_DIMENSIONS = ("language", "ipc_section", "jurisdiction")
+REPORT_DIMENSIONS = STRATUM_DIMENSIONS
 REPORT_FORMATS = ("table-text", "csv", "svg-plot-data")
 TOTAL_LABEL = "__all__"
 OVERALL_DIMENSION = "overall"

@@ -15,6 +15,14 @@ from .corpus import CitationRecord, Corpus, PatentDocument
 from .dataset import largest_remainder
 
 DEFAULT_REFERENCE_DATE = date(2020, 6, 15)
+# synthetic_corpus: jurisdiction shares (CN documents are Chinese, the rest
+# English), topic clusters, and the share of documents filed 11-15 years
+# before the reference date, outside the default recency window.
+JURISDICTION_MIX = {"CN": 0.5, "US": 0.2, "EP": 0.2, "WO": 0.1}
+N_CLUSTERS = 20
+OLD_FRACTION = 0.1
+# near_copy_corpus: unrelated documents added beside the planted pairs.
+N_DISTRACTORS = 60
 
 EN_VOCAB = (
     "actuator adapter algorithm amplifier antenna array battery bearing bracket "
@@ -99,32 +107,24 @@ def _mutate(rng: random.Random, text: str, pool: list[str], n_edits: int) -> str
     return " ".join(words) + " " + _en_sentence(rng, pool)
 
 
-def synthetic_corpus(
-    n_docs: int = 200,
-    seed: int = 0,
-    reference_date: date = DEFAULT_REFERENCE_DATE,
-    jurisdiction_mix: dict[str, float] | None = None,
-    n_clusters: int = 20,
-    old_fraction: float = 0.1,
-) -> Corpus:
+def synthetic_corpus(n_docs: int = 200, seed: int = 0) -> Corpus:
     """A mixed-jurisdiction corpus with families, citations, and headings.
 
-    Jurisdiction mix defaults to 50% CN / 20% US / 20% EP / 10% WO with
-    Chinese text for CN and English elsewhere.  Some families are
-    same-language near-copies (high alignment), some cross-language
+    Jurisdictions follow :data:`JURISDICTION_MIX` (50% CN / 20% US / 20% EP /
+    10% WO) with Chinese text for CN and English elsewhere.  Some families
+    are same-language near-copies (high alignment), some cross-language
     translations (low alignment).  Roughly 45% of documents carry examiner
     X citations into their topic cluster.
     """
-    mix = jurisdiction_mix or {"CN": 0.5, "US": 0.2, "EP": 0.2, "WO": 0.1}
     rng = random.Random(seed)
-    alloc = largest_remainder(mix, n_docs)
+    alloc = largest_remainder(JURISDICTION_MIX, n_docs)
     jurisdictions: list[str] = []
     for jur in sorted(alloc):
         jurisdictions.extend([jur] * alloc[jur])
     rng.shuffle(jurisdictions)
 
-    cluster_pools_en = [rng.sample(EN_VOCAB, 14) for _ in range(n_clusters)]
-    cluster_pools_zh = [rng.sample(ZH_VOCAB, 12) for _ in range(n_clusters)]
+    cluster_pools_en = [rng.sample(EN_VOCAB, 14) for _ in range(N_CLUSTERS)]
+    cluster_pools_zh = [rng.sample(ZH_VOCAB, 12) for _ in range(N_CLUSTERS)]
     sections = "GHABCF"
     section_weights = (30, 25, 10, 10, 10, 15)
 
@@ -132,13 +132,13 @@ def synthetic_corpus(
     for i in range(n_docs):
         jur = jurisdictions[i]
         language = "zh" if jur == "CN" else "en"
-        cluster = i % n_clusters
+        cluster = i % N_CLUSTERS
         section = rng.choices(sections, weights=section_weights)[0]
         ipc = f"{section}{rng.randint(1, 99):02d}{rng.choice('BFKLMN')} {rng.randint(1, 99)}/{rng.randint(0, 99):02d}"
-        if rng.random() < old_fraction:
-            filing = reference_date - timedelta(days=rng.randint(4000, 5400))
+        if rng.random() < OLD_FRACTION:
+            filing = DEFAULT_REFERENCE_DATE - timedelta(days=rng.randint(4000, 5400))
         else:
-            filing = reference_date - timedelta(days=rng.randint(30, 3600))
+            filing = DEFAULT_REFERENCE_DATE - timedelta(days=rng.randint(30, 3600))
         specs.append(
             {
                 "doc_id": f"{jur}{100000 + i}A",
@@ -266,23 +266,16 @@ def synthetic_corpus(
     return Corpus(
         documents=documents,
         citations=tuple(citations),
-        reference_date=reference_date,
+        reference_date=DEFAULT_REFERENCE_DATE,
     )
 
 
-def near_copy_corpus(
-    n_queries: int = 50,
-    n_distractors: int = 60,
-    seed: int = 0,
-    language: str = "en",
-    reference_date: date = DEFAULT_REFERENCE_DATE,
-) -> tuple[Corpus, dict[str, set[str]]]:
-    """Monolingual corpus where each query's relevant document is a lexical
-    near-copy of the query patent.  Returns the corpus and the planted
-    query -> relevant mapping (also present as examiner X citations)."""
+def near_copy_corpus(n_queries: int = 50, seed: int = 0) -> tuple[Corpus, dict[str, set[str]]]:
+    """English US corpus where each query's relevant document is a lexical
+    near-copy of the query patent, beside :data:`N_DISTRACTORS` unrelated
+    documents.  Returns the corpus and the planted query -> relevant mapping
+    (also present as examiner X citations)."""
     rng = random.Random(seed)
-    vocab = list(EN_VOCAB) if language == "en" else list(ZH_VOCAB)
-    jur = "US" if language == "en" else "CN"
     documents: dict[str, PatentDocument] = {}
     citations: list[CitationRecord] = []
     planted: dict[str, set[str]] = {}
@@ -290,48 +283,46 @@ def near_copy_corpus(
     def make_doc(doc_id: str, pool: list[str], description: str, claims: str) -> PatentDocument:
         return PatentDocument(
             doc_id=doc_id,
-            jurisdiction=jur,
-            language=language,
+            jurisdiction="US",
+            language="en",
             ipc_codes=(f"G{rng.randint(1, 99):02d}F {rng.randint(1, 99)}/{rng.randint(0, 99):02d}",),
-            filing_date=reference_date - timedelta(days=rng.randint(30, 3000)),
+            filing_date=DEFAULT_REFERENCE_DATE - timedelta(days=rng.randint(30, 3000)),
             family_id="",
             title=" ".join(rng.choice(pool) for _ in range(3)),
-            abstract=_en_sentence(rng, pool) if language == "en" else _zh_sentence(rng, pool),
+            abstract=_en_sentence(rng, pool),
             claims=claims,
             description=description,
         )
 
     for q in range(n_queries):
-        pool = rng.sample(vocab, 12)
-        qid = f"{jur}{500000 + q}A"
-        rid = f"{jur}{600000 + q}A"
-        description = _description(rng, pool, language)
-        claims = _claims(rng, pool, language)
+        pool = rng.sample(EN_VOCAB, 12)
+        qid = f"US{500000 + q}A"
+        rid = f"US{600000 + q}A"
+        description = _description(rng, pool, "en")
+        claims = _claims(rng, pool, "en")
         documents[qid] = make_doc(qid, pool, description, claims)
         documents[rid] = make_doc(rid, pool, _mutate(rng, description, pool, n_edits=2), claims)
         citations.append(CitationRecord(citing_id=qid, cited_id=rid, category="X"))
         planted[qid] = {rid}
-    for d in range(n_distractors):
-        pool = rng.sample(vocab, 12)
-        did = f"{jur}{700000 + d}A"
-        documents[did] = make_doc(
-            did, pool, _description(rng, pool, language), _claims(rng, pool, language)
-        )
+    for d in range(N_DISTRACTORS):
+        pool = rng.sample(EN_VOCAB, 12)
+        did = f"US{700000 + d}A"
+        documents[did] = make_doc(did, pool, _description(rng, pool, "en"), _claims(rng, pool, "en"))
 
     corpus = Corpus(
-        documents=documents, citations=tuple(citations), reference_date=reference_date
+        documents=documents, citations=tuple(citations), reference_date=DEFAULT_REFERENCE_DATE
     )
     return corpus, planted
 
 
-def corpus_with_planted_defects(seed: int = 0) -> tuple[Corpus, dict[str, object]]:
+def corpus_with_planted_defects() -> tuple[Corpus, dict[str, object]]:
     """Small corpus carrying exactly five integrity defects.
 
     Returns the corpus and the expected findings: one dangling citation, one
     empty description, one empty claims, one malformed IPC code, one
     unrecognized language code.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     pool = rng.sample(EN_VOCAB, 12)
     reference = DEFAULT_REFERENCE_DATE
 

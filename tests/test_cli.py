@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import socket
@@ -8,6 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from patbench.cli import main
+from patbench.corpus import load_corpus, write_corpus
+from patbench.dataset import load_dataset
 from patbench.execution import RankedList, sanitize_run_log
 
 BUNDLED = "data/synthetic_corpus.jsonl"
@@ -256,18 +259,56 @@ class TestRun:
         golden = GOLDEN_DIR / f"quickstart_run_{family}_family.jsonl"
         assert sanitize_run_log(quickstart[family]) == golden.read_bytes()
 
-    def test_unknown_adapter_exit_2(self, runner, workdir, dataset_path, bundled_corpus_path):
+    def test_unbuildable_queries_are_error_rows(
+        self, runner, tmp_path, dataset_path, bundled_corpus_path
+    ):
+        # One query patent is missing from --corpus and one has an empty
+        # description: neither gets a query, both are recorded as ERROR, and
+        # with 2 of 25 failing the run still completes.
+        missing, empty = load_dataset(dataset_path).query_ids()[:2]
+        corpus = load_corpus(bundled_corpus_path)
+        documents = dict(corpus.documents)
+        del documents[missing]
+        documents[empty] = dataclasses.replace(documents[empty], description=" ")
+        edited = write_corpus(
+            dataclasses.replace(
+                corpus,
+                documents=documents,
+                citations=tuple(c for c in corpus.citations if c.citing_id != missing),
+            ),
+            tmp_path / "corpus.jsonl",
+        )
+        out = tmp_path / "run.jsonl"
         result = runner.invoke(
             main,
-            [
-                "run",
-                "--dataset", str(dataset_path),
-                "--corpus", str(bundled_corpus_path),
-                "--adapter", "quantum",
-                "--out", str(workdir / "q.jsonl"),
-            ],
+            ["run", "--dataset", str(dataset_path), "--corpus", str(edited), "--out", str(out)],
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 0, result.output
+        assert "ERROR=2," in result.output
+        rows = {
+            rec["query_id"]: rec
+            for rec in map(json.loads, out.read_text().splitlines())
+            if rec["kind"] == "ranked_list"
+        }
+        for qid in (missing, empty):
+            assert rows[qid]["status"] == "ERROR"
+            assert rows[qid]["hits"] == []
+        assert sum(rec["status"] == "OK" for rec in rows.values()) == len(rows) - 2
+
+    def test_unknown_adapter_exit_2(self, runner, workdir, dataset_path, bundled_corpus_path):
+        # Only the exact kind "remote" before the colon names the remote adapter.
+        for adapter in ("quantum", "remotely", "remote-v2:cfg.json"):
+            result = runner.invoke(
+                main,
+                [
+                    "run",
+                    "--dataset", str(dataset_path),
+                    "--corpus", str(bundled_corpus_path),
+                    "--adapter", adapter,
+                    "--out", str(workdir / "q.jsonl"),
+                ],
+            )
+            _assert_input_error(result, f"unknown adapter {adapter!r}")
 
     def test_remote_without_config_exit_2(self, runner, workdir, dataset_path, bundled_corpus_path):
         result = runner.invoke(

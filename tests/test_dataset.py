@@ -14,7 +14,6 @@ from patbench.dataset import (
     QueryCase,
     TrigramJaccardScorer,
     UndefinedScoreError,
-    alignment_score,
     apply_quality_filters,
     assemble_dataset,
     augment_with_family_citations,
@@ -112,14 +111,6 @@ class TestTrigramJaccard:
         assert ab == scorer.score(b, a)
         assert 0.0 <= ab <= 1.0
 
-    def test_alignment_score_wrapper_validates(self):
-        a = make_doc("US1A")
-        with pytest.raises(ValueError):
-            alignment_score(a, make_doc("US2A"), ConstScorer(1.5))
-        got = alignment_score(a, make_doc("US2A"), ConstScorer(0.4))
-        assert got.value == 0.4
-        assert got.scorer_id == "const"
-
 
 def _family_fixture():
     docs = [
@@ -200,6 +191,18 @@ class TestFamilyAugmentation:
         assert cases["US1A"].relevant_ids == frozenset({"US10A"})
         assert any(
             "US1A" in rec.message and "US2A" in rec.message for rec in caplog.records
+        )
+
+    def test_out_of_range_score_warns_and_skips_member(self, caplog):
+        corpus = _family_fixture()
+        with caplog.at_level(logging.WARNING, logger="patbench.dataset"):
+            cases = augment_with_family_citations(
+                corpus, {"US1A": {"US10A"}}, ConstScorer(1.5)
+            )
+        assert cases["US1A"].relevant_ids == frozenset({"US10A"})
+        assert any(
+            "US2A" in rec.message and "outside [0, 1]" in rec.message
+            for rec in caplog.records
         )
 
     def test_real_scorer_separates_near_copy_from_unrelated(self):
@@ -556,8 +559,10 @@ class TestProfile:
             cite("EP1A", "US999A", category="A"),
         ]
         profile = profile_distributions(make_corpus(docs, citations))
-        assert profile.citation_type_proportions == {"A": 0.25, "X": 0.5, "Y": 0.25}
-        assert profile.language_counts_primary == {"en": 2, "zh": 1}
-        assert profile.language_counts_cited == {"en": 1, "zh": 1}
-        assert profile.ipc_section_counts == {"G": 2, "H": 1}
-        assert profile.jurisdiction_counts == {"CN": 1, "EP": 1, "US": 1}
+        assert profile == {
+            "citation_type_proportions": {"A": 0.25, "X": 0.5, "Y": 0.25},
+            "language_counts_primary": {"en": 2, "zh": 1},
+            "language_counts_cited": {"en": 1, "zh": 1},
+            "ipc_section_counts": {"G": 2, "H": 1},
+            "jurisdiction_counts": {"CN": 1, "EP": 1, "US": 1},
+        }

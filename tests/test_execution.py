@@ -5,6 +5,7 @@ import math
 import re
 import threading
 import time
+import traceback
 import tracemalloc
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -732,7 +733,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             self._send(200, "this is not json")
         elif self.path == "/slow":
             time.sleep(0.4)
-            self._send(200, {"hits": []})
+            # The client timed out meanwhile and may have closed the socket.
+            try:
+                self._send(200, {"hits": []})
+            except (BrokenPipeError, ConnectionResetError):
+                pass
         else:
             self._send(404, "no such route")
 
@@ -748,9 +753,21 @@ class _StubHandler(BaseHTTPRequestHandler):
             self._send(404, "no such route")
 
 
+class _StubServer(ThreadingHTTPServer):
+    """Records a handler's exception instead of printing it, so that the
+    fixture can fail on it."""
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _StubHandler)
+        self.handler_errors: list[str] = []
+
+    def handle_error(self, request, client_address) -> None:
+        self.handler_errors.append(traceback.format_exc())
+
+
 @pytest.fixture(scope="module")
 def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = _StubServer()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
@@ -758,6 +775,7 @@ def stub_server():
     server.server_close()
     thread.join(timeout=10)
     assert not thread.is_alive()
+    assert not server.handler_errors, "stub handler raised:\n" + "".join(server.handler_errors)
 
 
 def _remote_config(url: str, **overrides) -> RemoteEndpointConfig:

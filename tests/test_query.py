@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +209,16 @@ class TestBuildQuery:
             assert query.query_id == doc_id
             assert query.char_length <= 400
 
-    def test_build_queries_unknown_id(self, synth_corpus):
-        with pytest.raises(KeyError):
-            build_queries(synth_corpus, ["ZZ999999A"])
+    def test_build_queries_skips_unbuildable_ids(self, synth_corpus):
+        # An id missing from the corpus and a document with an empty
+        # description get no query; the runner records both as ERROR.
+        ids = sorted(synth_corpus.documents)[:3]
+        documents = dict(synth_corpus.documents)
+        documents[ids[1]] = dataclasses.replace(documents[ids[1]], description=" ")
+        corpus = dataclasses.replace(synth_corpus, documents=documents)
+        queries = build_queries(corpus, [ids[0], "ZZ999999A", ids[1], ids[2]])
+        assert list(queries) == [ids[0], ids[2]]
+
+    def test_build_queries_rejects_nonpositive_budget(self, synth_corpus):
+        with pytest.raises(ValueError):
+            build_queries(synth_corpus, sorted(synth_corpus.documents)[:1], max_chars=0)
