@@ -123,7 +123,10 @@ def _load_report_inputs(
     match_rule: str,
 ) -> tuple[EvaluationDataset, list[RunRecord], Corpus | None]:
     """The dataset, the named run logs and the optional corpus of ``evaluate``
-    and ``compare``, checked against the k grid and the match rule."""
+    and ``compare``, checked against the k grid and the match rule.  The
+    match rule is checked first, before any file is read."""
+    if match_rule == MATCH_FAMILY and corpus_path is None:
+        raise ValueError("family match rule requires --corpus")
     dataset = load_dataset(dataset_path)
     runs = [load_run_log(path) for path in run_paths.values()]
     depths = [run.controls.max_depth for run in runs]
@@ -139,8 +142,6 @@ def _load_report_inputs(
             + " results per query"
         )
     corpus = load_corpus(corpus_path) if corpus_path else None
-    if match_rule == MATCH_FAMILY and corpus is None:
-        raise ValueError("family match rule requires --corpus")
     return dataset, runs, corpus
 
 

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-import requests
 
 from .corpus import Corpus, normalize_doc_id, read_jsonl
 from .dataset import EvaluationDataset
@@ -523,6 +522,8 @@ def remote_adapter_query(
     non-success HTTP status or unparseable body raises :class:`AdapterError`
     with a response snippet.
     """
+    import requests  # only remote runs pay for loading it
+
     payload: dict[str, object] = {
         config.query_field: query.text,
         config.max_depth_field: controls.max_depth,
@@ -589,6 +590,9 @@ class RemoteAdapter:
     """Adapter for a remote HTTP retrieval system."""
 
     def __init__(self, config: RemoteEndpointConfig) -> None:
+        # Loaded here, so that the first timed search does not pay for it.
+        import requests  # noqa: F401
+
         self.config = config
         self.adapter_id = config.adapter_id
 

@@ -510,6 +510,25 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "corpus" in result.output
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_family_rule_without_corpus_fails_before_reading_runs(
+        self, runner, workdir, dataset_path, run_paths, command
+    ):
+        broken = workdir / "broken_run.jsonl"
+        broken.write_text("{not json\n", encoding="utf-8")
+        runs = (["--run", str(broken)] if command == "evaluate"
+                else ["--run-a", str(broken), "--run-b", str(run_paths["b"])])
+        result = runner.invoke(
+            main,
+            [command, *runs,
+             "--dataset", str(dataset_path),
+             "--out", str(workdir / f"{command}_fam_broken"),
+             "--match-rule", "family"],
+        )
+        assert result.exit_code == 2
+        assert "family match rule requires --corpus" in result.output
+        assert "broken_run" not in result.output
+
     def test_hash_mismatch_exit_4(self, runner, workdir, run_paths, bundled_corpus_path):
         other = workdir / "other_dataset.jsonl"
         result = runner.invoke(

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import threading
 import time
 import traceback
@@ -22,6 +26,7 @@ from helpers import (
     scalar_reference_retrieve,
     scalar_standardize_results,
 )
+import patbench
 from patbench.dataset import EvaluationDataset, QueryCase
 from patbench.execution import (
     AdapterError,
@@ -936,6 +941,29 @@ class TestRemoteAdapter:
         not_an_object.write_text(json.dumps(["adapter_id", "url"]))
         with pytest.raises(ValueError, match="JSON object"):
             RemoteEndpointConfig.from_file(not_an_object)
+
+    def test_requests_loaded_only_when_adapter_is_built(self, tmp_path):
+        # A fresh interpreter, because this one has imported requests already.
+        config = tmp_path / "remote.json"
+        config.write_text(json.dumps({"adapter_id": "x", "url": "http://127.0.0.1:9/search"}))
+        script = (
+            "import json, sys\n"
+            "import patbench.cli\n"
+            "from patbench.execution import RemoteAdapter, RemoteEndpointConfig\n"
+            "seen = ['requests' in sys.modules]\n"
+            "RemoteAdapter(RemoteEndpointConfig.from_file(sys.argv[1]))\n"
+            "seen.append('requests' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = str(pathlib.Path(patbench.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(config)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [False, True]
 
 
 class TestRunLogIO:
