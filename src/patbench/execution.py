@@ -10,6 +10,7 @@ import math
 import os
 import re
 import time
+from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
@@ -79,7 +80,8 @@ class Hit(NamedTuple):
 
     No library path builds hits: a :class:`RankedList` stores its doc ids
     and scores as two columns, and :func:`load_run_log` fills those columns
-    directly."""
+    directly.  ``score`` is read out of the packed score column, so it is a
+    new float object with the stored value on each access."""
 
     doc_id: str
     score: float
@@ -92,18 +94,24 @@ class RankedList:
 
     The hit at position i is ``(doc_ids[i], scores[i])`` and has rank i + 1.
     Doc ids are unique and scores non-increasing; non-OK statuses carry no
-    hits.  Both columns are tuples, so the record stays immutable and
-    hashable; a tuple of floats keeps the float objects a loader or
-    retriever already made.
+    hits.  ``doc_ids`` is a tuple of str.  ``scores`` is packed as an
+    ``array('d')``, 8 bytes a score rather than a tuple slot and a float
+    object; any other float sequence given is converted once.  The array is
+    mutable and the record is not hashable: nothing may change a list's
+    scores after it is built.
     """
 
     query_id: str
     doc_ids: tuple[str, ...] = ()
-    scores: tuple[float, ...] = ()
+    scores: Sequence[float] = ()
     status: str = STATUS_OK
     latency_ms: int = 0
 
+    __hash__ = None  # the score column is mutable
+
     def __post_init__(self) -> None:
+        if type(self.scores) is not array or self.scores.typecode != "d":
+            object.__setattr__(self, "scores", array("d", self.scores))
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
         if len(self.doc_ids) != len(self.scores):
@@ -184,7 +192,7 @@ def standardize_results(
         if len(kept) == max_depth:
             break
 
-    scores: list[float] = []
+    scores = array("d")
     prev = math.inf
     for score in kept.values():
         score = _finite_score(score)
@@ -197,7 +205,7 @@ def standardize_results(
         prev = score
         scores.append(score)
     ranked = RankedList(
-        query_id=query_id, doc_ids=tuple(kept), scores=tuple(scores), latency_ms=latency_ms
+        query_id=query_id, doc_ids=tuple(kept), scores=scores, latency_ms=latency_ms
     )
     return ranked, repairs
 
@@ -422,7 +430,7 @@ def reference_retrieve(
     return RankedList(
         query_id=query.query_id,
         doc_ids=tuple(map(index.doc_ids.__getitem__, rows[order].tolist())),
-        scores=tuple(scores[order].tolist()),
+        scores=array("d", scores[order].tobytes()),
     )
 
 
@@ -645,9 +653,11 @@ def load_run_log(path: str | Path) -> RunRecord:
     """Inverse of :func:`write_run_log`.
 
     Raises :class:`RunLogFormatError`, naming the file and line, for a record
-    that is not valid JSON, misses a field, repeats a query's ranked list, or
-    holds a hit whose rank is not an integer in the run 1, 2, ..., whose
-    doc_id is not a non-empty string, or whose score is not a finite number.
+    that is not valid JSON, misses a field, repeats the header, comes before
+    the header, repeats a query's ranked list, holds more hits than the
+    header's ``max_depth``, or holds a hit whose rank is not an integer in the
+    run 1, 2, ..., whose doc_id is not a non-empty string, whose score is not
+    a finite number, or whose score is above the previous hit's.
     """
     path = Path(path)
     header: dict | None = None
@@ -661,6 +671,8 @@ def load_run_log(path: str | Path) -> RunRecord:
         nonlocal header
         kind = rec.get("kind")
         if kind == "run_header":
+            if header is not None:
+                raise ValueError("second run_header record")
             c = rec["controls"]
             header = {
                 "controls": RunControls(
@@ -676,14 +688,24 @@ def load_run_log(path: str | Path) -> RunRecord:
                 "anomaly_count": int(rec.get("anomaly_count", 0)),
             }
         elif kind == "ranked_list":
+            if header is None:
+                raise ValueError("ranked_list before the run_header record")
             query_id = rec["query_id"]
             if query_id in results:
                 raise ValueError(f"second ranked_list for query {query_id!r}")
+            hits = rec["hits"]
+            max_depth = header["controls"].max_depth
+            if len(hits) > max_depth:
+                raise ValueError(
+                    f"{len(hits)} hits for query {query_id!r}, "
+                    f"but the run_header's max_depth is {max_depth}"
+                )
             doc_ids: list[str] = []
-            scores: list[float] = []
+            scores = array("d")
+            previous = math.inf
             # JSON values come back as exactly these types, so `type(x) is`
             # tests suffice, and they keep bool out of int.
-            for expected, (doc_id, score, rank) in enumerate(rec["hits"], start=1):
+            for expected, (doc_id, score, rank) in enumerate(hits, start=1):
                 if type(rank) is not int or rank != expected:
                     raise ValueError(f"hit {doc_id!r} at rank {rank!r}: ranks must be the integers 1, 2, ...")
                 if type(doc_id) is not str or not doc_id:
@@ -693,12 +715,18 @@ def load_run_log(path: str | Path) -> RunRecord:
                     if value is None:
                         raise ValueError(f"hit {doc_id!r}: score {score!r} is not a finite number")
                     score = value
+                if score > previous:
+                    raise ValueError(
+                        f"hit {doc_id!r} at rank {rank}: score {score!r} is above the previous "
+                        f"score {previous!r}; scores must be non-increasing"
+                    )
+                previous = score
                 doc_ids.append(shared.setdefault(doc_id, doc_id))
                 scores.append(score)
             results[query_id] = RankedList(
                 query_id=query_id,
                 doc_ids=tuple(doc_ids),
-                scores=tuple(scores),
+                scores=scores,
                 status=rec["status"],
                 latency_ms=int(rec.get("latency_ms", 0)),
             )

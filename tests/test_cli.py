@@ -792,6 +792,20 @@ def _first_hit_with(field, value):
     return edit
 
 
+def _first_ranked_list_beyond_max_depth(lines):
+    """The header's max_depth is one below the first ranked list's hit count."""
+    header, rec = json.loads(lines[0]), json.loads(lines[1])
+    header["controls"]["max_depth"] = len(rec["hits"]) - 1
+    return [json.dumps(header) + "\n"] + lines[1:]
+
+
+def _first_ranked_list_with_rising_scores(lines):
+    """The first ranked list's second hit scores above its first."""
+    rec = json.loads(lines[1])
+    rec["hits"][1][1] = rec["hits"][0][1] + 1.0
+    return lines[:1] + [json.dumps(rec) + "\n"] + lines[2:]
+
+
 def _second_line_repeated(lines):
     """The first record after the header appears again on line 3."""
     return lines[:2] + lines[1:]
@@ -824,6 +838,8 @@ class TestMalformedInputs:
             ("compare", "exclude", _first_hit_with(1, "nan"), 2),
             ("evaluate", "exclude", _first_hit_with(1, 10**400), 2),
             ("compare", "exclude", _first_hit_with(1, -(10**400)), 2),
+            ("evaluate", "exclude", _first_ranked_list_beyond_max_depth, 2),
+            ("compare", "exclude", _first_ranked_list_with_rising_scores, 2),
             ("evaluate", "exclude", _second_line_repeated, 3),
             ("compare", "exclude", _second_line_repeated, 3),
             ("run", "dataset", _second_line_repeated, 3),
@@ -845,6 +861,8 @@ class TestMalformedInputs:
             "compare-run-log-string-score",
             "evaluate-run-log-int-score-beyond-float-range",
             "compare-run-log-negative-int-score-beyond-float-range",
+            "evaluate-run-log-more-hits-than-max-depth",
+            "compare-run-log-rising-scores",
             "evaluate-run-log-repeated-ranked-list",
             "compare-run-log-repeated-ranked-list",
             "run-dataset-repeated-query-case",

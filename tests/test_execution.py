@@ -11,7 +11,9 @@ import threading
 import time
 import traceback
 import tracemalloc
+from array import array
 from collections import Counter
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -409,8 +411,42 @@ class TestRankedList:
         assert all(type(h) is Hit for h in hits)
         assert [h.rank for h in hits] == [1, 2, 3]
         assert tuple(h.doc_id for h in hits) == ranked.doc_ids
-        assert tuple(h.score for h in hits) == ranked.scores
+        assert tuple(h.score for h in hits) == tuple(ranked.scores)
         assert RankedList(query_id="Q").hits == ()
+
+    def test_every_producer_packs_scores_as_float64(self, tmp_path):
+        given = RankedList(query_id="Q", doc_ids=("US1A", "US2A"), scores=(1, 0.5))
+        standardized, _ = standardize_results(
+            [("US1A", 0.9), "US2A", ("US3A", 2)], query_id="Q", max_depth=5
+        )
+        corpus = make_corpus(
+            [make_doc("US1A", description="rotor"), make_doc("US2A", description="rotor stator")]
+        )
+        retrieved = reference_retrieve(_query("US9Z", "rotor stator"), build_reference_index(corpus))
+        path = tmp_path / "run.jsonl"
+        write_run_log(
+            RunRecord(
+                controls=RunControls(seed=0),
+                dataset_manifest_hash="0" * 64,
+                results={"Q": standardized},
+                started="",
+                finished="",
+            ),
+            path,
+        )
+        loaded = load_run_log(path).results["Q"]
+        producers = (given, standardized, retrieved, loaded, RankedList(query_id="Q"))
+        for ranked in producers:
+            assert type(ranked.scores) is array and ranked.scores.typecode == "d"
+        assert [len(ranked.scores) for ranked in producers] == [2, 3, 2, 3, 0]
+        assert all(type(h.score) is float for ranked in producers for h in ranked.hits)
+        assert list(given.scores) == [1.0, 0.5]
+        assert loaded == standardized
+
+    def test_not_hashable(self):
+        # The packed score column is mutable, so the record opts out of hashing.
+        with pytest.raises(TypeError, match="unhashable type: 'RankedList'"):
+            hash(RankedList(query_id="Q", doc_ids=("US1A",), scores=(1.0,)))
 
     @pytest.mark.parametrize("doc_ids, scores", [(("US1A", "US2A"), (1.0,)), ((), (1.0,))])
     def test_columns_of_unequal_length_are_rejected(self, doc_ids, scores):
@@ -1029,9 +1065,10 @@ class TestRunLogIO:
 
     def test_load_keeps_hits_small(self, tmp_path):
         # 500 lists of 100 hits over 300 ids: a hit is a slot in the id
-        # column, a slot in the score column and its float, not also a Hit
-        # tuple or its own copy of the id string (166 B per hit with both,
-        # 107 B with Hit tuples of shared ids, 44 B in columns).
+        # column and 8 bytes in the packed score column, not also a float
+        # object, a Hit tuple or its own copy of the id string (166 B per hit
+        # with all of them, 107 B with Hit tuples of shared ids, 44 B with a
+        # tuple of floats as the score column, about 20 B packed).
         ids = [f"US{j:07d}A" for j in range(300)]
         path = tmp_path / "run.jsonl"
         self._write_lists(
@@ -1045,7 +1082,7 @@ class TestRunLogIO:
             tracemalloc.stop()
         n_hits = sum(len(ranked.hits) for ranked in loaded.results.values())
         assert n_hits == 50_000
-        assert retained / n_hits < 60
+        assert retained / n_hits < 28
 
     def test_sanitized_bytes_ignore_wall_clock(self, tmp_path):
         record = self._record()
@@ -1068,6 +1105,37 @@ class TestRunLogIO:
         path.write_text("".join(lines))
         hits = load_run_log(path).results[rec["query_id"]].hits
         assert [repr(h.score) for h in hits] == ["3.0", repr(float(-(2**60)))]
+
+    def test_round_trip_keeps_extreme_score_bytes(self, tmp_path):
+        # Packed as float64, a score reads back as the float it was written
+        # as: the sign of zero, the smallest subnormal and the largest finite
+        # double keep their bytes, and a JSON integer is written back as the
+        # float it was read as, from then on unchanged.
+        path, again, third = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        rec["hits"] = [
+            ["US1A", 1.7976931348623157e308, 1],
+            ["US2A", 7, 2],
+            ["US3A", 5e-324, 3],
+            ["US4A", -0.0, 4],
+        ]
+        lines[2] = json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n"
+        written = "".join(lines)
+        assert (
+            '[["US1A", 1.7976931348623157e+308, 1], ["US2A", 7, 2], '
+            '["US3A", 5e-324, 3], ["US4A", -0.0, 4]]'
+        ) in written
+        path.write_text(written)
+        loaded = load_run_log(path)
+        scores = loaded.results[rec["query_id"]].scores
+        assert list(scores) == [1.7976931348623157e308, 7.0, 5e-324, 0.0]
+        assert math.copysign(1.0, scores[3]) == -1.0
+        write_run_log(loaded, again)
+        assert again.read_text() == written.replace('["US2A", 7, 2]', '["US2A", 7.0, 2]')
+        write_run_log(load_run_log(again), third)
+        assert third.read_bytes() == again.read_bytes()
 
     def test_load_rejects_headerless_file(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -1093,11 +1161,14 @@ class TestRunLogIO:
             [["US1A", None, 1]],
             [["US1A", True, 1]],
             [["US1A", 10**400, 1]],
+            [["US1A", 0.1, 1], ["US2A", 0.9, 2]],
+            [["US1A", 0.0, 1], ["US2A", 5e-324, 2]],
         ],
         ids=[
             "rank-0", "rank-gap", "short-hit", "rank-fraction", "rank-float", "rank-bool",
             "rank-str", "doc-id-int", "doc-id-empty", "score-str", "score-nan", "score-inf",
             "score-null", "score-bool", "score-int-beyond-float-range",
+            "score-increases", "score-rises-above-zero",
         ],
     )
     def test_load_rejects_broken_ranked_list(self, tmp_path, hits):
@@ -1109,6 +1180,45 @@ class TestRunLogIO:
         lines[2] = json.dumps(rec) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:3: ")):
+            load_run_log(path)
+
+    def test_load_rejects_more_hits_than_max_depth(self, tmp_path):
+        # Loaded, a third hit would count towards recall@2: with the only
+        # relevant id at rank 3, recall would read 1.0.
+        path = tmp_path / "run.jsonl"
+        record = self._record()
+        write_run_log(replace(record, controls=replace(record.controls, max_depth=2)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        rec["hits"] = [["US1A", 0.9, 1], ["US2A", 0.8, 2]]
+        lines[2] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        assert len(load_run_log(path).results[rec["query_id"]].doc_ids) == 2
+        rec["hits"].append(["US3A", 0.7, 3])
+        lines[2] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        message = f"{path}:3: 3 hits for query {rec['query_id']!r}, but the run_header's max_depth is 2"
+        with pytest.raises(RunLogFormatError, match=re.escape(message)):
+            load_run_log(path)
+
+    def test_load_rejects_ranked_list_before_header(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[1:2] + lines[:1] + lines[2:]))
+        with pytest.raises(
+            RunLogFormatError, match=re.escape(f"{path}:1: ranked_list before the run_header record")
+        ):
+            load_run_log(path)
+
+    def test_load_rejects_second_header(self, tmp_path):
+        # A second header would replace the manifest hash and the max_depth
+        # that the lists before it were checked against.
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + lines[:1] + lines[2:]))
+        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:3: second run_header record")):
             load_run_log(path)
 
     def test_load_rejects_repeated_ranked_list(self, tmp_path):
