@@ -9,10 +9,11 @@ import logging
 import math
 import os
 import re
+import threading
 import time
 from array import array
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -241,47 +242,54 @@ def run_evaluation(
     :func:`patbench.query.build_queries`); a missing or unbuildable query is
     recorded as an ERROR result so coverage stays complete.  Timeouts are
     recorded as TIMEOUT with no hits.  When more than half of the queries end
-    in ERROR the run aborts with :class:`RunFailureError`.
+    in ERROR the run aborts with :class:`RunFailureError`, and no search
+    starts after that point.  ``RunRecord.results`` is in dataset query order
+    at any parallelism.
     """
     started = _utc_now()
     query_ids = dataset.query_ids()
     total = len(query_ids)
-    results: dict[str, RankedList] = {}
+    tally_lock = threading.Lock()
     anomalies = 0
     errors = 0
 
-    def one(query_id: str) -> tuple[RankedList, int]:
-        query = queries.get(query_id)
-        if query is None:
-            raise AdapterError(f"no query built for {query_id!r}")
-        t0 = time.perf_counter()
-        raw = adapter.search(query, controls)
-        elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        if elapsed_ms > controls.timeout_ms:
-            raise AdapterTimeout(f"query {query_id!r} took {elapsed_ms} ms")
-        return standardize_results(
-            raw, query_id=query_id, max_depth=controls.max_depth, latency_ms=elapsed_ms
-        )
+    def settle(query_id: str) -> RankedList | None:
+        """Search one query and classify its result as OK, TIMEOUT or ERROR.
+        Returns ``None`` without searching once the run has failed."""
+        nonlocal anomalies, errors
+        if errors * 2 > total:
+            return None
+        repairs = 0
+        try:
+            query = queries.get(query_id)
+            if query is None:
+                raise AdapterError(f"no query built for {query_id!r}")
+            t0 = time.perf_counter()
+            raw = adapter.search(query, controls)
+            elapsed_ms = int((time.perf_counter() - t0) * 1000)
+            if elapsed_ms > controls.timeout_ms:
+                raise AdapterTimeout(f"query {query_id!r} took {elapsed_ms} ms")
+            ranked, repairs = standardize_results(
+                raw, query_id=query_id, max_depth=controls.max_depth, latency_ms=elapsed_ms
+            )
+        except AdapterTimeout:
+            ranked = RankedList(query_id=query_id, status=STATUS_TIMEOUT)
+        except Exception as exc:
+            logger.debug("query %s failed: %s", query_id, exc)
+            ranked = RankedList(query_id=query_id, status=STATUS_ERROR)
+        with tally_lock:
+            anomalies += repairs
+            errors += ranked.status == STATUS_ERROR
+        return ranked
 
+    # Each task settles its own query, so the main thread waits only once, in
+    # the pool's shutdown, and never takes the GIL from a searching worker.
     with ThreadPoolExecutor(max_workers=controls.parallelism) as pool:
-        pending = {pool.submit(one, qid): qid for qid in query_ids}
-        for fut in as_completed(pending):
-            qid = pending[fut]
-            try:
-                ranked, repairs = fut.result()
-                anomalies += repairs
-                results[qid] = ranked
-            except AdapterTimeout:
-                results[qid] = RankedList(query_id=qid, status=STATUS_TIMEOUT)
-            except Exception as exc:
-                logger.debug("query %s failed: %s", qid, exc)
-                errors += 1
-                results[qid] = RankedList(query_id=qid, status=STATUS_ERROR)
-            if errors * 2 > total:
-                for other in pending:
-                    other.cancel()
-                break
-
+        futures = [pool.submit(settle, query_id) for query_id in query_ids]
+    # ``result()`` re-raises what a task let through: a BaseException from
+    # the adapter.  A task returns None only after the run failed, and then
+    # the check below raises.
+    results = {query_id: future.result() for query_id, future in zip(query_ids, futures)}
     if errors * 2 > total:
         raise RunFailureError(
             f"{errors} of {total} queries failed against adapter "

@@ -384,6 +384,89 @@ class TestRunEvaluation:
             logs.append(sanitize_run_log(path))
         assert logs[0] == logs[1]
 
+    def test_results_come_back_in_dataset_order(self):
+        qids = [f"Q{i}" for i in range(6)]
+        dataset = tiny_dataset(qids)
+
+        class ReverseFinishAdapter:
+            adapter_id = "reverse"
+
+            def search(self, query, controls):
+                # Earlier queries sleep longer, so they finish last.
+                time.sleep(0.004 * (len(qids) - int(query.query_id[1:])))
+                return [("US1A", 1.0)]
+
+        record = run_evaluation(
+            dataset,
+            ReverseFinishAdapter(),
+            RunControls(seed=0, parallelism=4),
+            queries={q: _query(q) for q in qids},
+        )
+        assert list(record.results) == dataset.query_ids()
+
+    def test_failed_run_starts_no_further_search(self):
+        qids = [f"Q{i}" for i in range(6)]
+        searched = []
+
+        class RecordingFlakyAdapter(FlakyAdapter):
+            def search(self, query, controls):
+                searched.append(query.query_id)
+                return super().search(query, controls)
+
+        with pytest.raises(RunFailureError):
+            run_evaluation(
+                tiny_dataset(qids),
+                RecordingFlakyAdapter(["Q0", "Q1", "Q2", "Q3"]),
+                RunControls(seed=0, parallelism=1),
+                queries={q: _query(q) for q in qids},
+            )
+        assert searched == ["Q0", "Q1", "Q2", "Q3"]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_base_exception_from_adapter_propagates(self, parallelism):
+        class Halt(BaseException):
+            pass
+
+        class HaltingAdapter:
+            adapter_id = "halting"
+
+            def search(self, query, controls):
+                if query.query_id == "Q1":
+                    raise Halt
+                return [("US1A", 1.0)]
+
+        qids = ["Q0", "Q1", "Q2"]
+        with pytest.raises(Halt):
+            run_evaluation(
+                tiny_dataset(qids),
+                HaltingAdapter(),
+                RunControls(seed=0, parallelism=parallelism),
+                queries={q: _query(q) for q in qids},
+            )
+
+    def test_threads_bounded_by_query_count(self):
+        qids = ["Q0", "Q1", "Q2"]
+        thread_ids = set()
+
+        class ThreadRecordingAdapter:
+            adapter_id = "threads"
+
+            def search(self, query, controls):
+                thread_ids.add(threading.get_ident())
+                time.sleep(0.01)
+                return [("US1A", 1.0)]
+
+        before = threading.active_count()
+        run_evaluation(
+            tiny_dataset(qids),
+            ThreadRecordingAdapter(),
+            RunControls(seed=0, parallelism=16),
+            queries={q: _query(q) for q in qids},
+        )
+        assert 1 <= len(thread_ids) <= 3
+        assert threading.get_ident() not in thread_ids
+        assert threading.active_count() == before
+
     def test_controls_validation(self):
         with pytest.raises(ValueError):
             RunControls(seed=0, timeout_ms=0)
