@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_doc
+from helpers import make_corpus, make_doc
 from patbench.query import (
     EmptyInputError,
     build_queries,
@@ -35,6 +37,63 @@ ZH_DESCRIPTION = (
     "发明内容\n本实用新型提供一种紧凑的电池模块。\n"
     "具体实施方式\n如图所示，电池模块包括外壳和多个电芯。"
 )
+
+GOLDEN_QUERIES = pathlib.Path(__file__).resolve().parent / "golden" / "queries.jsonl"
+GOLDEN_MAX_CHARS = 160
+
+# Fixed documents for tests/golden/queries.jsonl: one per path through
+# parse_description, extract_key_sections and the sentence cut.
+GOLDEN_DOCS = (
+    make_doc("GQ1EN", description="Cross reference: see US2A. " + EN_DESCRIPTION),
+    make_doc("GQ2ZH", language="zh", jurisdiction="CN", description=ZH_DESCRIPTION),
+    make_doc("GQ3NOHEAD", description="A plain paragraph.\n\nNo heading appears anywhere."),
+    make_doc("GQ4SUMMARY", description="SUMMARY OF THE INVENTION\nOnly a summary is given here."),
+    make_doc(
+        "GQ5REPEAT",
+        description=(
+            "BACKGROUND\nFirst part. DETAILED DESCRIPTION\nEarly detail. "
+            "SUMMARY\nMiddle. BACKGROUND\nSecond part. DETAILED DESCRIPTION\nLate detail."
+        ),
+    ),
+    make_doc(
+        "GQ6CHARS",
+        description=(
+            "BACKGROUND\tRu\x00st\x07 on a <b>bold</b>\u200bclaim\ufeff.\r\n"
+            "DETAILED DESCRIPTION\u3000The cafe\u0301 uses \u1100\u1161 tiles\u00a0and\u2003gaps."
+        ),
+    ),
+    make_doc(
+        "GQ7INEQ",
+        description=(
+            "BACKGROUND\nHeaters overshoot. DETAILED DESCRIPTION\n"
+            "The loop holds wherein 20 < T and T > 5 degrees apply."
+        ),
+    ),
+    make_doc(
+        "GQ8CUT",
+        description="BACKGROUND\n" + "Each clause of this sentence adds length. " * 8,
+    ),
+)
+
+
+def _query_golden_bytes() -> bytes:
+    queries = build_queries(
+        make_corpus(GOLDEN_DOCS), [d.doc_id for d in GOLDEN_DOCS], max_chars=GOLDEN_MAX_CHARS
+    )
+    lines = (
+        json.dumps(
+            {"query_id": q.query_id, "text": q.text, "truncated": q.truncated},
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        + "\n"
+        for q in queries.values()
+    )
+    return "".join(lines).encode("utf-8")
+
+
+def test_queries_match_golden():
+    assert _query_golden_bytes() == GOLDEN_QUERIES.read_bytes()
 
 
 class TestPreprocess:
