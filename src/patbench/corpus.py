@@ -1,4 +1,4 @@
-"""Patent corpus model: line-delimited loading, integrity validation, and
+"""Patent corpus model: line-delimited loading with format checks, and
 family/classification lookups.
 
 A corpus file holds one JSON record per line, UTF-8 encoded.  Each record
@@ -26,18 +26,6 @@ CITATION_CATEGORIES = frozenset({"X", "Y", "A", "OTHER"})
 CITATION_SOURCES = frozenset({"EXAMINER", "FAMILY_DERIVED"})
 IPC_SECTIONS = frozenset("ABCDEFGH")
 UNCLASSIFIED = "unclassified"
-
-# ISO 639-1 two-letter codes.
-ISO_639_1 = frozenset(
-    "aa ab ae af ak am an ar as av ay az ba be bg bh bi bm bn bo br bs ca ce "
-    "ch co cr cs cu cv cy da de dv dz ee el en eo es et eu fa ff fi fj fo fr "
-    "fy ga gd gl gn gu gv ha he hi ho hr ht hu hy hz ia id ie ig ii ik io is "
-    "it iu ja jv ka kg ki kj kk kl km kn ko kr ks ku kv kw ky la lb lg li ln "
-    "lo lt lu lv mg mh mi mk ml mn mr ms mt my na nb nd ne ng nl nn no nr nv "
-    "ny oc oj om or os pa pi pl ps pt qu rm rn ro ru rw sa sc sd se sg si sk "
-    "sl sm sn so sq sr ss st su sv sw ta te tg th ti tk tl tn to tr ts tt tw "
-    "ty ug uk ur uz ve vi vo wa wo xh yi yo za zh zu".split()
-)
 
 _ID_WS_RE = re.compile(r"\s+")
 _ID_OK_RE = re.compile(r"^[A-Z0-9][A-Z0-9./-]*$")
@@ -72,9 +60,8 @@ class UnknownDocIdError(CorpusError, KeyError):
 class PatentDocument:
     """One patent publication.
 
-    Text fields may be empty; emptiness of required sections is surfaced by
-    :func:`validate_corpus` rather than rejected at parse time.  ``family_id``
-    may be empty for documents with no known family.
+    Text fields may be empty.  ``family_id`` may be empty for documents with
+    no known family.
     """
 
     doc_id: str
@@ -143,19 +130,6 @@ class Corpus:
         for doc_id, family_id in self.family_of.items():
             members.setdefault(family_id, []).append(doc_id)
         return {family_id: tuple(sorted(ids)) for family_id, ids in members.items()}
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    doc_count: int
-    citation_count: int
-    dangling_citations: tuple[CitationRecord, ...]
-    malformed_docs: tuple[tuple[str, str], ...]
-    empty_sections: tuple[tuple[str, str], ...]
-
-    @property
-    def clean(self) -> bool:
-        return not (self.dangling_citations or self.malformed_docs or self.empty_sections)
 
 
 _REQUIRED_PATENT_FIELDS = ("doc_id", "jurisdiction", "language", "ipc_codes", "filing_date")
@@ -438,40 +412,6 @@ def corpus_content_hash(corpus: Corpus) -> str:
         digest.update(line.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Integrity scan.  Pure: does not mutate the corpus.
-
-    Flags citations whose cited end is missing from the corpus, documents
-    with empty description or claims, and documents with malformed IPC codes,
-    unrecognized language codes, or a filing date after the reference date.
-    """
-    dangling = tuple(c for c in corpus.citations if c.cited_id not in corpus.documents)
-    malformed: list[tuple[str, str]] = []
-    empty: list[tuple[str, str]] = []
-    for doc_id in sorted(corpus.documents):
-        doc = corpus.documents[doc_id]
-        if doc.language not in ISO_639_1:
-            malformed.append((doc_id, f"unrecognized language code {doc.language!r}"))
-        for code in doc.ipc_codes:
-            if not code or code[0].upper() not in IPC_SECTIONS:
-                malformed.append((doc_id, f"malformed ipc_code {code!r}"))
-        if doc.filing_date > corpus.reference_date:
-            malformed.append(
-                (doc_id, f"filing_date {doc.filing_date.isoformat()} after reference date")
-            )
-        if not doc.description.strip():
-            empty.append((doc_id, "description"))
-        if not doc.claims.strip():
-            empty.append((doc_id, "claims"))
-    return ValidationReport(
-        doc_count=len(corpus.documents),
-        citation_count=len(corpus.citations),
-        dangling_citations=dangling,
-        malformed_docs=tuple(malformed),
-        empty_sections=tuple(empty),
-    )
 
 
 def ipc_section_of(doc: PatentDocument) -> str:

@@ -83,27 +83,14 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class DescriptionSections:
-    background: str
-    summary: str
-    detailed_description: str
-    other: tuple[tuple[str, str], ...]
-    segments: tuple[Segment, ...]
-
-
-@dataclass(frozen=True)
 class Query:
     query_id: str
     text: str
-    language: str
-    char_length: int
     truncated: bool
 
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("query text must be non-empty")
-        if self.char_length != len(self.text):
-            raise ValueError("char_length must equal len(text)")
 
 
 def preprocess_text(raw: str) -> str:
@@ -123,13 +110,13 @@ def preprocess_text(raw: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
-def parse_description(doc: PatentDocument) -> DescriptionSections:
-    """Split a description into background / summary / detailed / other.
+def parse_description(doc: PatentDocument) -> tuple[Segment, ...]:
+    """Split a description into segments, one per recognized heading.
 
     Runs on the preprocessed description.  Content before the first heading
-    lands in ``other`` under an empty heading; a document with no recognized
-    heading at all puts everything into ``detailed_description``.  No text is
-    dropped: the concatenated segment texts cover the whole preprocessed
+    is a ``SECTION_OTHER`` segment under an empty heading; a document with no
+    recognized heading at all is one ``SECTION_DETAILED`` segment.  No text
+    is dropped: the concatenated segment texts cover the whole preprocessed
     description apart from the headings themselves.
     """
     text = preprocess_text(doc.description)
@@ -149,34 +136,25 @@ def parse_description(doc: PatentDocument) -> DescriptionSections:
             heading = m.group(0)
             body = text[m.end() : end].strip()
             segments.append(Segment(_HEADING_CATEGORY[heading], heading, body))
-
-    def joined(category: str) -> str:
-        return " ".join(s.text for s in segments if s.category == category and s.text)
-
-    return DescriptionSections(
-        background=joined(SECTION_BACKGROUND),
-        summary=joined(SECTION_SUMMARY),
-        detailed_description=joined(SECTION_DETAILED),
-        other=tuple(
-            (s.heading, s.text) for s in segments if s.category == SECTION_OTHER
-        ),
-        segments=tuple(segments),
-    )
+    return tuple(segments)
 
 
-def extract_key_sections(sections: DescriptionSections) -> str:
-    """Background and detailed description joined by a blank line.
+def extract_key_sections(segments: tuple[Segment, ...]) -> str:
+    """Background segments, then detailed-description segments, joined by a space.
 
-    Empty parts are skipped.  When both are empty the full description text
-    (all segments, in document order) is used instead.  Raises
-    :class:`EmptyInputError` when there is no content at all.
+    Empty segments are skipped.  When neither category has text the full
+    description text (all segments, in document order) is used instead.
+    Raises :class:`EmptyInputError` when there is no content at all.
     """
-    parts = [p for p in (sections.background, sections.detailed_description) if p]
-    if parts:
-        return "\n\n".join(parts)
-    fallback = " ".join(s.text for s in sections.segments if s.text)
-    if fallback:
-        return fallback
+    key = [
+        s.text
+        for category in (SECTION_BACKGROUND, SECTION_DETAILED)
+        for s in segments
+        if s.category == category and s.text
+    ]
+    text = " ".join(key) or " ".join(s.text for s in segments if s.text)
+    if text:
+        return text
     raise EmptyInputError("all description sections are empty")
 
 
@@ -193,24 +171,18 @@ def _truncate_at_sentence(text: str, max_chars: int) -> str:
 def build_query(doc: PatentDocument, max_chars: int = DEFAULT_MAX_QUERY_CHARS) -> Query:
     """Assemble the retrieval query for one patent.
 
-    The query text is the preprocessed key sections, truncated at the last
-    sentence boundary at or below ``max_chars`` (hard cut when no boundary
-    exists in the window).  The result never exceeds ``max_chars``.
+    The query text is the key sections of the preprocessed description,
+    truncated at the last sentence boundary at or below ``max_chars`` (hard
+    cut when no boundary exists in the window).  The result never exceeds
+    ``max_chars``.
     """
     if max_chars < 1:
         raise ValueError("max_chars must be at least 1")
-    sections = parse_description(doc)
-    text = preprocess_text(extract_key_sections(sections))
+    text = extract_key_sections(parse_description(doc))
     truncated = len(text) > max_chars
     if truncated:
         text = _truncate_at_sentence(text, max_chars)
-    return Query(
-        query_id=doc.doc_id,
-        text=text,
-        language=doc.language,
-        char_length=len(text),
-        truncated=truncated,
-    )
+    return Query(query_id=doc.doc_id, text=text, truncated=truncated)
 
 
 def build_queries(

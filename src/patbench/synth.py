@@ -314,54 +314,3 @@ def near_copy_corpus(n_queries: int = 50, seed: int = 0) -> tuple[Corpus, dict[s
     )
     return corpus, planted
 
-
-def corpus_with_planted_defects() -> tuple[Corpus, dict[str, object]]:
-    """Small corpus carrying exactly five integrity defects.
-
-    Returns the corpus and the expected findings: one dangling citation, one
-    empty description, one empty claims, one malformed IPC code, one
-    unrecognized language code.
-    """
-    rng = random.Random(0)
-    pool = rng.sample(EN_VOCAB, 12)
-    reference = DEFAULT_REFERENCE_DATE
-
-    def doc(doc_id: str, **overrides: object) -> PatentDocument:
-        base = dict(
-            doc_id=doc_id,
-            jurisdiction="US",
-            language="en",
-            ipc_codes=(f"G06F {rng.randint(1, 99)}/{rng.randint(0, 99):02d}",),
-            filing_date=reference - timedelta(days=rng.randint(100, 2000)),
-            family_id="",
-            title=" ".join(rng.choice(pool) for _ in range(3)),
-            abstract=_en_sentence(rng, pool),
-            claims=_claims(rng, pool, "en"),
-            description=_description(rng, pool, "en"),
-        )
-        base.update(overrides)
-        return PatentDocument(**base)  # type: ignore[arg-type]
-
-    documents = {
-        "US900001A": doc("US900001A"),
-        "US900002A": doc("US900002A", description="  "),
-        "US900003A": doc("US900003A", claims=""),
-        "US900004A": doc("US900004A", ipc_codes=("9X99 1/00",)),
-        "US900005A": doc("US900005A", language="xx"),
-        "US900006A": doc("US900006A"),
-    }
-    citations = (
-        CitationRecord(citing_id="US900001A", cited_id="US900006A", category="X"),
-        CitationRecord(citing_id="US900001A", cited_id="US999999A", category="X"),
-    )
-    corpus = Corpus(
-        documents=documents, citations=citations, reference_date=reference
-    )
-    expected = {
-        "dangling_cited": "US999999A",
-        "empty_description": "US900002A",
-        "empty_claims": "US900003A",
-        "malformed_ipc": "US900004A",
-        "bad_language": "US900005A",
-    }
-    return corpus, expected

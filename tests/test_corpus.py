@@ -20,10 +20,9 @@ from patbench.corpus import (
     load_corpus,
     manifest_path_for,
     read_jsonl,
-    validate_corpus,
     write_corpus,
 )
-from patbench.synth import corpus_with_planted_defects, synthetic_corpus
+from patbench.synth import synthetic_corpus
 
 
 def test_write_then_load_round_trips(synth_corpus, tmp_path):
@@ -50,7 +49,6 @@ def test_canonical_write_is_byte_stable(synth_corpus, tmp_path):
 def test_bundled_corpus_matches_generator(synth_corpus, bundled_corpus_path):
     loaded = load_corpus(bundled_corpus_path)
     assert corpus_content_hash(loaded) == corpus_content_hash(synth_corpus)
-    assert validate_corpus(loaded).clean
 
 
 def test_bundled_corpus_regenerates_byte_for_byte(bundled_corpus_path, tmp_path):
@@ -317,27 +315,6 @@ def test_citation_field_validation(bad):
     fields.update(bad)
     with pytest.raises(ValueError):
         CitationRecord(**fields)
-
-
-def test_validate_finds_all_planted_defects():
-    corpus, expected = corpus_with_planted_defects()
-    report = validate_corpus(corpus)
-    assert not report.clean
-    assert [c.cited_id for c in report.dangling_citations] == [expected["dangling_cited"]]
-    assert {doc_id for doc_id, _ in report.empty_sections} == {
-        expected["empty_description"],
-        expected["empty_claims"],
-    }
-    assert {doc_id for doc_id, _ in report.malformed_docs} == {
-        expected["malformed_ipc"],
-        expected["bad_language"],
-    }
-
-
-def test_validate_flags_filing_after_reference_date():
-    doc = make_doc("US1A", filing_date=date(2021, 1, 1))
-    report = validate_corpus(make_corpus([doc], reference_date=date(2020, 6, 15)))
-    assert any("after reference date" in reason for _, reason in report.malformed_docs)
 
 
 def test_content_hash_tracks_reference_date():

@@ -58,13 +58,7 @@ from patbench.query import EmptyInputError, Query, build_queries
 
 
 def _query(query_id: str, text: str = "alpha beta gamma") -> Query:
-    return Query(
-        query_id=query_id,
-        text=text,
-        language="en",
-        char_length=len(text),
-        truncated=False,
-    )
+    return Query(query_id=query_id, text=text, truncated=False)
 
 
 def tiny_dataset(qids: list[str]) -> EvaluationDataset:

@@ -9,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_corpus, make_doc
+import patbench.query
 from patbench.query import (
+    HEADING_LEXICON,
+    SECTION_BACKGROUND,
+    SECTION_DETAILED,
+    SECTION_OTHER,
+    SECTION_SUMMARY,
     EmptyInputError,
+    Query,
+    Segment,
     build_queries,
     build_query,
     extract_key_sections,
@@ -124,64 +132,66 @@ class TestPreprocess:
         assert "  " not in out
 
 
+def _category_text(segments, category: str) -> str:
+    return " ".join(s.text for s in segments if s.category == category and s.text)
+
+
 class TestParseDescription:
     def test_english_sections(self):
-        sections = parse_description(make_doc("US1A", description=EN_DESCRIPTION))
-        assert sections.background == "Widgets have long been heavy. Prior widgets also rusted."
-        assert sections.summary == "A lighter widget is provided."
+        segments = parse_description(make_doc("US1A", description=EN_DESCRIPTION))
+        assert _category_text(segments, SECTION_BACKGROUND) == (
+            "Widgets have long been heavy. Prior widgets also rusted."
+        )
+        assert _category_text(segments, SECTION_SUMMARY) == "A lighter widget is provided."
         assert (
-            sections.detailed_description
+            _category_text(segments, SECTION_DETAILED)
             == "The widget body is cast from aluminum. A coating prevents rust."
         )
-        assert [h for h, _ in sections.other] == [
+        assert [s.heading for s in segments if s.category == SECTION_OTHER] == [
             "TECHNICAL FIELD",
             "BRIEF DESCRIPTION OF THE DRAWINGS",
         ]
 
     def test_chinese_sections(self):
-        sections = parse_description(make_doc("CN1A", language="zh", description=ZH_DESCRIPTION))
-        assert sections.background == "现有电池模块体积较大。"
-        assert sections.summary == "本实用新型提供一种紧凑的电池模块。"
-        assert sections.detailed_description == "如图所示，电池模块包括外壳和多个电芯。"
+        segments = parse_description(make_doc("CN1A", language="zh", description=ZH_DESCRIPTION))
+        assert _category_text(segments, SECTION_BACKGROUND) == "现有电池模块体积较大。"
+        assert _category_text(segments, SECTION_SUMMARY) == "本实用新型提供一种紧凑的电池模块。"
+        assert _category_text(segments, SECTION_DETAILED) == "如图所示，电池模块包括外壳和多个电芯。"
 
     def test_longest_heading_wins(self):
         doc = make_doc("US1A", description="BACKGROUND OF THE INVENTION\nOld tech.")
-        sections = parse_description(doc)
-        assert sections.segments[0].heading == "BACKGROUND OF THE INVENTION"
-        assert sections.background == "Old tech."
+        assert parse_description(doc) == (
+            Segment(SECTION_BACKGROUND, "BACKGROUND OF THE INVENTION", "Old tech."),
+        )
 
     def test_lowercase_phrases_do_not_split(self):
-        doc = make_doc(
-            "US1A",
-            description="The background of the invention is discussed in the summary below.",
+        description = "The background of the invention is discussed in the summary below."
+        assert parse_description(make_doc("US1A", description=description)) == (
+            Segment(SECTION_DETAILED, "", description),
         )
-        sections = parse_description(doc)
-        assert sections.background == ""
-        assert sections.detailed_description.startswith("The background")
 
     def test_headingless_goes_to_detailed(self):
         doc = make_doc("US1A", description="Just one plain paragraph.")
-        sections = parse_description(doc)
-        assert sections.detailed_description == "Just one plain paragraph."
-        assert sections.background == sections.summary == ""
+        assert parse_description(doc) == (
+            Segment(SECTION_DETAILED, "", "Just one plain paragraph."),
+        )
 
     def test_preamble_lands_in_other_with_empty_heading(self):
         doc = make_doc("US1A", description="Cross reference text. BACKGROUND\nOld tech.")
-        sections = parse_description(doc)
-        assert sections.other == (("", "Cross reference text."),)
+        assert parse_description(doc)[0] == Segment(SECTION_OTHER, "", "Cross reference text.")
 
     def test_repeated_headings_concatenate(self):
         doc = make_doc(
             "US1A",
             description="BACKGROUND\nFirst part. SUMMARY\nMiddle. BACKGROUND\nSecond part.",
         )
-        assert parse_description(doc).background == "First part. Second part."
+        segments = parse_description(doc)
+        assert _category_text(segments, SECTION_BACKGROUND) == "First part. Second part."
 
     def test_segments_are_lossless(self):
         doc = make_doc("US1A", description=EN_DESCRIPTION)
-        sections = parse_description(doc)
         reassembled = " ".join(
-            part for s in sections.segments for part in (s.heading, s.text) if part
+            part for s in parse_description(doc) for part in (s.heading, s.text) if part
         )
         assert reassembled == preprocess_text(EN_DESCRIPTION)
 
@@ -192,47 +202,48 @@ class TestParseDescription:
 
 class TestExtractKeySections:
     def test_joins_background_and_detailed(self):
-        sections = parse_description(make_doc("US1A", description=EN_DESCRIPTION))
-        text = extract_key_sections(sections)
+        segments = parse_description(make_doc("US1A", description=EN_DESCRIPTION))
+        text = extract_key_sections(segments)
         assert text == (
             "Widgets have long been heavy. Prior widgets also rusted."
-            "\n\n"
+            " "
             "The widget body is cast from aluminum. A coating prevents rust."
         )
         assert "lighter widget" not in text
         assert "FIG. 1" not in text
 
     def test_background_only(self):
-        sections = parse_description(make_doc("US1A", description="BACKGROUND\nOld tech."))
-        assert extract_key_sections(sections) == "Old tech."
+        segments = parse_description(make_doc("US1A", description="BACKGROUND\nOld tech."))
+        assert extract_key_sections(segments) == "Old tech."
 
     def test_falls_back_to_full_text_when_key_sections_empty(self):
         doc = make_doc("US1A", description="SUMMARY\nOnly a summary exists here.")
         assert extract_key_sections(parse_description(doc)) == "Only a summary exists here."
 
     def test_raises_when_nothing_usable(self):
-        doc = make_doc("US1A", description="BACKGROUND\nSome text.")
-        sections = parse_description(doc)
-        empty = type(sections)(
-            background="", summary="", detailed_description="", other=(), segments=()
-        )
         with pytest.raises(EmptyInputError):
-            extract_key_sections(empty)
+            extract_key_sections(())
+        with pytest.raises(EmptyInputError):
+            extract_key_sections((Segment(SECTION_BACKGROUND, "BACKGROUND", ""),))
 
 
 class TestBuildQuery:
     def test_fields(self):
         query = build_query(make_doc("US1A", description=EN_DESCRIPTION))
-        assert query.query_id == "US1A"
-        assert query.language == "en"
-        assert query.char_length == len(query.text)
-        assert not query.truncated
+        assert query == Query(
+            query_id="US1A",
+            text=(
+                "Widgets have long been heavy. Prior widgets also rusted. "
+                "The widget body is cast from aluminum. A coating prevents rust."
+            ),
+            truncated=False,
+        )
 
     def test_truncates_at_sentence_boundary(self):
         description = "BACKGROUND\n" + "This sentence has eight words in it now. " * 40
         query = build_query(make_doc("US1A", description=description), max_chars=100)
         assert query.truncated
-        assert query.char_length <= 100
+        assert len(query.text) <= 100
         assert query.text.endswith(".")
         assert query.text == "This sentence has eight words in it now. This sentence has eight words in it now."
 
@@ -241,20 +252,58 @@ class TestBuildQuery:
         query = build_query(make_doc("CN1A", language="zh", description=description), max_chars=50)
         assert query.truncated
         assert query.text.endswith("。")
-        assert query.char_length <= 50
+        assert len(query.text) <= 50
 
     def test_hard_cut_without_boundary(self):
         description = "BACKGROUND\n" + "x" * 500
         query = build_query(make_doc("US1A", description=description), max_chars=64)
         assert query.truncated
-        assert query.char_length == 64
+        assert len(query.text) == 64
 
     @settings(max_examples=100)
     @given(max_chars=st.integers(min_value=1, max_value=300))
     def test_never_exceeds_budget(self, max_chars):
         description = "BACKGROUND\n" + "Alpha beta gamma delta. " * 30
         query = build_query(make_doc("US1A", description=description), max_chars=max_chars)
-        assert 1 <= query.char_length <= max_chars
+        assert 1 <= len(query.text) <= max_chars
+
+    def test_inequality_split_across_sections_is_kept(self):
+        # Background is joined before detailed description, so the "<" of
+        # one section comes before the ">" of the other; that is not markup.
+        doc = make_doc("US1A", description="DETAILED DESCRIPTION a > b. BACKGROUND x < y.")
+        assert build_query(doc).text == "x < y. a > b."
+
+    def test_normalizes_once(self, monkeypatch):
+        calls = []
+        original = patbench.query.preprocess_text
+
+        def counting(raw):
+            calls.append(raw)
+            return original(raw)
+
+        monkeypatch.setattr(patbench.query, "preprocess_text", counting)
+        build_query(make_doc("US1A", description=EN_DESCRIPTION))
+        assert calls == [EN_DESCRIPTION]
+
+    @settings(max_examples=200)
+    @given(
+        parts=st.lists(
+            st.one_of(
+                st.sampled_from([h for h, _ in HEADING_LEXICON]).map(lambda h: f"\n{h}\n"),
+                st.text(alphabet=st.characters(blacklist_characters="<>"), max_size=40),
+            ),
+            max_size=12,
+        ),
+        max_chars=st.integers(min_value=1, max_value=200),
+    )
+    def test_query_text_is_already_normalized(self, parts, max_chars):
+        # Without "<" or ">" a second preprocess_text pass over the query
+        # text would change nothing.
+        try:
+            query = build_query(make_doc("US1A", description="".join(parts)), max_chars=max_chars)
+        except EmptyInputError:
+            return
+        assert preprocess_text(query.text) == query.text
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
@@ -266,7 +315,7 @@ class TestBuildQuery:
         assert sorted(queries) == ids
         for doc_id, query in queries.items():
             assert query.query_id == doc_id
-            assert query.char_length <= 400
+            assert len(query.text) <= 400
 
     def test_build_queries_skips_unbuildable_ids(self, synth_corpus):
         # An id missing from the corpus and a document with an empty
