@@ -9,7 +9,6 @@ import threading
 from collections.abc import Set as AbstractSet
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import compress, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,6 +31,9 @@ _CATCH_ALL = "__rest__"
 # worker threads: its working arrays hold about this many elements whatever
 # the stratum size.
 _BOOTSTRAP_DRAWS = 1 << 17
+# Bits of one packed int64 word of the sampled bootstrap's contributions:
+# below the sign bit, so a word's sums stay non-negative.
+_PACKED_WORD_BITS = 63
 
 
 class UndefinedMetricError(ValueError):
@@ -86,12 +88,26 @@ def _validate_match_args(match_rule: str, family_of: Mapping[str, str] | None) -
         raise ValueError("family match rule requires a family_of mapping")
 
 
+def _family_members(family_of: Mapping[str, str] | None) -> dict[str, list[str]] | None:
+    """The inverse of ``family_of``: each non-empty family's member ids, or
+    ``None`` for the exact rule (no mapping)."""
+    if family_of is None:
+        return None
+    members: dict[str, list[str]] = {}
+    for doc_id, family_id in family_of.items():
+        if family_id:
+            members.setdefault(family_id, []).append(doc_id)
+    return members
+
+
 def _match(
     ranked: RankedList,
     relevant: AbstractSet[str],
     family_of: Mapping[str, str] | None,
+    members: dict[str, list[str]] | None,
 ) -> tuple[int, list[str], list[bool]]:
-    """The match rule.  ``family_of`` is ``None`` for the exact rule.
+    """The match rule.  ``family_of`` is ``None`` for the exact rule, and
+    ``members`` is its inverse from :func:`_family_members`.
 
     A hit matches when its doc_id is relevant or, under the family rule,
     when it shares a non-empty family with a relevant document.  A relevant
@@ -100,25 +116,31 @@ def _match(
     match nothing.  Returns the rank of the earliest matching hit (0 for
     none), the relevant ids in sorted order and, per id, whether it was
     retrieved.
+
+    The list is probed once: the matching ids are the relevant ids plus the
+    members of their families, so no hit's family is looked up.
     """
     relevant_ids = sorted(relevant)
     ids = ranked.doc_ids  # non-OK results carry none
-    found_ids = relevant.intersection(ids)
-    # Position of the earliest match so far; len(ids) while there is none.
-    first = min(map(ids.index, found_ids), default=len(ids))
-    retrieved = [rid in found_ids for rid in relevant_ids]
-    families = set(map(family_of.get, relevant_ids)) - {None, ""} if family_of else None
-    if families:
-        found_families = families.intersection(map(family_of.get, ids))
-        if found_families:
-            # One scan of the hits before `first`, up to the first family match.
-            in_family = map(found_families.__contains__, map(family_of.get, ids[:first]))
-            first = next(compress(count(), in_family), first)
-            retrieved = [
-                hit or family_of.get(rid) in found_families
-                for rid, hit in zip(relevant_ids, retrieved)
-            ]
-    return (first + 1 if first < len(ids) else 0), relevant_ids, retrieved
+    families = None
+    targets = relevant
+    if members:
+        families = [family_of.get(rid) for rid in relevant_ids]
+        targets = set(relevant)
+        for family_id in set(families):
+            targets.update(members.get(family_id, ()))
+    found = targets.intersection(ids)
+    if not found:
+        return 0, relevant_ids, [False] * len(relevant_ids)
+    first = min(map(ids.index, found))
+    if families is None:
+        return first + 1, relevant_ids, [rid in found for rid in relevant_ids]
+    found_families = set(map(family_of.get, found)) - {None, ""}
+    retrieved = [
+        rid in found or family_id in found_families
+        for rid, family_id in zip(relevant_ids, families)
+    ]
+    return first + 1, relevant_ids, retrieved
 
 
 def first_relevant_rank(
@@ -133,7 +155,8 @@ def first_relevant_rank(
     sharing a family with a relevant document.  Non-OK results match nothing.
     """
     _validate_match_args(match_rule, family_of)
-    first, _, _ = _match(ranked, relevant, family_of if match_rule == MATCH_FAMILY else None)
+    family_map = family_of if match_rule == MATCH_FAMILY else None
+    first, _, _ = _match(ranked, relevant, family_map, _family_members(family_map))
     return first or None
 
 
@@ -192,6 +215,7 @@ def query_outcomes(
     _validate_match_args(match_rule, family_of)
     _check_coverage(run, dataset)
     family_map = family_of if match_rule == MATCH_FAMILY else None
+    members = _family_members(family_map)
     first_rank: list[int] = []
     matched: list[int] = []
     relevant: list[int] = []
@@ -199,7 +223,7 @@ def query_outcomes(
     pair_matched: list[bool] = []
     for case in dataset.queries:
         first, relevant_ids, retrieved = _match(
-            run.results[case.query_doc_id], case.relevant_ids, family_map
+            run.results[case.query_doc_id], case.relevant_ids, family_map, members
         )
         first_rank.append(first)
         matched.append(sum(retrieved))
@@ -429,6 +453,38 @@ def _bootstrap_workers(n_strata: int) -> int:
     return min(n_strata, cpus)
 
 
+def _pack_columns(values: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """A stratum's ``(n_s, c)`` integer contribution matrix packed into
+    int64 words, so that one gather-and-sum per word sums every column.
+
+    Each column is shifted by its minimum ``low`` to be non-negative and gets
+    a bit field as wide as ``bit_length(n_s * (max - low))``, so that the sum
+    of any ``n_s`` of its values fits in the field.  Fields go into the first
+    word with room, within ``_PACKED_WORD_BITS`` bits, so the sums of a word
+    never carry from one field into the next or past the int64 sign bit.
+    Returns the ``(words, n_s)`` matrix and, per column, its ``(word, shift,
+    width, low)``.
+    """
+    n_s = len(values)
+    used: list[int] = []  # bits taken in each word
+    fields = []
+    for column in values.T:
+        low = int(column.min())
+        width = (n_s * (int(column.max()) - low)).bit_length()
+        if width > _PACKED_WORD_BITS:
+            raise ValueError(f"bootstrap sums of a stratum need {width} bits")
+        word = next((w for w, bits in enumerate(used) if bits + width <= _PACKED_WORD_BITS), None)
+        if word is None:
+            word = len(used)
+            used.append(0)
+        fields.append((word, used[word], width, low))
+        used[word] += width
+    words = np.zeros((len(used), n_s), dtype=np.int64)
+    for column, (word, shift, _, low) in zip(values.T, fields):
+        words[word] += (column - low) << shift
+    return words, fields
+
+
 def _resampled_diffs(
     stats: Sequence[tuple[str, float, np.ndarray, np.ndarray | None]],
     strata: list[tuple[str, list[int]]],
@@ -438,44 +494,52 @@ def _resampled_diffs(
     """Resampled differences of each statistic, all from one draw per chunk.
 
     Every statistic's ``u`` and ``m`` columns (ones for detection) form one
-    ``(n, 2 * stats)`` matrix.  A chunk of ``rows`` resamples of a stratum of
-    ``n_s`` queries becomes one ``(rows, n_s)`` matrix of how often each
-    query was drawn, and one product with the stratum's rows sums every
-    column.
+    ``(n, 2 * stats)`` matrix of integers; a column that is not integral
+    raises :class:`ValueError`.  Each stratum's rows are packed into int64
+    words (:func:`_pack_columns`).  A chunk of ``rows`` resamples of a
+    stratum of ``n_s`` queries is one ``(rows, n_s)`` matrix of drawn
+    indices; gathering each word at those indices and summing along the rows
+    sums every column at once, and shifts and masks unpack the sums.
 
     Strata are resampled concurrently, one task per stratum on a pool of
-    :func:`_bootstrap_workers` threads; numpy draws, casts and multiplies
-    without holding the interpreter lock (``np.bincount`` holds it).  Each worker's chunks hold at most
+    :func:`_bootstrap_workers` threads; numpy draws, gathers and sums
+    without holding the interpreter lock, which only the unpacking of each
+    resample's sums takes.  Each worker's chunks hold at most
     ``_BOOTSTRAP_DRAWS // workers`` draws, so memory does not grow with the
     stratum size or the thread count.  Workers add each chunk's sums into
     one shared array under a lock.  The result does not depend on the thread
-    count or the scheduling: each stratum draws from its own generator,
-    spawned from ``seed`` by its position in sorted order, and the draws do
-    not depend on the chunk shape; the columns hold integers and every
-    partial sum stays below 2**53, so the sums are exact in any order.
+    count, the scheduling or the packing: each stratum draws from its own
+    generator, spawned from ``seed`` by its position in sorted order, the
+    draws do not depend on the chunk shape, and every sum is an exact
+    integer.
     """
     n_stats = len(stats)
     columns = [u for _, _, u, _ in stats] + [
         np.ones_like(u) if m is None else m for _, _, u, m in stats
     ]
     values = np.column_stack(columns)
-    sums = np.zeros((n_resamples, 2 * n_stats), dtype=np.float64)
+    if not (np.isfinite(values).all() and (values == np.trunc(values)).all()):
+        raise ValueError("bootstrap contributions must be integers")
+    values = values.astype(np.int64)
+    sums = np.zeros((n_resamples, 2 * n_stats), dtype=np.int64)
     lock = threading.Lock()
     workers = _bootstrap_workers(len(strata))
     draws = _BOOTSTRAP_DRAWS // workers
 
     def resample(idxs: list[int], child: np.random.SeedSequence) -> None:
         rng = np.random.default_rng(child)
-        values_s = values[idxs]
         n_s = len(idxs)
+        words, fields = _pack_columns(values[idxs])
+        base = np.array([low * n_s for _, _, _, low in fields], dtype=np.int64)
         rows = max(1, draws // n_s)
-        offsets = np.arange(rows, dtype=np.int64)[:, None] * n_s
         for start in range(0, n_resamples, rows):
             stop = min(start + rows, n_resamples)
             draw = rng.integers(0, n_s, size=(stop - start, n_s))
-            draw += offsets[: stop - start]
-            counts = np.bincount(draw.ravel(), minlength=draw.size).astype(np.float64)
-            chunk_sums = counts.reshape(draw.shape) @ values_s
+            word_sums = [word.take(draw).sum(axis=1) for word in words]
+            chunk_sums = np.column_stack(
+                [(word_sums[w] >> shift) & ((1 << width) - 1) for w, shift, width, _ in fields]
+            )
+            chunk_sums += base
             with lock:
                 sums[start:stop] += chunk_sums
 

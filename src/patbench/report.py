@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
 

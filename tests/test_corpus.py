@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cite, make_corpus, make_doc, scalar_family_members
+from helpers import make_corpus, make_doc, scalar_family_members
 from patbench.corpus import (
     CitationRecord,
     CorpusFormatError,

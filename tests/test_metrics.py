@@ -4,10 +4,18 @@ import logging
 import sys
 import threading
 import tracemalloc
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
 
-from helpers import build_eval_dataset, build_run, scalar_paired_bootstrap
+from helpers import (
+    build_eval_dataset,
+    build_run,
+    scalar_first_ranks,
+    scalar_matched_count,
+    scalar_paired_bootstrap,
+)
 from patbench import metrics
 from patbench.execution import RankedList
 from patbench.metrics import (
@@ -154,6 +162,59 @@ class TestRecall:
             recall(build_run(empty, {}), empty)
         with pytest.raises(UndefinedMetricError):
             detection_curve(build_run(empty, {}), empty)
+
+
+class _CountingMapping(Mapping):
+    """A read-only mapping that counts its lookups (``get`` goes through
+    ``__getitem__``)."""
+
+    def __init__(self, data: dict[str, str]) -> None:
+        self._data = data
+        self.lookups = 0
+
+    def __getitem__(self, key: str) -> str:
+        self.lookups += 1
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
+class TestFamilyRuleWork:
+    def test_no_family_lookup_per_hit(self):
+        # Four depth-100 lists.  Query i's first relevant document has a
+        # sibling planted at rank 10 * i + 5 (none for Q3).  Its second has a
+        # sibling that no list holds, and is itself retrieved only by Q1, at
+        # rank 61.  Every tenth filler belongs to a family of its own.
+        relevants, lists, family_of = {}, {}, {}
+        for i in range(4):
+            qid = f"Q{i}"
+            relevants[qid] = {f"R{i}0A", f"R{i}1A"}
+            family_of.update({f"R{i}0A": f"F{i}", f"S{i}0A": f"F{i}"})
+            family_of.update({f"R{i}1A": f"H{i}", f"S{i}1A": f"H{i}"})
+            fillers = [f"X{i}{j:02d}A" for j in range(100)]
+            family_of.update({doc_id: f"G{doc_id}" for doc_id in fillers[::10]})
+            if i < 3:
+                fillers[10 * i + 4] = f"S{i}0A"
+            if i == 1:
+                fillers[60] = f"R{i}1A"
+            lists[qid] = fillers
+        dataset = build_eval_dataset(relevants)
+        run = build_run(dataset, lists)
+        counting = _CountingMapping(family_of)
+        outcomes = query_outcomes(run, dataset, "family", counting)
+        n_hits = sum(len(ids) for ids in lists.values())
+        assert counting.lookups < n_hits
+        assert outcomes.first_rank.tolist() == [
+            rank or 0 for rank in scalar_first_ranks(run, dataset, "family", family_of)
+        ] == [5, 15, 25, 0]
+        assert outcomes.matched.tolist() == [
+            scalar_matched_count(run.results[q], relevants[q], "family", family_of)
+            for q in dataset.query_ids()
+        ] == [1, 2, 1, 0]
 
 
 def _paired_fixture(u_map: dict[str, tuple[bool, bool]], strata=None):
@@ -305,6 +366,23 @@ def _mixed_strata_fixture():
     return dataset, build_run(dataset, lists_a), build_run(dataset, lists_b)
 
 
+def _wide_contributions_fixture():
+    """12 queries in strata of 6, each with two to five relevant documents;
+    each run retrieves more of them than the other on some queries, so both
+    the detection and the recall differences take negative values."""
+    relevants, strata, lists_a, lists_b = {}, {}, {}, {}
+    for i in range(12):
+        qid = f"Q{i:02d}"
+        ids = sorted(f"R{i}{j}A" for j in range(2 + i % 4))
+        relevants[qid] = set(ids)
+        language = "en" if i < 6 else "zh"
+        strata[qid] = {"language": language, "ipc_section": "G", "jurisdiction": "US"}
+        lists_a[qid] = [f"X{j}A" for j in range(i % 3)] + ids[: 2 * i % (len(ids) + 1)]
+        lists_b[qid] = ids[(i + 1) % len(ids) :] + ["X9A"]
+    dataset = build_eval_dataset(relevants, strata=strata)
+    return dataset, build_run(dataset, lists_a), build_run(dataset, lists_b)
+
+
 def _kernel_result_and_oracle(dataset, run_a, run_b):
     spec = dict(strata_dims=("language",), n_resamples=1000, seed=11)
     metric_list = (("detection", 2), ("recall", None))
@@ -376,6 +454,34 @@ class TestBootstrapKernel:
         finally:
             sys.setswitchinterval(interval)
         assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("bits, words", [(6, 3), (8, 2), (63, 1)])
+    def test_word_packing_does_not_change_results(self, monkeypatch, bits, words):
+        # Each stratum's four fields are 3, 4 or 5, 0 and 5 bits wide.
+        monkeypatch.setattr(metrics, "_PACKED_WORD_BITS", bits)
+        pack = metrics._pack_columns
+        n_words = []
+
+        def counting_pack(values):
+            packed, fields = pack(values)
+            n_words.append(len(packed))
+            return packed, fields
+
+        monkeypatch.setattr(metrics, "_pack_columns", counting_pack)
+        got, expected = _kernel_result_and_oracle(*_wide_contributions_fixture())
+        assert repr(got) == repr(expected)
+        assert n_words == [words, words]
+
+    def test_field_wider_than_a_word_rejected(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_PACKED_WORD_BITS", 4)
+        with pytest.raises(ValueError, match="bits"):
+            _kernel_result_and_oracle(*_wide_contributions_fixture())
+
+    @pytest.mark.parametrize("bad", [0.5, float("nan"), float("inf")])
+    def test_non_integral_contributions_rejected(self, bad):
+        u = np.array([1.0, bad, 0.0, -1.0])
+        with pytest.raises(ValueError, match="integers"):
+            metrics._resampled_diffs([("x", 0.0, u, None)], [("s", [0, 1, 2, 3])], 1000, 0)
 
     def test_working_memory_does_not_grow_with_stratum_size(self):
         assert _traced_peak(*_stratified_runs(1, 20_000), strata_dims=()) < 16 * 2**20
