@@ -348,7 +348,7 @@ def cmd_compare(
         dataset,
         ks=ks,
         match_rule=match_rule,
-        family_of=corpus.family_of if corpus is not None else {},
+        family_of=corpus.family_of if corpus is not None else None,
         n_resamples=n_resamples,
         seed=seed,
         strata_dims=strata_dims or DEFAULT_BOOTSTRAP_STRATA,

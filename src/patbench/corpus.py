@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -80,9 +80,10 @@ class PatentDocument:
             raise ValueError("doc_id must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CitationRecord:
-    """A directed citation edge between two publications."""
+    """A directed citation edge between two publications.  Records order by
+    their fields in declaration order."""
 
     citing_id: str
     cited_id: str
@@ -126,10 +127,17 @@ class Corpus:
     @functools.cached_property
     def families(self) -> dict[str, tuple[str, ...]]:
         """family_id -> member doc_ids in sorted order."""
-        members: dict[str, list[str]] = {}
-        for doc_id, family_id in self.family_of.items():
+        return invert_families(self.family_of)
+
+
+def invert_families(family_of: Mapping[str, str]) -> dict[str, tuple[str, ...]]:
+    """The inverse of a doc_id -> family_id mapping: each non-empty family's
+    member doc_ids in sorted order.  An empty family_id is no family."""
+    members: dict[str, list[str]] = {}
+    for doc_id, family_id in family_of.items():
+        if family_id:
             members.setdefault(family_id, []).append(doc_id)
-        return {family_id: tuple(sorted(ids)) for family_id, ids in members.items()}
+    return {family_id: tuple(sorted(ids)) for family_id, ids in members.items()}
 
 
 _REQUIRED_PATENT_FIELDS = ("doc_id", "jurisdiction", "language", "ipc_codes", "filing_date")
@@ -254,6 +262,17 @@ def read_jsonl(
             gc.enable()
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> Path:
+    """Write each of ``lines`` plus ``"\n"`` to ``path`` as UTF-8, creating
+    its directory; the one writer of corpus, dataset and run-log files.
+    ``lines`` is consumed as it is written, never joined in memory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    return path
+
+
 def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
     """Load a line-delimited corpus file.
 
@@ -348,58 +367,33 @@ def _read_reference_date(
 
 
 def canonical_corpus_lines(corpus: Corpus) -> Iterator[str]:
-    """Canonical serialization: documents sorted by id, then sorted citations."""
+    """Canonical serialization: documents sorted by id, then sorted citations.
+
+    A record holds every field of its dataclass plus ``kind``, with the IPC
+    codes as a list and the filing date as an ISO string.
+    """
     for doc_id in sorted(corpus.documents):
         doc = corpus.documents[doc_id]
-        yield json.dumps(
-            {
-                "kind": "patent",
-                "doc_id": doc.doc_id,
-                "jurisdiction": doc.jurisdiction,
-                "language": doc.language,
-                "ipc_codes": list(doc.ipc_codes),
-                "filing_date": doc.filing_date.isoformat(),
-                "family_id": doc.family_id,
-                "title": doc.title,
-                "abstract": doc.abstract,
-                "claims": doc.claims,
-                "description": doc.description,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
+        record = dict(
+            vars(doc),
+            kind="patent",
+            ipc_codes=list(doc.ipc_codes),
+            filing_date=doc.filing_date.isoformat(),
         )
-    for cit in sorted(
-        corpus.citations, key=lambda c: (c.citing_id, c.cited_id, c.category, c.source)
-    ):
-        yield json.dumps(
-            {
-                "kind": "citation",
-                "citing_id": cit.citing_id,
-                "cited_id": cit.cited_id,
-                "category": cit.category,
-                "source": cit.source,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        yield json.dumps(record, sort_keys=True, ensure_ascii=False)
+    for cit in sorted(corpus.citations):
+        yield json.dumps(dict(vars(cit), kind="citation"), sort_keys=True, ensure_ascii=False)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> Path:
     """Write the canonical corpus serialization plus its sidecar manifest."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for line in canonical_corpus_lines(corpus):
-            fh.write(line)
-            fh.write("\n")
+    path = write_lines(path, canonical_corpus_lines(corpus))
     manifest = {
         "reference_date": corpus.reference_date.isoformat(),
         "doc_count": len(corpus.documents),
         "citation_count": len(corpus.citations),
     }
-    manifest_path_for(path).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_lines(manifest_path_for(path), [json.dumps(manifest, sort_keys=True, indent=2)])
     return path
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .corpus import (
     Corpus,
@@ -23,6 +23,7 @@ from .corpus import (
     family_members,
     ipc_section_of,
     read_jsonl,
+    write_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -133,6 +134,17 @@ class EvaluationDataset:
 
     def query_ids(self) -> list[str]:
         return [case.query_doc_id for case in self.queries]
+
+    def stratum_keys(self, dimensions: Sequence[str]) -> list[str]:
+        """Each query's stratum key, in ``queries`` order: its label in each
+        of ``dimensions``, in that order, ``?`` for a missing label, joined
+        by ``|``."""
+        return [
+            "|".join(
+                str(self.strata.get(case.query_doc_id, {}).get(dim, "?")) for dim in dimensions
+            )
+            for case in self.queries
+        ]
 
 
 def canonical_json(obj: object) -> str:
@@ -398,23 +410,23 @@ def assemble_dataset(
             pools.setdefault(key, []).append(qid)
         alloc = _composite_allocation(targets, pools, sample_size)
         chosen: list[str] = []
+        counts: dict[str, int] = {}
         for key in sorted(alloc):
             if alloc[key] == 0:
                 continue
-            rng = random.Random(f"{seed}|{'|'.join(key)}")
+            label = "|".join(key)
+            rng = random.Random(f"{seed}|{label}")
             chosen.extend(rng.sample(pools[key], alloc[key]))
+            # Two label tuples can join to one key when a label holds "|".
+            counts[label] = counts.get(label, 0) + alloc[key]
     else:
         rng = random.Random(f"{seed}|__all__")
         chosen = rng.sample(sorted(cases), sample_size)
+        counts = {"__all__": sample_size} if sample_size else {}
 
     chosen.sort()
     queries = tuple(cases[qid] for qid in chosen)
     strata = {qid: labels[qid] for qid in chosen}
-
-    realized: Counter[str] = Counter()
-    for qid in chosen:
-        key = "|".join(labels[qid][dim] for dim in sorted(targets)) if targets else "__all__"
-        realized[key] += 1
 
     manifest = {
         "schema_version": DATASET_SCHEMA_VERSION,
@@ -427,7 +439,7 @@ def assemble_dataset(
         "recency_years": recency_years,
         "filters": ["recency", "non_empty_description", "non_empty_relevants"],
         "corpus_hash": corpus_content_hash(corpus),
-        "stratum_counts": dict(sorted(realized.items())),
+        "stratum_counts": dict(sorted(counts.items())),
         "profile": profile,
     }
     return EvaluationDataset(queries=queries, strata=strata, build_manifest=manifest)
@@ -463,28 +475,25 @@ def build_dataset(
     )
 
 
+def _dataset_records(dataset: EvaluationDataset) -> Iterator[dict]:
+    """The dataset file's records in file order: the manifest, then one case
+    per query in ``queries`` order."""
+    yield {"kind": "manifest", **dataset.build_manifest}
+    for case in dataset.queries:
+        yield {
+            "kind": "query_case",
+            "query_doc_id": case.query_doc_id,
+            "relevant": [
+                {"doc_id": rid, "source": case.relevant_provenance[rid]}
+                for rid in sorted(case.relevant_ids)
+            ],
+            "strata": dict(sorted(dataset.strata[case.query_doc_id].items())),
+        }
+
+
 def write_dataset(dataset: EvaluationDataset, path: str | Path) -> Path:
     """Serialize to line-delimited JSON: manifest header, then one query per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        header = {"kind": "manifest"}
-        header.update(dataset.build_manifest)
-        fh.write(canonical_json(header))
-        fh.write("\n")
-        for case in dataset.queries:
-            rec = {
-                "kind": "query_case",
-                "query_doc_id": case.query_doc_id,
-                "relevant": [
-                    {"doc_id": rid, "source": case.relevant_provenance[rid]}
-                    for rid in sorted(case.relevant_ids)
-                ],
-                "strata": dict(sorted(dataset.strata[case.query_doc_id].items())),
-            }
-            fh.write(canonical_json(rec))
-            fh.write("\n")
-    return path
+    return write_lines(path, map(canonical_json, _dataset_records(dataset)))
 
 
 def load_dataset(path: str | Path) -> EvaluationDataset:

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, 
 
 import numpy as np
 
-from .corpus import Corpus, normalize_doc_id, read_jsonl
+from .corpus import Corpus, normalize_doc_id, read_jsonl, write_lines
 from .dataset import EvaluationDataset
 from .query import EmptyInputError, Query
 
@@ -645,16 +645,12 @@ def _log_records(record: RunRecord) -> Iterator[dict]:
 
 
 def _log_line(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(rec, sort_keys=True, ensure_ascii=False)
 
 
 def write_run_log(record: RunRecord, path: str | Path) -> Path:
     """Line-delimited run log: header record, then one result per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(map(_log_line, _log_records(record)))
-    return path
+    return write_lines(path, map(_log_line, _log_records(record)))
 
 
 def load_run_log(path: str | Path) -> RunRecord:
@@ -762,4 +758,4 @@ def sanitize_run_log(path: str | Path) -> bytes:
     for rec in records:
         del rec["latency_ms"]
         lines.append(_log_line(rec))
-    return "".join(lines).encode("utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -9,10 +9,11 @@ import threading
 from collections.abc import Set as AbstractSet
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import invert_families
 from .dataset import EvaluationDataset
 from .execution import RankedList, RunRecord
 
@@ -81,33 +82,28 @@ def _check_coverage(run: RunRecord, dataset: EvaluationDataset) -> None:
         )
 
 
-def _validate_match_args(match_rule: str, family_of: Mapping[str, str] | None) -> None:
+def _match_args(
+    match_rule: str, family_of: Mapping[str, str] | None
+) -> tuple[Mapping[str, str] | None, dict[str, tuple[str, ...]] | None]:
+    """Check the match rule; return ``family_of`` and its inverse under the
+    family rule, and ``(None, None)`` under the exact rule."""
     if match_rule not in MATCH_RULES:
         raise ValueError(f"unknown match rule {match_rule!r}")
-    if match_rule == MATCH_FAMILY and family_of is None:
-        raise ValueError("family match rule requires a family_of mapping")
-
-
-def _family_members(family_of: Mapping[str, str] | None) -> dict[str, list[str]] | None:
-    """The inverse of ``family_of``: each non-empty family's member ids, or
-    ``None`` for the exact rule (no mapping)."""
+    if match_rule == MATCH_EXACT:
+        return None, None
     if family_of is None:
-        return None
-    members: dict[str, list[str]] = {}
-    for doc_id, family_id in family_of.items():
-        if family_id:
-            members.setdefault(family_id, []).append(doc_id)
-    return members
+        raise ValueError("family match rule requires a family_of mapping")
+    return family_of, invert_families(family_of)
 
 
 def _match(
     ranked: RankedList,
     relevant: AbstractSet[str],
     family_of: Mapping[str, str] | None,
-    members: dict[str, list[str]] | None,
+    members: Mapping[str, Sequence[str]] | None,
 ) -> tuple[int, list[str], list[bool]]:
     """The match rule.  ``family_of`` is ``None`` for the exact rule, and
-    ``members`` is its inverse from :func:`_family_members`.
+    ``members`` is its inverse from :func:`~patbench.corpus.invert_families`.
 
     A hit matches when its doc_id is relevant or, under the family rule,
     when it shares a non-empty family with a relevant document.  A relevant
@@ -154,9 +150,8 @@ def first_relevant_rank(
     Exact rule matches on doc_id; family rule additionally matches any hit
     sharing a family with a relevant document.  Non-OK results match nothing.
     """
-    _validate_match_args(match_rule, family_of)
-    family_map = family_of if match_rule == MATCH_FAMILY else None
-    first, _, _ = _match(ranked, relevant, family_map, _family_members(family_map))
+    family_map, members = _match_args(match_rule, family_of)
+    first, _, _ = _match(ranked, relevant, family_map, members)
     return first or None
 
 
@@ -212,10 +207,8 @@ def query_outcomes(
     Raises :class:`CoverageError` unless the run covers exactly the
     dataset's query ids.
     """
-    _validate_match_args(match_rule, family_of)
+    family_map, members = _match_args(match_rule, family_of)
     _check_coverage(run, dataset)
-    family_map = family_of if match_rule == MATCH_FAMILY else None
-    members = _family_members(family_map)
     first_rank: list[int] = []
     matched: list[int] = []
     relevant: list[int] = []
@@ -304,17 +297,21 @@ def recall(
 # ---------------------------------------------------------------------------
 
 
+def group_indices(labels: Sequence[Hashable]) -> dict[Hashable, list[int]]:
+    """Row indices by label, in first-seen order."""
+    groups: dict[Hashable, list[int]] = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return groups
+
+
 def _group_strata(
     dataset: EvaluationDataset, strata_dims: Sequence[str]
 ) -> list[tuple[str, list[int]]]:
-    """Query indices grouped by stratum label tuple; strata smaller than
-    MIN_STRATUM_SIZE merge into a catch-all with a warning."""
-    groups: dict[str, list[int]] = {}
-    for i, case in enumerate(dataset.queries):
-        labels = dataset.strata.get(case.query_doc_id, {})
-        key = "|".join(str(labels.get(dim, "?")) for dim in strata_dims)
-        groups.setdefault(key, []).append(i)
-
+    """Query indices grouped by stratum key
+    (:meth:`~patbench.dataset.EvaluationDataset.stratum_keys`); strata smaller
+    than MIN_STRATUM_SIZE merge into a catch-all with a warning."""
+    groups = group_indices(dataset.stratum_keys(strata_dims))
     small = [key for key, idxs in groups.items() if len(idxs) < MIN_STRATUM_SIZE]
     if small and len(groups) > 1:
         merged: list[int] = []

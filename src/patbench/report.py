@@ -8,7 +8,7 @@ import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .metrics import (
     QueryOutcomes,
     SignificanceResult,
     UndefinedMetricError,
+    group_indices,
     paired_bootstrap_outcomes,
     query_outcomes,
     validate_k_grid,
@@ -126,14 +127,6 @@ def _check_manifest(run: RunRecord, dataset: EvaluationDataset, run_name: str) -
         )
 
 
-def _groups(labels: Sequence[Hashable]) -> dict[Hashable, list[int]]:
-    """Row indices by label, in first-seen order."""
-    groups: dict[Hashable, list[int]] = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, []).append(i)
-    return groups
-
-
 def _breakdown(
     outcomes: QueryOutcomes,
     dataset: EvaluationDataset,
@@ -163,18 +156,13 @@ def _breakdown(
             recall_depth=outcomes.depth,
         )
 
-    labels = (
-        []
-        if dimension == OVERALL_DIMENSION
-        else [
-            str(dataset.strata.get(case.query_doc_id, {}).get(dimension, "?"))
-            for case in dataset.queries
-        ]
-    )
+    labels = [] if dimension == OVERALL_DIMENSION else dataset.stratum_keys((dimension,))
     totals = row(TOTAL_LABEL, range(len(dataset.queries)))
     rows = tuple(
         row(label, idxs)
-        for label, idxs in sorted(_groups(labels).items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        for label, idxs in sorted(
+            group_indices(labels).items(), key=lambda kv: (-len(kv[1]), kv[0])
+        )
     )
     return BreakdownTable(dimension=dimension, ks=ks, rows=rows, totals=totals)
 
@@ -231,7 +219,7 @@ def _cross_language(
         )
     ]
     cells = []
-    for (qlang, rlang), idxs in sorted(_groups(keys).items()):
+    for (qlang, rlang), idxs in sorted(group_indices(keys).items()):
         n_retrieved = int(outcomes.pair_matched[idxs].sum())
         cells.append(
             CrossLanguageCell(
@@ -369,23 +357,33 @@ def _csv_rows(table: BreakdownTable) -> list[tuple[str, BreakdownRow]]:
     return [(TOTAL_LABEL, table.totals)] + [(r.stratum, r) for r in table.rows]
 
 
+_DETECTION_HEADER = ["dimension", "stratum", "n_queries", "k", "detection_rate"]
+_RECALL_HEADER = ["dimension", "stratum", "n_queries", "recall", "recall_depth"]
+
+
+def _detection_rows(table: BreakdownTable) -> list[list[object]]:
+    """One row per stratum and k, in the layout of ``_DETECTION_HEADER``."""
+    return [
+        [table.dimension, stratum, row.n_queries, k, _fmt(rate)]
+        for stratum, row in _csv_rows(table)
+        for k, rate in zip(table.ks, row.rates)
+    ]
+
+
+def _recall_rows(table: BreakdownTable) -> list[list[object]]:
+    """One row per stratum, in the layout of ``_RECALL_HEADER``."""
+    return [
+        [table.dimension, stratum, row.n_queries, _fmt(row.recall), row.recall_depth]
+        for stratum, row in _csv_rows(table)
+    ]
+
+
 def _detection_csv(tables: Sequence[BreakdownTable]) -> bytes:
-    rows: list[list[object]] = []
-    for table in tables:
-        for stratum, row in _csv_rows(table):
-            for k, rate in zip(table.ks, row.rates):
-                rows.append([table.dimension, stratum, row.n_queries, k, _fmt(rate)])
-    return _csv_bytes(["dimension", "stratum", "n_queries", "k", "detection_rate"], rows)
+    return _csv_bytes(_DETECTION_HEADER, [r for table in tables for r in _detection_rows(table)])
 
 
 def _recall_csv(tables: Sequence[BreakdownTable]) -> bytes:
-    rows: list[list[object]] = []
-    for table in tables:
-        for stratum, row in _csv_rows(table):
-            rows.append(
-                [table.dimension, stratum, row.n_queries, _fmt(row.recall), row.recall_depth]
-            )
-    return _csv_bytes(["dimension", "stratum", "n_queries", "recall", "recall_depth"], rows)
+    return _csv_bytes(_RECALL_HEADER, [r for table in tables for r in _recall_rows(table)])
 
 
 def _cross_language_csv(cells: Sequence[CrossLanguageCell]) -> bytes:
@@ -400,40 +398,31 @@ def _cross_language_csv(cells: Sequence[CrossLanguageCell]) -> bytes:
 
 def _comparison_csv(
     comp: SystemComparison,
-    metric_header: Sequence[str],
-    metric_cells: Callable[[BreakdownTable], list[list[object]]],
+    header: Sequence[str],
+    table_rows: Callable[[BreakdownTable], list[list[object]]],
     deltas: Sequence[float],
     significance: Sequence[SignificanceResult | None],
 ) -> bytes:
-    """Whole-dataset rows ``metric_cells(table)`` of system A, then of system B.
+    """The rows ``table_rows(table)`` of system A's table, then of system B's;
+    both are overall tables, so each gives its totals rows only.
 
     Each row names its system; B's rows also carry the delta and, for a
     bootstrapped metric, the p-value and confidence interval, which A's rows
     leave blank.
     """
-    lead = [OVERALL_DIMENSION, TOTAL_LABEL]
-    rows = [
-        lead + [comp.table_a.totals.n_queries] + cells + [comp.system_a, "", "", "", ""]
-        for cells in metric_cells(comp.table_a)
-    ]
-    for cells, delta, sig in zip(metric_cells(comp.table_b), deltas, significance):
+    rows = [cells + [comp.system_a, "", "", "", ""] for cells in table_rows(comp.table_a)]
+    for cells, delta, sig in zip(table_rows(comp.table_b), deltas, significance):
         stats = [_fmt(sig.p_value), _fmt(sig.ci_low), _fmt(sig.ci_high)] if sig else ["", "", ""]
-        rows.append(
-            lead + [comp.table_b.totals.n_queries] + cells + [comp.system_b, _fmt(delta)] + stats
-        )
-    return _csv_bytes(
-        ["dimension", "stratum", "n_queries", *metric_header]
-        + ["system", "delta", "p_value", "ci_low", "ci_high"],
-        rows,
-    )
+        rows.append(cells + [comp.system_b, _fmt(delta)] + stats)
+    return _csv_bytes([*header, "system", "delta", "p_value", "ci_low", "ci_high"], rows)
 
 
 def _comparison_detection_csv(comp: SystemComparison) -> bytes:
     sig = {s.metric_name: s for s in comp.significance}
     return _comparison_csv(
         comp,
-        ["k", "detection_rate"],
-        lambda table: [[k, _fmt(rate)] for k, rate in zip(table.ks, table.totals.rates)],
+        _DETECTION_HEADER,
+        _detection_rows,
         comp.deltas,
         [sig.get(f"top{k}_detection") for k in comp.ks],
     )
@@ -443,13 +432,7 @@ def _comparison_recall_csv(comp: SystemComparison) -> bytes:
     sig = next(
         (s for s in comp.significance if s.metric_name.startswith("recall")), None
     )
-    return _comparison_csv(
-        comp,
-        ["recall", "recall_depth"],
-        lambda table: [[_fmt(table.totals.recall), table.totals.recall_depth]],
-        [comp.recall_delta],
-        [sig],
-    )
+    return _comparison_csv(comp, _RECALL_HEADER, _recall_rows, [comp.recall_delta], [sig])
 
 
 def _metric_cells(row: BreakdownRow) -> list[str]:

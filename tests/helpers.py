@@ -64,6 +64,18 @@ def scalar_family_members(corpus: Corpus, doc_id: str) -> list[PatentDocument]:
     ]
 
 
+def scalar_stratum_counts(dataset, targets):
+    """Recount spec of the manifest's ``stratum_counts``: each chosen query's
+    labels over the sorted target dimensions joined by ``|``, or ``__all__``
+    without targets, counted and sorted by that string."""
+    realized = Counter()
+    for qid in dataset.query_ids():
+        labels = dataset.strata[qid]
+        key = "|".join(labels[dim] for dim in sorted(targets)) if targets else "__all__"
+        realized[key] += 1
+    return dict(sorted(realized.items()))
+
+
 def cite(citing: str, cited: str, category: str = "X", source: str = "EXAMINER") -> CitationRecord:
     return CitationRecord(citing_id=citing, cited_id=cited, category=category, source=source)
 

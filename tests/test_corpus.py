@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,12 @@ from patbench.corpus import (
     CitationRecord,
     CorpusFormatError,
     DuplicateDocIdError,
+    PatentDocument,
     UnknownDocIdError,
+    canonical_corpus_lines,
     corpus_content_hash,
     family_members,
+    invert_families,
     ipc_section_of,
     load_corpus,
     manifest_path_for,
@@ -377,3 +381,74 @@ def test_family_index_matches_scan(specs, unknown):
         for lookup in (family_members, scalar_family_members):
             with pytest.raises(UnknownDocIdError):
                 lookup(corpus, doc_id)
+
+
+@settings(max_examples=200)
+@given(_family_docs)
+def test_family_inverse_equals_the_corpus_index(specs):
+    docs = [
+        make_doc(f"{jur}{i}A", jurisdiction=jur, language=lang, family_id=fam)
+        for i, (jur, lang, fam) in enumerate(specs)
+    ]
+    corpus = make_corpus(docs)
+    # Every document, empty family ids included: the inverse skips them.
+    raw = {d.doc_id: d.family_id for d in docs}
+    expected = {
+        fam: tuple(sorted(d for d, f in raw.items() if f == fam))
+        for fam in set(raw.values())
+        if fam
+    }
+    assert invert_families(raw) == expected == corpus.families
+    assert invert_families(corpus.family_of) == expected
+
+
+def test_family_inverse_skips_empty_ids_and_sorts_members():
+    family_of = {"US3A": "F1", "EP2A": "F1", "WO5A": "", "CN4A": "F2", "US1A": "F1"}
+    assert invert_families(family_of) == {"F1": ("EP2A", "US1A", "US3A"), "F2": ("CN4A",)}
+    assert invert_families({"US1A": ""}) == {}
+
+
+def _canonical_records(corpus):
+    return [json.loads(line) for line in canonical_corpus_lines(corpus)]
+
+
+def _record_fixture():
+    doc = make_doc("US1A", family_id="F1", ipc_codes=("G06F 17/30", "H04L 1/00"))
+    other = make_doc("US2A")
+    return doc, other, CitationRecord(citing_id="US1A", cited_id="US2A", category="X")
+
+
+def test_canonical_records_hold_exactly_the_dataclass_fields():
+    doc, other, cit = _record_fixture()
+    patent, _, citation = _canonical_records(make_corpus([doc, other], [cit]))
+    assert set(patent) == {f.name for f in dataclasses.fields(PatentDocument)} | {"kind"}
+    assert set(citation) == {f.name for f in dataclasses.fields(CitationRecord)} | {"kind"}
+    assert patent["kind"] == "patent" and citation["kind"] == "citation"
+    assert patent["ipc_codes"] == ["G06F 17/30", "H04L 1/00"]
+    assert patent["filing_date"] == doc.filing_date.isoformat()
+
+
+def _changed(name, value):
+    """Another valid value of a record field."""
+    if name == "category":
+        return "Y" if value != "Y" else "X"
+    if name == "source":
+        return "FAMILY_DERIVED" if value != "FAMILY_DERIVED" else "EXAMINER"
+    if isinstance(value, str):
+        return value + "9"
+    if isinstance(value, tuple):
+        return value + ("A01B 1/00",)
+    if isinstance(value, date):
+        return value + timedelta(days=1)
+    raise AssertionError(f"no other value for field {name!r} of type {type(value).__name__}")
+
+
+def test_content_hash_covers_every_record_field():
+    doc, other, cit = _record_fixture()
+    base = corpus_content_hash(make_corpus([doc, other], [cit]))
+    for f in dataclasses.fields(PatentDocument):
+        edited = dataclasses.replace(doc, **{f.name: _changed(f.name, getattr(doc, f.name))})
+        assert corpus_content_hash(make_corpus([edited, other], [cit])) != base, f.name
+    for f in dataclasses.fields(CitationRecord):
+        edited = dataclasses.replace(cit, **{f.name: _changed(f.name, getattr(cit, f.name))})
+        assert corpus_content_hash(make_corpus([doc, other], [edited])) != base, f.name

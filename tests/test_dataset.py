@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 from collections import Counter
 from datetime import date
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cite, make_corpus, make_doc
+from helpers import build_eval_dataset, cite, make_corpus, make_doc, scalar_stratum_counts
 from patbench.dataset import (
+    STRATUM_DIMENSIONS,
     InfeasibleTargetsError,
     QueryCase,
     TrigramJaccardScorer,
@@ -491,6 +493,103 @@ class TestAssembleDataset:
         corpus, cases = _cases_by_language(n_zh=5, n_en=5)
         with pytest.raises(ValueError):
             assemble_dataset(cases, corpus, targets, sample_size=4, seed=0, **_ASSEMBLE_KW)
+
+
+_LABEL_POOLS = {
+    "language": ("en", "en-GB", "zh", "zh-Hant"),
+    "jurisdiction": ("US", "US-X", "CN"),
+    "ipc_section": ("G", "H", "unclassified"),
+}
+_IPC_CODE = {"G": ("G06F 17/30",), "H": ("H04L 1/00",), "unclassified": ()}
+
+
+@st.composite
+def _stratified_pools(draw):
+    """Cases labelled from small pools (labels with "-" included), targets
+    over a random set of dimensions (or none) and a sample size from 0 up."""
+    specs = draw(
+        st.lists(st.tuples(*(st.sampled_from(_LABEL_POOLS[d]) for d in STRATUM_DIMENSIONS)),
+                 min_size=1, max_size=25)
+    )
+    docs, cases = [], {}
+    for i, spec in enumerate(specs):
+        labels = dict(zip(STRATUM_DIMENSIONS, spec))
+        doc = make_doc(
+            f"US{i:03d}A",
+            language=labels["language"],
+            jurisdiction=labels["jurisdiction"],
+            ipc_codes=_IPC_CODE[labels["ipc_section"]],
+        )
+        docs.append(doc)
+        cases[doc.doc_id] = _case(doc.doc_id, {"XX900A"})
+    dims = draw(st.lists(st.sampled_from(STRATUM_DIMENSIONS), unique=True, max_size=3))
+    targets = {}
+    for dim in dims:
+        present = sorted({spec[STRATUM_DIMENSIONS.index(dim)] for spec in specs})
+        # Every present label gets a positive weight, so the targets are
+        # feasible; an absent label may take a share too.
+        weights = {label: draw(st.integers(1, 4)) for label in present}
+        weights["absent"] = draw(st.integers(0, 2))
+        total = sum(weights.values())
+        targets[dim] = {label: w / total for label, w in weights.items()}
+        targets[dim][present[0]] += 1.0 - sum(targets[dim].values())
+    sample_size = draw(st.integers(0, len(cases)))
+    return make_corpus(docs), cases, targets or None, sample_size
+
+
+class TestStratumCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(_stratified_pools(), st.integers(0, 3))
+    def test_counts_equal_a_recount_of_the_chosen_queries(self, pool, seed):
+        corpus, cases, targets, sample_size = pool
+        dataset = assemble_dataset(
+            cases, corpus, targets, sample_size=sample_size, seed=seed, **_ASSEMBLE_KW
+        )
+        counts = dataset.build_manifest["stratum_counts"]
+        # Item order too: the keys sort as strings.
+        assert list(counts.items()) == list(scalar_stratum_counts(dataset, targets).items())
+        assert sum(counts.values()) == sample_size
+
+    def test_keys_sort_as_joined_strings(self):
+        docs = [
+            make_doc("US1A", jurisdiction="US", language="en"),
+            make_doc("US2A", jurisdiction="US-X", language="en"),
+        ]
+        cases = {d.doc_id: _case(d.doc_id, {"XX900A"}) for d in docs}
+        targets = {"jurisdiction": {"US": 0.5, "US-X": 0.5}, "language": {"en": 1.0}}
+        dataset = assemble_dataset(
+            cases, make_corpus(docs), targets, sample_size=2, seed=0, **_ASSEMBLE_KW
+        )
+        # ("US", "en") < ("US-X", "en") as tuples, but "US-X|en" < "US|en".
+        assert list(dataset.build_manifest["stratum_counts"]) == ["US-X|en", "US|en"]
+
+    @pytest.mark.parametrize(
+        "targets, sample_size, expected",
+        [
+            (None, 4, {"__all__": 4}),
+            (None, 0, {}),
+            ({"language": {"en": 0.5, "zh": 0.5}}, 0, {}),
+        ],
+    )
+    def test_plain_and_empty_samples(self, targets, sample_size, expected):
+        corpus, cases = _cases_by_language(n_zh=3, n_en=3)
+        dataset = assemble_dataset(
+            cases, corpus, targets, sample_size=sample_size, seed=0, **_ASSEMBLE_KW
+        )
+        assert dataset.build_manifest["stratum_counts"] == expected
+
+
+class TestStratumKeys:
+    def test_follow_the_dimension_order_and_mark_missing_labels(self):
+        dataset = build_eval_dataset({"Q1": {"R1A"}, "Q2": {"R2A"}, "Q3": {"R3A"}})
+        dataset = dataclasses.replace(
+            dataset,
+            strata={"Q1": {"language": "en", "jurisdiction": "US"}, "Q2": {"language": "zh"}},
+        )
+        assert dataset.stratum_keys(("language", "jurisdiction")) == ["en|US", "zh|?", "?|?"]
+        assert dataset.stratum_keys(("jurisdiction", "language")) == ["US|en", "?|zh", "?|?"]
+        assert dataset.stratum_keys(("ipc_section",)) == ["?", "?", "?"]
+        assert dataset.stratum_keys(()) == ["", "", ""]
 
 
 class TestBuildAndSerialize:

@@ -8,6 +8,8 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     build_eval_dataset,
@@ -215,6 +217,43 @@ class TestFamilyRuleWork:
             scalar_matched_count(run.results[q], relevants[q], "family", family_of)
             for q in dataset.query_ids()
         ] == [1, 2, 1, 0]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_empty_family_ids_match_the_scalar_oracle(self, data):
+        # Ids draw their family from a pool where "" (no family) is common;
+        # two documents with "" share no family.
+        ids = [f"D{i}A" for i in range(10)]
+        family_of = data.draw(
+            st.dictionaries(st.sampled_from(ids), st.sampled_from(["", "", "F1", "F2"]))
+        )
+        relevants = {
+            f"Q{q}": set(data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3)))
+            for q in range(3)
+        }
+        lists = {
+            qid: data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=6))
+            for qid in relevants
+        }
+        dataset = build_eval_dataset(relevants)
+        run = build_run(dataset, lists)
+        outcomes = query_outcomes(run, dataset, "family", family_of)
+        assert outcomes.first_rank.tolist() == [
+            rank or 0 for rank in scalar_first_ranks(run, dataset, "family", family_of)
+        ]
+        assert outcomes.matched.tolist() == [
+            scalar_matched_count(run.results[q], relevants[q], "family", family_of)
+            for q in dataset.query_ids()
+        ]
+
+    def test_empty_family_id_is_no_family(self):
+        family_of = {"R1A": "", "D1A": "", "R2A": "F1", "D2A": "F1"}
+        dataset = build_eval_dataset({"Q1": {"R1A"}, "Q2": {"R2A"}})
+        run = build_run(dataset, {"Q1": ["D1A"], "Q2": ["D1A", "D2A"]})
+        outcomes = query_outcomes(run, dataset, "family", family_of)
+        assert outcomes.first_rank.tolist() == [0, 2]
+        assert outcomes.matched.tolist() == [0, 1]
 
 
 def _paired_fixture(u_map: dict[str, tuple[bool, bool]], strata=None):
