@@ -635,7 +635,8 @@ def emit_report(
 
     All content is rendered before anything touches disk, so an unwritable
     location fails without leaving partial output.  Identical inputs produce
-    byte-identical files.
+    byte-identical files.  ``detection.csv`` and ``recall.csv`` are written
+    only for a report with evaluation tables, not for a comparison alone.
     """
     for fmt in formats:
         if fmt not in REPORT_FORMATS:
@@ -645,8 +646,9 @@ def emit_report(
     tables = ([report.overall] if report.overall else []) + list(report.breakdowns)
     files: dict[str, bytes] = {}
     if "csv" in formats:
-        files["detection.csv"] = _detection_csv(tables)
-        files["recall.csv"] = _recall_csv(tables)
+        if tables:
+            files["detection.csv"] = _detection_csv(tables)
+            files["recall.csv"] = _recall_csv(tables)
         for table in report.breakdowns:
             files[f"breakdown_{table.dimension}.csv"] = _detection_csv([table])
         if report.cross_language:
@@ -655,10 +657,10 @@ def emit_report(
             files["comparison_detection.csv"] = _comparison_detection_csv(report.comparison)
             files["comparison_recall.csv"] = _comparison_recall_csv(report.comparison)
     if "table-text" in formats:
-        text = _table_text(report)
+        parts = [_table_text(report)]
         if report.comparison is not None:
-            text += "\n" + _comparison_text(report.comparison)
-        files["report.txt"] = text.encode("utf-8")
+            parts.append(_comparison_text(report.comparison))
+        files["report.txt"] = "\n".join(part for part in parts if part).encode("utf-8")
     if "svg-plot-data" in formats:
         for table in tables:
             files[f"detection_{table.dimension}.svg"] = _svg_line_chart(table)

@@ -382,13 +382,8 @@ class TestEmission:
         report = MetricsReport(match_rule="exact", overall=None, comparison=comp)
         written = emit_report(report, tmp_path, formats=("csv", "table-text"))
         names = sorted(p.name for p in written)
-        assert names == [
-            "comparison_detection.csv",
-            "comparison_recall.csv",
-            "detection.csv",
-            "recall.csv",
-            "report.txt",
-        ]
+        # A comparison has no evaluation tables, so no detection.csv or recall.csv.
+        assert names == ["comparison_detection.csv", "comparison_recall.csv", "report.txt"]
         with (tmp_path / "comparison_detection.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * len(KS)
@@ -403,7 +398,7 @@ class TestEmission:
         assert other_k["p_value"] == ""
 
         text = (tmp_path / "report.txt").read_text()
-        assert "System comparison: fixture vs system-b" in text
+        assert text.startswith("System comparison: fixture vs system-b\n")
         assert "top10_detection" in text
         assert "pp" in text
 
