@@ -139,12 +139,13 @@ class EvaluationDataset:
         """Each query's stratum key, in ``queries`` order: its label in each
         of ``dimensions``, in that order, ``?`` for a missing label, joined
         by ``|``."""
-        return [
-            "|".join(
-                str(self.strata.get(case.query_doc_id, {}).get(dim, "?")) for dim in dimensions
-            )
-            for case in self.queries
-        ]
+        labels = [self.strata.get(case.query_doc_id, {}) for case in self.queries]
+        if not dimensions:
+            return [""] * len(labels)
+        # Column by column: a join per query over a generator costs about
+        # three times as much, and breakdowns ask for keys once per table.
+        columns = [[str(row.get(dim, "?")) for row in labels] for dim in dimensions]
+        return ["|".join(key) for key in zip(*columns)]
 
 
 def canonical_json(obj: object) -> str:
