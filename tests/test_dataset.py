@@ -508,8 +508,11 @@ def _stratified_pools(draw):
     """Cases labelled from small pools (labels with "-" included), targets
     over a random set of dimensions (or none) and a sample size from 0 up."""
     specs = draw(
-        st.lists(st.tuples(*(st.sampled_from(_LABEL_POOLS[d]) for d in STRATUM_DIMENSIONS)),
-                 min_size=1, max_size=25)
+        st.lists(
+            st.tuples(*(st.sampled_from(_LABEL_POOLS[d]) for d in STRATUM_DIMENSIONS)),
+            min_size=1,
+            max_size=25,
+        )
     )
     docs, cases = [], {}
     for i, spec in enumerate(specs):
@@ -532,7 +535,6 @@ def _stratified_pools(draw):
         weights["absent"] = draw(st.integers(0, 2))
         total = sum(weights.values())
         targets[dim] = {label: w / total for label, w in weights.items()}
-        targets[dim][present[0]] += 1.0 - sum(targets[dim].values())
     sample_size = draw(st.integers(0, len(cases)))
     return make_corpus(docs), cases, targets or None, sample_size
 
