@@ -649,8 +649,6 @@ def emit_report(
         if tables:
             files["detection.csv"] = _detection_csv(tables)
             files["recall.csv"] = _recall_csv(tables)
-        for table in report.breakdowns:
-            files[f"breakdown_{table.dimension}.csv"] = _detection_csv([table])
         if report.cross_language:
             files["cross_language.csv"] = _cross_language_csv(report.cross_language)
         if report.comparison is not None:

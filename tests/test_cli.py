@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import pathlib
@@ -412,8 +413,10 @@ class TestEvaluate:
         assert "recall@50:" in result.output
         for name in ("detection.csv", "recall.csv", "report.txt", "cross_language.csv"):
             assert (out_dir / name).exists()
+        with open(out_dir / "detection.csv", newline="") as fh:
+            dimensions = {row["dimension"] for row in csv.DictReader(fh)}
         for dim in ("language", "ipc_section", "jurisdiction"):
-            assert (out_dir / f"breakdown_{dim}.csv").exists()
+            assert dim in dimensions
         text = (out_dir / "report.txt").read_text()
         assert "family-level matching" in text
 
@@ -570,8 +573,9 @@ class TestEvaluate:
             ],
         )
         assert result.exit_code == 0, result.output
-        assert (out_dir / "breakdown_ipc_section.csv").exists()
-        assert (out_dir / "breakdown_jurisdiction.csv").exists()
+        with open(out_dir / "detection.csv", newline="") as fh:
+            dimensions = {row["dimension"] for row in csv.DictReader(fh)}
+        assert dimensions == {"overall", "ipc_section", "jurisdiction"}
 
 
 class TestCompare:

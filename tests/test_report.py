@@ -311,9 +311,6 @@ class TestEmission:
         written = emit_report(report, tmp_path / "out")
         names = sorted(p.name for p in written)
         assert names == [
-            "breakdown_ipc_section.csv",
-            "breakdown_jurisdiction.csv",
-            "breakdown_language.csv",
             "cross_language.csv",
             "detection.csv",
             "detection_ipc_section.svg",
