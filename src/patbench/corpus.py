@@ -27,8 +27,18 @@ CITATION_SOURCES = frozenset({"EXAMINER", "FAMILY_DERIVED"})
 IPC_SECTIONS = frozenset("ABCDEFGH")
 UNCLASSIFIED = "unclassified"
 
+# Stratum labels the code itself writes: the total row of a breakdown, the
+# bootstrap's catch-all stratum, a query's missing label, and a language the
+# cross-language table does not know.  Stratum keys join labels with "|".
+TOTAL_LABEL = "__all__"
+CATCH_ALL_LABEL = "__rest__"
+MISSING_LABEL = "?"
+UNKNOWN_LANGUAGE = "unknown"
+RESERVED_LABELS = frozenset({TOTAL_LABEL, CATCH_ALL_LABEL, MISSING_LABEL, UNKNOWN_LANGUAGE})
+
 _ID_WS_RE = re.compile(r"\s+")
 _ID_OK_RE = re.compile(r"^[A-Z0-9][A-Z0-9./-]*$")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class CorpusError(Exception):
@@ -171,11 +181,27 @@ def _require_canonical(field_name: str, doc_id: str) -> None:
         )
 
 
+def is_stratum_label(label: str) -> bool:
+    """Whether ``label`` can name one stratum: it is non-empty, holds no
+    ``|`` and is not one of :data:`RESERVED_LABELS`."""
+    return bool(label) and "|" not in label and label not in RESERVED_LABELS
+
+
+def require_stratum_label(field_name: str, label: str) -> None:
+    if not is_stratum_label(label):
+        raise ValueError(
+            f"{field_name} {label!r} is not a stratum label: it must be non-empty, "
+            f"hold no '|' and be none of {', '.join(sorted(RESERVED_LABELS))}"
+        )
+
+
 def _parse_date(value: str) -> date:
-    # date.fromisoformat accepts only YYYY-MM-DD in 3.10, which is what the
-    # format prescribes; anything else should fail loudly.
+    # The format prescribes YYYY-MM-DD.  date.fromisoformat alone is not
+    # enough: from Python 3.11 it also takes 20150101 and 2015-W01-1.
     if not isinstance(value, str):
         raise ValueError(f"date must be an ISO string, got {type(value).__name__}")
+    if not _DATE_RE.fullmatch(value):
+        raise ValueError(f"date {value!r} is not YYYY-MM-DD")
     return date.fromisoformat(value)
 
 
@@ -280,8 +306,9 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
     malformed line.  Lenient mode skips malformed lines and records them in
     ``Corpus.load_skips``.  A patent whose doc_id, or a citation whose
     citing_id or cited_id, is not its own :func:`normalize_doc_id` form is
-    malformed, since run logs hold normalized ids only.  A duplicate doc_id
-    is fatal in both modes.
+    malformed, since run logs hold normalized ids only.  So is a patent whose
+    language or jurisdiction fails :func:`is_stratum_label`, or whose filing
+    date is not YYYY-MM-DD.  A duplicate doc_id is fatal in both modes.
 
     Args:
         path: corpus file location.
@@ -302,6 +329,8 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
         if kind == "patent":
             doc = _parse_patent(rec)
             _require_canonical("doc_id", doc.doc_id)
+            require_stratum_label("language", doc.language)
+            require_stratum_label("jurisdiction", doc.jurisdiction)
             if doc.doc_id in documents:
                 raise DuplicateDocIdError(doc.doc_id, line_number)
             documents[doc.doc_id] = doc

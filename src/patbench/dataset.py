@@ -17,12 +17,15 @@ from pathlib import Path
 from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .corpus import (
+    MISSING_LABEL,
+    TOTAL_LABEL,
     Corpus,
     PatentDocument,
     corpus_content_hash,
     family_members,
     ipc_section_of,
     read_jsonl,
+    require_stratum_label,
     write_lines,
 )
 
@@ -137,14 +140,14 @@ class EvaluationDataset:
 
     def stratum_keys(self, dimensions: Sequence[str]) -> list[str]:
         """Each query's stratum key, in ``queries`` order: its label in each
-        of ``dimensions``, in that order, ``?`` for a missing label, joined
-        by ``|``."""
+        of ``dimensions``, in that order, :data:`~patbench.corpus.MISSING_LABEL`
+        for a missing label, joined by ``|``."""
         labels = [self.strata.get(case.query_doc_id, {}) for case in self.queries]
         if not dimensions:
             return [""] * len(labels)
         # Column by column: a join per query over a generator costs about
         # three times as much, and breakdowns ask for keys once per table.
-        columns = [[str(row.get(dim, "?")) for row in labels] for dim in dimensions]
+        columns = [[str(row.get(dim, MISSING_LABEL)) for row in labels] for dim in dimensions]
         return ["|".join(key) for key in zip(*columns)]
 
 
@@ -318,6 +321,8 @@ def _validate_targets(targets: Mapping[str, Mapping[str, float]]) -> None:
             raise ValueError(f"targets for dimension {dim!r} must map strata to proportions")
         if not props:
             raise ValueError(f"empty target map for dimension {dim!r}")
+        for label in props:
+            require_stratum_label(f"target {dim}", label)
         if not all(type(p) in (int, float) and math.isfinite(p) for p in props.values()):
             raise ValueError(f"proportions for {dim!r} must be finite numbers")
         if any(p < 0 for p in props.values()):
@@ -418,12 +423,11 @@ def assemble_dataset(
             label = "|".join(key)
             rng = random.Random(f"{seed}|{label}")
             chosen.extend(rng.sample(pools[key], alloc[key]))
-            # Two label tuples can join to one key when a label holds "|".
-            counts[label] = counts.get(label, 0) + alloc[key]
+            counts[label] = alloc[key]
     else:
-        rng = random.Random(f"{seed}|__all__")
+        rng = random.Random(f"{seed}|{TOTAL_LABEL}")
         chosen = rng.sample(sorted(cases), sample_size)
-        counts = {"__all__": sample_size} if sample_size else {}
+        counts = {TOTAL_LABEL: sample_size} if sample_size else {}
 
     chosen.sort()
     queries = tuple(cases[qid] for qid in chosen)

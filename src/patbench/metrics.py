@@ -13,7 +13,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import invert_families
+from .corpus import CATCH_ALL_LABEL, invert_families
 from .dataset import EvaluationDataset
 from .execution import RankedList, RunRecord
 
@@ -27,7 +27,6 @@ DEFAULT_K_GRID = (1, 3, 5, 10, 20, 30, 50, 100)
 DEFAULT_N_RESAMPLES = 10_000
 DEFAULT_BOOTSTRAP_STRATA = ("language", "ipc_section")
 MIN_STRATUM_SIZE = 2
-_CATCH_ALL = "__rest__"
 # Draws in flight at once in the sampled bootstrap, shared out among its
 # worker threads: its working arrays hold about this many elements whatever
 # the stratum size.
@@ -321,7 +320,7 @@ def _group_strata(
             logger.warning(
                 "merged %d strata below %d queries into catch-all", len(small), MIN_STRATUM_SIZE
             )
-            groups.setdefault(_CATCH_ALL, []).extend(merged)
+            groups.setdefault(CATCH_ALL_LABEL, []).extend(merged)
     return sorted(groups.items())
 
 

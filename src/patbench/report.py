@@ -12,7 +12,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import TOTAL_LABEL, UNKNOWN_LANGUAGE, Corpus
 from .dataset import STRATUM_DIMENSIONS, EvaluationDataset
 from .execution import RunRecord
 from .metrics import (
@@ -34,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 REPORT_DIMENSIONS = STRATUM_DIMENSIONS
 REPORT_FORMATS = ("table-text", "csv", "svg-plot-data")
-TOTAL_LABEL = "__all__"
 OVERALL_DIMENSION = "overall"
 
 _SVG_PALETTE = (
@@ -208,12 +207,12 @@ def _cross_language(
 ) -> tuple[CrossLanguageCell, ...]:
     outcomes.check_dataset(dataset)
     query_language = [
-        str(dataset.strata.get(case.query_doc_id, {}).get("language", "unknown"))
+        str(dataset.strata.get(case.query_doc_id, {}).get("language", UNKNOWN_LANGUAGE))
         for case in dataset.queries
     ]
     documents = corpus.documents
     keys = [
-        (query_language[q], doc.language if doc is not None else "unknown")
+        (query_language[q], doc.language if doc is not None else UNKNOWN_LANGUAGE)
         for q, doc in zip(
             outcomes.pair_query.tolist(), map(documents.get, outcomes.pair_doc_id)
         )

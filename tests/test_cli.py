@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from patbench.cli import main
-from patbench.corpus import load_corpus, write_corpus
+from patbench.corpus import load_corpus, manifest_path_for, write_corpus
 from patbench.dataset import load_dataset
 from patbench.execution import RankedList, sanitize_run_log
 
@@ -1051,3 +1051,108 @@ class TestInputErrors:
         )
         assert result.exit_code == 1
         assert "error:" not in result.output
+
+
+def _with_patent_fields(source, dest, line, **fields):
+    """Copy ``source`` to ``dest`` with ``fields`` set on the patent record of
+    the given 1-based line."""
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[line - 1])
+    assert rec["kind"] == "patent"
+    lines[line - 1] = json.dumps({**rec, **fields}) + "\n"
+    dest.write_text("".join(lines), encoding="utf-8")
+    return dest
+
+
+def _labelled_corpus(path, labels):
+    """A corpus of one relevant patent, R1A, and six query patents per
+    (jurisdiction, language) pair in ``labels``, each citing R1A."""
+    patent = {
+        "kind": "patent",
+        "ipc_codes": ["G06F 1/00"],
+        "filing_date": "2018-01-01",
+        "claims": "1. A thing.",
+        "description": "A thing, described. More of the thing described here.",
+    }
+    lines = []
+    for group, (jurisdiction, language) in enumerate(labels):
+        for i in range(6):
+            doc_id = f"Q{group}{i}A"
+            lines.append({**patent, "doc_id": doc_id, "jurisdiction": jurisdiction,
+                          "language": language})
+            lines.append({"kind": "citation", "citing_id": doc_id, "cited_id": "R1A",
+                          "category": "X"})
+    lines.append({**patent, "doc_id": "R1A", "jurisdiction": "US", "language": "en"})
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines), encoding="utf-8")
+    return path
+
+
+class TestStratumLabelRule:
+    """A corpus or target label names exactly one stratum, so composite strata
+    cannot merge and no stratum shares a row with the total."""
+
+    PIPE_TARGETS = {"jurisdiction": {"c": 0.5, "c|a": 0.5}, "language": {"a|b": 0.5, "b": 0.5}}
+
+    def _build(self, runner, tmp_path, corpus, targets=None, *extra):
+        argv = ["build-dataset", "--corpus", str(corpus), "--out", str(tmp_path / "ds.jsonl")]
+        if targets is not None:
+            path = tmp_path / "targets.json"
+            path.write_text(json.dumps(targets))
+            argv += ["--targets", str(path), "--sample-size", "4"]
+        return runner.invoke(main, argv + list(extra))
+
+    def test_labels_holding_a_pipe(self, runner, tmp_path):
+        """Labels c / a|b and c|a / b once joined to one composite stratum,
+        c|a|b, and a sample of 4 held 6 queries."""
+        corpus = _labelled_corpus(tmp_path / "corpus.jsonl", [("c", "a|b"), ("c|a", "b")])
+        result = self._build(runner, tmp_path, corpus, self.PIPE_TARGETS)
+        _assert_input_error(result, f"{corpus}:1:", "language 'a|b'")
+        assert not (tmp_path / "ds.jsonl").exists()
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_target_label_holding_a_pipe(self, runner, tmp_path, lenient):
+        corpus = _labelled_corpus(tmp_path / "corpus.jsonl", [("c", "a"), ("d", "b")])
+        extra = ["--lenient"] if lenient else []
+        result = self._build(runner, tmp_path, corpus, self.PIPE_TARGETS, *extra)
+        _assert_input_error(result, "target jurisdiction 'c|a' is not a stratum label")
+        assert not (tmp_path / "ds.jsonl").exists()
+
+    def test_jurisdiction_named_like_the_total_row(self, runner, tmp_path, bundled_corpus_path):
+        """A jurisdiction __all__ once gave detection.csv two jurisdiction,__all__
+        rows: the total and the stratum."""
+        corpus = _with_patent_fields(
+            bundled_corpus_path, tmp_path / "corpus.jsonl", 3, jurisdiction="__all__"
+        )
+        result = self._build(runner, tmp_path, corpus)
+        _assert_input_error(result, f"{corpus}:3:", "jurisdiction '__all__'")
+        lenient = self._build(runner, tmp_path, corpus, None, "--lenient")
+        assert lenient.exit_code == 0, lenient.output
+        # The patent line, and the citations whose citing patent it was.
+        assert "skipped 4 malformed lines" in lenient.output
+
+
+class TestDateRule:
+    """Dates are YYYY-MM-DD whatever date.fromisoformat accepts."""
+
+    @pytest.mark.parametrize("value", ["20150101", "2015-W01-1"])
+    def test_filing_date(self, runner, tmp_path, bundled_corpus_path, value):
+        corpus = _with_patent_fields(
+            bundled_corpus_path, tmp_path / "corpus.jsonl", 2, filing_date=value
+        )
+        argv = ["build-dataset", "--corpus", str(corpus), "--out", str(tmp_path / "ds.jsonl")]
+        _assert_input_error(runner.invoke(main, argv), f"{corpus}:2:", repr(value))
+        lenient = runner.invoke(main, argv + ["--lenient"])
+        assert lenient.exit_code == 0, lenient.output
+        assert "skipped 1 malformed lines" in lenient.output
+
+    @pytest.mark.parametrize("value", ["20200615", "2020-W25-1"])
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_sidecar_reference_date(self, runner, tmp_path, bundled_corpus_path, value, lenient):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(bundled_corpus_path.read_bytes())
+        side = manifest_path_for(corpus)
+        manifest = json.loads(manifest_path_for(bundled_corpus_path).read_text())
+        side.write_text(json.dumps({**manifest, "reference_date": value}))
+        argv = ["build-dataset", "--corpus", str(corpus), "--out", str(tmp_path / "ds.jsonl")]
+        result = runner.invoke(main, argv + (["--lenient"] if lenient else []))
+        _assert_input_error(result, str(side), repr(value))

@@ -21,6 +21,7 @@ from patbench.corpus import (
     family_members,
     invert_families,
     ipc_section_of,
+    is_stratum_label,
     load_corpus,
     manifest_path_for,
     read_jsonl,
@@ -173,6 +174,73 @@ class TestCanonicalDocIds:
         corpus = load_corpus(path, lenient=True)
         assert [(c.citing_id, c.cited_id) for c in corpus.citations] == [("US2A", "US1A")]
         assert [line for line, _ in corpus.load_skips] == [3]
+
+
+class TestStratumLabels:
+    """A language or jurisdiction names one stratum: a label with "|" would
+    share its stratum key with another, and a reserved name would share a
+    row with the total, the bootstrap's catch-all or a missing label."""
+
+    BAD = ["", "a|b", "__all__", "__rest__", "?", "unknown"]
+
+    @pytest.mark.parametrize("label", BAD)
+    @pytest.mark.parametrize("field", ["language", "jurisdiction"])
+    def test_strict_rejects_with_location(self, tmp_path, field, label):
+        path = tmp_path / "labels.jsonl"
+        _write_lines(path, [_patent_line("US1A"), _patent_line("US2A", **{field: label})])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert f"{path}:2:" in str(err.value)
+        assert f"{field} {label!r} is not a stratum label" in str(err.value)
+
+    def test_lenient_skips(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        _write_lines(
+            path,
+            [_patent_line("US1A", jurisdiction="__all__"), _patent_line("US2A", language="a|b"),
+             _patent_line("US3A")],
+        )
+        corpus = load_corpus(path, lenient=True)
+        assert sorted(corpus.documents) == ["US3A"]
+        assert [line for line, _ in corpus.load_skips] == [1, 2]
+
+    def test_bundled_and_benchmark_labels_pass(self):
+        labels = ["en", "zh", "CN", "US", "EP", "WO", "unclassified", *"ABCDEFGH"]
+        assert all(is_stratum_label(label) for label in labels)
+        assert not any(is_stratum_label(label) for label in self.BAD)
+
+
+class TestDates:
+    """Dates are YYYY-MM-DD on every Python: from 3.11, date.fromisoformat
+    also takes the basic and week forms."""
+
+    @pytest.mark.parametrize("value", ["20150101", "2015-W01-1", "2015-1-01", "2015-01-01T00:00"])
+    def test_filing_date_strict_rejects_with_location(self, tmp_path, value):
+        path = tmp_path / "dates.jsonl"
+        _write_lines(path, [_patent_line("US1A"), _patent_line("US2A", filing_date=value)])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert f"{path}:2:" in str(err.value)
+        assert f"date {value!r} is not YYYY-MM-DD" in str(err.value)
+
+    def test_filing_date_lenient_skips(self, tmp_path):
+        path = tmp_path / "dates.jsonl"
+        _write_lines(path, [_patent_line("US1A", filing_date="20150101"), _patent_line("US2A")])
+        corpus = load_corpus(path, lenient=True)
+        assert sorted(corpus.documents) == ["US2A"]
+        assert [line for line, _ in corpus.load_skips] == [1]
+
+    @pytest.mark.parametrize("value", ["20200615", "2020-W25-1"])
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_sidecar_reference_date_rejected_in_both_modes(self, tmp_path, value, lenient):
+        path = tmp_path / "c.jsonl"
+        _write_lines(path, [_patent_line("US1A")])
+        side = manifest_path_for(path)
+        side.write_text(json.dumps({"reference_date": value, "doc_count": 1}))
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path, lenient=lenient)
+        assert str(side) in str(err.value)
+        assert repr(value) in str(err.value)
 
 
 class TestReadJsonlPausesGc:

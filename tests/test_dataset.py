@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_eval_dataset, cite, make_corpus, make_doc, scalar_stratum_counts
+from patbench.corpus import RESERVED_LABELS, is_stratum_label
 from patbench.dataset import (
     STRATUM_DIMENSIONS,
     InfeasibleTargetsError,
@@ -581,6 +582,33 @@ class TestStratumCounts:
         assert dataset.build_manifest["stratum_counts"] == expected
 
 
+class TestTargetLabels:
+    def _pools(self):
+        docs = [make_doc(f"US{i}A", jurisdiction="c", language="a") for i in range(3)] + [
+            make_doc(f"US{i}A", jurisdiction="d", language="b") for i in range(3, 6)
+        ]
+        return make_corpus(docs), {d.doc_id: _case(d.doc_id, {"XX900A"}) for d in docs}
+
+    @pytest.mark.parametrize("label", ["", "c|a", "__all__", "__rest__", "?", "unknown"])
+    def test_a_target_label_must_name_one_stratum(self, label):
+        corpus, cases = self._pools()
+        targets = {"jurisdiction": {"c": 0.5, label: 0.5}}
+        with pytest.raises(ValueError, match=r"target jurisdiction .* is not a stratum label"):
+            assemble_dataset(cases, corpus, targets, sample_size=4, seed=0, **_ASSEMBLE_KW)
+
+    def test_composite_sample_keeps_its_size(self):
+        corpus, cases = self._pools()
+        targets = {"jurisdiction": {"c": 0.5, "d": 0.5}, "language": {"a": 0.5, "b": 0.5}}
+        dataset = assemble_dataset(cases, corpus, targets, sample_size=4, seed=0, **_ASSEMBLE_KW)
+        assert len(dataset.queries) == 4
+        assert dataset.build_manifest["stratum_counts"] == {"c|a": 2, "d|b": 2}
+
+
+# Labels that would join to one key if the rule let them through: "a|b", "a"
+# and "a", "b|a" both give "a|b|a", and "?" is the missing label's key.
+_LABELS = st.sampled_from(["a", "b", "a|b", "b|a", "?", "a|?", "", *sorted(RESERVED_LABELS)])
+
+
 class TestStratumKeys:
     def test_follow_the_dimension_order_and_mark_missing_labels(self):
         dataset = build_eval_dataset({"Q1": {"R1A"}, "Q2": {"R2A"}, "Q3": {"R3A"}})
@@ -592,6 +620,31 @@ class TestStratumKeys:
         assert dataset.stratum_keys(("jurisdiction", "language")) == ["US|en", "?|zh", "?|?"]
         assert dataset.stratum_keys(("ipc_section",)) == ["?", "?", "?"]
         assert dataset.stratum_keys(()) == ["", "", ""]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(STRATUM_DIMENSIONS), unique=True, min_size=1, max_size=3),
+        st.lists(
+            st.lists(st.one_of(st.none(), _LABELS.filter(is_stratum_label)),
+                     min_size=3, max_size=3),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_are_injective_over_accepted_labels(self, dims, rows):
+        """Distinct label tuples give distinct keys; ``None`` is a missing
+        label."""
+        qids = [f"Q{i:02d}" for i in range(len(rows))]
+        dataset = dataclasses.replace(
+            build_eval_dataset({qid: {"R1A"} for qid in qids}),
+            strata={
+                qid: {dim: label for dim, label in zip(STRATUM_DIMENSIONS, row) if label is not None}
+                for qid, row in zip(qids, rows)
+            },
+        )
+        labels = [tuple(row[STRATUM_DIMENSIONS.index(dim)] for dim in dims) for row in rows]
+        keys = dataset.stratum_keys(dims)
+        assert len(set(zip(labels, keys))) == len(set(labels)) == len(set(keys))
 
 
 class TestBuildAndSerialize:
