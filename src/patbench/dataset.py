@@ -502,7 +502,9 @@ def write_dataset(dataset: EvaluationDataset, path: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> EvaluationDataset:
-    """Inverse of :func:`write_dataset`; the manifest hash survives the trip."""
+    """Inverse of :func:`write_dataset`; the manifest hash survives the trip.
+    A query's stratum label that fails
+    :func:`~patbench.corpus.is_stratum_label` is a format error."""
     path = Path(path)
     queries: list[QueryCase] = []
     strata: dict[str, dict[str, str]] = {}
@@ -526,7 +528,10 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
                     relevant_provenance=provenance,
                 )
             )
-            strata[rec["query_doc_id"]] = dict(rec["strata"])
+            labels = dict(rec["strata"])
+            for dim, label in labels.items():
+                require_stratum_label(f"strata {dim}", label)
+            strata[rec["query_doc_id"]] = labels
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 

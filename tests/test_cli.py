@@ -1131,6 +1131,25 @@ class TestStratumLabelRule:
         assert "skipped 4 malformed lines" in lenient.output
 
 
+    @pytest.mark.parametrize("dim, label", [("jurisdiction", "__all__"), ("language", "a|b")])
+    def test_dataset_strata_label(self, runner, tmp_path, quickstart, dim, label):
+        """A dataset's strata are checked too: the manifest hash does not
+        cover them."""
+        lines = quickstart["dataset"].read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        rec["strata"][dim] = label
+        lines[1] = json.dumps(rec) + "\n"
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--run", str(quickstart["exclude"]), "--dataset", str(dataset),
+             "--out", str(tmp_path / "out")],
+        )
+        _assert_input_error(result, f"{dataset}:2:", f"strata {dim} {label!r}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestDateRule:
     """Dates are YYYY-MM-DD whatever date.fromisoformat accepts."""
 
