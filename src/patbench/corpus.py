@@ -181,16 +181,19 @@ def _require_canonical(field_name: str, doc_id: str) -> None:
         )
 
 
-def is_stratum_label(label: str) -> bool:
-    """Whether ``label`` can name one stratum: it is non-empty, holds no
-    ``|`` and is not one of :data:`RESERVED_LABELS`."""
-    return bool(label) and "|" not in label and label not in RESERVED_LABELS
+def is_stratum_label(label: object) -> bool:
+    """Whether ``label`` can name one stratum: it is a non-empty string,
+    holds no ``|`` and is not one of :data:`RESERVED_LABELS`."""
+    return (
+        isinstance(label, str) and bool(label) and "|" not in label
+        and label not in RESERVED_LABELS
+    )
 
 
-def require_stratum_label(field_name: str, label: str) -> None:
+def require_stratum_label(field_name: str, label: object) -> None:
     if not is_stratum_label(label):
         raise ValueError(
-            f"{field_name} {label!r} is not a stratum label: it must be non-empty, "
+            f"{field_name} {label!r} is not a stratum label: it must be a non-empty string, "
             f"hold no '|' and be none of {', '.join(sorted(RESERVED_LABELS))}"
         )
 

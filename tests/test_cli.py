@@ -1131,7 +1131,9 @@ class TestStratumLabelRule:
         assert "skipped 4 malformed lines" in lenient.output
 
 
-    @pytest.mark.parametrize("dim, label", [("jurisdiction", "__all__"), ("language", "a|b")])
+    @pytest.mark.parametrize(
+        "dim, label", [("jurisdiction", "__all__"), ("language", "a|b"), ("language", 5)]
+    )
     def test_dataset_strata_label(self, runner, tmp_path, quickstart, dim, label):
         """A dataset's strata are checked too: the manifest hash does not
         cover them."""
