@@ -162,6 +162,33 @@ class TestBuildDataset:
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == (GOLDEN_DIR / "full_dataset.jsonl").read_bytes()
 
+    def test_targets_build_matches_golden(self, runner, workdir, bundled_corpus_path, tmp_path):
+        # The bundled corpus has no English CN and no Chinese EP/US/WO case, so
+        # the 20 cases first allocated to those strata are redistributed once.
+        targets = tmp_path / "targets.json"
+        targets.write_text(
+            json.dumps(
+                {
+                    "jurisdiction": {"CN": 0.25, "US": 0.5, "EP": 0.15, "WO": 0.1},
+                    "language": {"en": 0.5, "zh": 0.5},
+                }
+            )
+        )
+        out = workdir / "targets_dataset.jsonl"
+        result = runner.invoke(
+            main,
+            [
+                "build-dataset",
+                "--corpus", str(bundled_corpus_path),
+                "--out", str(out),
+                "--seed", "7",
+                "--sample-size", "40",
+                "--targets", str(targets),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (GOLDEN_DIR / "targets_dataset.jsonl").read_bytes()
+
     def test_threshold_out_of_range_is_usage_error(self, runner, workdir, bundled_corpus_path):
         result = runner.invoke(
             main,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 from datetime import date, timedelta
 
@@ -62,6 +63,20 @@ def test_bundled_corpus_regenerates_byte_for_byte(bundled_corpus_path, tmp_path)
     out = write_corpus(synthetic_corpus(n_docs=200, seed=0), tmp_path / "corpus.jsonl")
     assert out.read_bytes() == bundled_corpus_path.read_bytes()
     assert manifest_path_for(out).read_bytes() == manifest_path_for(bundled_corpus_path).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n_docs, seed, digest",
+    [
+        # Too small for a cross-language pair: 6 same-language families.
+        (12, 2, "baeea1e0f8cde82a8c7897c7f7e474d42f1299644dfca72b738f5e8a7ad41597"),
+        (57, 5, "a41e48bbe28a19198404ae68f403bbf2c076f9fb62a60d2322ad5bdffc37dc97"),
+        (300, 1, "0b238918e6f3feb3246627e29847ee45f3f906d72d6ba62a05408c3c50683534"),
+    ],
+)
+def test_synthetic_corpus_bytes_are_pinned(n_docs, seed, digest):
+    lines = "".join(line + "\n" for line in canonical_corpus_lines(synthetic_corpus(n_docs, seed)))
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == digest
 
 
 def _write_lines(path, lines):
