@@ -271,8 +271,9 @@ def apply_quality_filters(
     """Drop cases failing recency or integrity requirements.
 
     Retained cases have a main patent filed within ``recency_years`` of the
-    corpus reference date (boundary inclusive), a non-empty description, and
-    a non-empty relevant set.
+    corpus reference date (boundary inclusive) and a non-empty description.
+    Every case has a non-empty relevant set, because :class:`QueryCase`
+    rejects an empty one.
     """
     if recency_years < 0:
         raise ValueError("recency_years must be non-negative")
@@ -285,8 +286,6 @@ def apply_quality_filters(
         if doc.filing_date < cutoff:
             continue
         if not doc.description.strip():
-            continue
-        if not cases[qid].relevant_ids:
             continue
         kept[qid] = cases[qid]
     return kept
@@ -331,51 +330,51 @@ def _validate_targets(targets: Mapping[str, Mapping[str, float]]) -> None:
             raise ValueError(f"proportions for {dim!r} must sum to 1.0")
 
 
+def _stratum_label(key: tuple[str, ...]) -> str:
+    """A composite stratum's label: its labels joined by ``|``, or
+    :data:`~patbench.corpus.TOTAL_LABEL` for the one stratum over no
+    dimensions."""
+    return "|".join(key) if key else TOTAL_LABEL
+
+
 def _composite_allocation(
     targets: Mapping[str, Mapping[str, float]],
-    pools: Mapping[tuple[str, ...], list[str]],
+    pools: Mapping[str, list[str]],
     sample_size: int,
-) -> dict[tuple[str, ...], int]:
-    """Largest-remainder allocation over composite strata, capped by
-    availability; shortfall is redistributed proportionally to the targets of
-    strata that still have spare cases."""
-    dims = sorted(targets)
-    keys: list[tuple[str, ...]] = [()]
+) -> dict[str, int]:
+    """Largest-remainder allocation over composite strata, keyed by stratum
+    label and capped by availability; shortfall is redistributed
+    proportionally to the targets of strata that still have spare cases."""
     props: dict[tuple[str, ...], float] = {(): 1.0}
-    for dim in dims:
-        keys = [key + (label,) for key in keys for label in sorted(targets[dim])]
+    for dim in sorted(targets):
         props = {
             key + (label,): props[key] * targets[dim][label]
             for key in props
             for label in sorted(targets[dim])
         }
-    label_of = {key: "|".join(key) for key in keys}
-    avail = {key: len(pools.get(key, ())) for key in keys}
+    # Keyed by label, not by tuple: largest_remainder breaks ties by key, and
+    # the two orders differ.
+    shares = {_stratum_label(key): p for key, p in props.items()}
+    avail = {label: len(pools.get(label, ())) for label in shares}
 
-    alloc = largest_remainder({label_of[k]: props[k] for k in keys}, sample_size)
-    alloc = {k: alloc[label_of[k]] for k in keys}
-    capped: set[tuple[str, ...]] = set()
+    alloc = largest_remainder(shares, sample_size)
     while True:
-        over = {k: alloc[k] - avail[k] for k in keys if alloc[k] > avail[k]}
+        over = {k: alloc[k] - avail[k] for k in shares if alloc[k] > avail[k]}
         if not over:
             break
         shortfall = sum(over.values())
         for k in over:
             alloc[k] = avail[k]
-            capped.add(k)
-        open_keys = [
-            k for k in keys if k not in capped and props[k] > 0 and alloc[k] < avail[k]
-        ]
+        # A capped stratum has alloc == avail, so it is never open again.
+        open_keys = [k for k in shares if shares[k] > 0 and alloc[k] < avail[k]]
         if not open_keys:
-            worst = max(over, key=lambda k: (over[k], label_of[k]))
+            worst = max(over, key=lambda k: (over[k], k))
             demanded = over[worst] + avail[worst]
-            raise InfeasibleTargetsError(label_of[worst], demanded, avail[worst])
-        weight = sum(props[k] for k in open_keys)
-        extra = largest_remainder(
-            {label_of[k]: props[k] / weight for k in open_keys}, shortfall
-        )
+            raise InfeasibleTargetsError(worst, demanded, avail[worst])
+        weight = sum(shares[k] for k in open_keys)
+        extra = largest_remainder({k: shares[k] / weight for k in open_keys}, shortfall)
         for k in open_keys:
-            alloc[k] += extra[label_of[k]]
+            alloc[k] += extra[k]
     return alloc
 
 
@@ -395,7 +394,9 @@ def assemble_dataset(
 
     ``targets`` maps dimension name (language, ipc_section, jurisdiction) to
     stratum proportions; multiple dimensions combine into composite strata
-    with product proportions.  ``None`` means a plain random sample.  The
+    with product proportions.  ``None`` or ``{}`` means a plain random
+    sample: the one stratum over no dimensions,
+    :data:`~patbench.corpus.TOTAL_LABEL`, through the same allocation.  The
     same (cases, corpus, targets, seed) always yields the same dataset.
     """
     if sample_size < 0:
@@ -407,27 +408,21 @@ def assemble_dataset(
 
     labels = {qid: stratum_labels(corpus.documents[qid]) for qid in cases}
 
-    if targets:
-        _validate_targets(targets)
-        dims = sorted(targets)
-        pools: dict[tuple[str, ...], list[str]] = {}
-        for qid in sorted(cases):
-            key = tuple(labels[qid][dim] for dim in dims)
-            pools.setdefault(key, []).append(qid)
-        alloc = _composite_allocation(targets, pools, sample_size)
-        chosen: list[str] = []
-        counts: dict[str, int] = {}
-        for key in sorted(alloc):
-            if alloc[key] == 0:
-                continue
-            label = "|".join(key)
-            rng = random.Random(f"{seed}|{label}")
-            chosen.extend(rng.sample(pools[key], alloc[key]))
-            counts[label] = alloc[key]
-    else:
-        rng = random.Random(f"{seed}|{TOTAL_LABEL}")
-        chosen = rng.sample(sorted(cases), sample_size)
-        counts = {TOTAL_LABEL: sample_size} if sample_size else {}
+    # Without targets, every case is in the one stratum over no dimensions.
+    targets = targets or {}
+    _validate_targets(targets)
+    dims = sorted(targets)
+    pools: dict[str, list[str]] = {}
+    for qid in sorted(cases):
+        key = tuple(labels[qid][dim] for dim in dims)
+        pools.setdefault(_stratum_label(key), []).append(qid)
+    alloc = _composite_allocation(targets, pools, sample_size)
+    chosen: list[str] = []
+    counts: dict[str, int] = {}
+    for label, n in alloc.items():
+        if n:
+            chosen.extend(random.Random(f"{seed}|{label}").sample(pools[label], n))
+            counts[label] = n
 
     chosen.sort()
     queries = tuple(cases[qid] for qid in chosen)
@@ -438,7 +433,7 @@ def assemble_dataset(
         "seed": seed,
         "sample_size": sample_size,
         "n_queries": len(queries),
-        "targets": {d: dict(sorted(p.items())) for d, p in sorted((targets or {}).items())},
+        "targets": {d: dict(sorted(p.items())) for d, p in sorted(targets.items())},
         "scorer_id": scorer_id,
         "threshold": threshold,
         "recency_years": recency_years,

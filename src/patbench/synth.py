@@ -69,17 +69,16 @@ def _zh_sentence(rng: random.Random, pool: list[str]) -> str:
     return "所述" + "".join(words) + "。"
 
 
+def _sentence(rng: random.Random, pool: list[str], language: str) -> str:
+    return _zh_sentence(rng, pool) if language == "zh" else _en_sentence(rng, pool)
+
+
 def _description(rng: random.Random, pool: list[str], language: str) -> str:
-    if language == "zh":
-        headings = _ZH_HEADINGS
-        sent = _zh_sentence
-    else:
-        headings = _EN_HEADINGS
-        sent = _en_sentence
+    headings = _ZH_HEADINGS if language == "zh" else _EN_HEADINGS
     counts = (rng.randint(2, 4), rng.randint(1, 2), rng.randint(4, 8))
     parts = []
     for heading, n in zip(headings, counts):
-        body = " ".join(sent(rng, pool) for _ in range(n))
+        body = " ".join(_sentence(rng, pool, language) for _ in range(n))
         parts.append(f"{heading}\n{body}")
     return "\n\n".join(parts)
 
@@ -123,16 +122,17 @@ def synthetic_corpus(n_docs: int = 200, seed: int = 0) -> Corpus:
         jurisdictions.extend([jur] * alloc[jur])
     rng.shuffle(jurisdictions)
 
-    cluster_pools_en = [rng.sample(EN_VOCAB, 14) for _ in range(N_CLUSTERS)]
-    cluster_pools_zh = [rng.sample(ZH_VOCAB, 12) for _ in range(N_CLUSTERS)]
+    cluster_pools = {
+        "en": [rng.sample(EN_VOCAB, 14) for _ in range(N_CLUSTERS)],
+        "zh": [rng.sample(ZH_VOCAB, 12) for _ in range(N_CLUSTERS)],
+    }
     sections = "GHABCF"
     section_weights = (30, 25, 10, 10, 10, 15)
 
+    # Each document's PatentDocument fields other than its texts.  Document i
+    # is in topic cluster i % N_CLUSTERS.
     specs: list[dict] = []
-    for i in range(n_docs):
-        jur = jurisdictions[i]
-        language = "zh" if jur == "CN" else "en"
-        cluster = i % N_CLUSTERS
+    for i, jur in enumerate(jurisdictions):
         section = rng.choices(sections, weights=section_weights)[0]
         ipc = f"{section}{rng.randint(1, 99):02d}{rng.choice('BFKLMN')} {rng.randint(1, 99)}/{rng.randint(0, 99):02d}"
         if rng.random() < OLD_FRACTION:
@@ -143,103 +143,68 @@ def synthetic_corpus(n_docs: int = 200, seed: int = 0) -> Corpus:
             {
                 "doc_id": f"{jur}{100000 + i}A",
                 "jurisdiction": jur,
-                "language": language,
+                "language": "zh" if jur == "CN" else "en",
                 "ipc_codes": (ipc,),
                 "filing_date": filing,
-                "cluster": cluster,
-                "family_id": "",
             }
         )
+    pools = [cluster_pools[spec["language"]][i % N_CLUSTERS] for i, spec in enumerate(specs)]
 
-    # Families: same-language pairs are near-copies, cross-language pairs are
-    # independent texts sharing only a family id.
-    fam_counter = 0
-    same_lang_pairs: list[tuple[int, int]] = []
-    by_lang: dict[str, list[int]] = {"en": [], "zh": []}
-    for i, spec in enumerate(specs):
-        by_lang[spec["language"]].append(i)
+    # Families, as index pairs in family-id order: same-language pairs are
+    # near-copies, cross-language pairs are independent texts sharing only a
+    # family id.
+    families: list[tuple[int, int]] = []
+
+    def unpaired(language: str) -> list[int]:
+        paired = {i for family in families for i in family}
+        return [
+            i for i, spec in enumerate(specs) if spec["language"] == language and i not in paired
+        ]
+
     for language, quota in (("en", 8), ("zh", 5)):
-        pool = [i for i in by_lang[language] if not specs[i]["family_id"]]
+        pool = unpaired(language)
         rng.shuffle(pool)
         for _ in range(quota):
             if len(pool) < 2:
                 break
-            a, b = pool.pop(), pool.pop()
-            fam_counter += 1
-            fam = f"F{fam_counter:04d}"
-            specs[a]["family_id"] = fam
-            specs[b]["family_id"] = fam
-            same_lang_pairs.append((a, b))
+            families.append((pool.pop(), pool.pop()))
+    copies = {b: a for a, b in families}
     for _ in range(5):
-        en_pool = [i for i in by_lang["en"] if not specs[i]["family_id"]]
-        zh_pool = [i for i in by_lang["zh"] if not specs[i]["family_id"]]
+        en_pool, zh_pool = unpaired("en"), unpaired("zh")
         if not en_pool or not zh_pool:
             break
-        a = rng.choice(en_pool)
-        b = rng.choice(zh_pool)
-        fam_counter += 1
-        fam = f"F{fam_counter:04d}"
-        specs[a]["family_id"] = fam
-        specs[b]["family_id"] = fam
+        families.append((rng.choice(en_pool), rng.choice(zh_pool)))
+    family_of = {i: f"F{number:04d}" for number, family in enumerate(families, 1) for i in family}
 
-    copies = {b: a for a, b in same_lang_pairs}
-    texts: dict[int, tuple[str, str, str, str]] = {}
-    for i, spec in enumerate(specs):
-        pool = (
-            cluster_pools_zh[spec["cluster"]]
-            if spec["language"] == "zh"
-            else cluster_pools_en[spec["cluster"]]
+    texts: list[dict[str, str]] = []
+    for spec, pool in zip(specs, pools):
+        texts.append(
+            {
+                "title": " ".join(rng.choice(pool) for _ in range(3)),
+                "abstract": _sentence(rng, pool, spec["language"]),
+                "claims": _claims(rng, pool, spec["language"]),
+                "description": _description(rng, pool, spec["language"]),
+            }
         )
-        title = " ".join(rng.choice(pool) for _ in range(3))
-        abstract = (
-            _zh_sentence(rng, pool) if spec["language"] == "zh" else _en_sentence(rng, pool)
-        )
-        claims = _claims(rng, pool, spec["language"])
-        description = _description(rng, pool, spec["language"])
-        texts[i] = (title, abstract, claims, description)
     for member, origin in sorted(copies.items()):
-        pool = (
-            cluster_pools_zh[specs[member]["cluster"]]
-            if specs[member]["language"] == "zh"
-            else cluster_pools_en[specs[member]["cluster"]]
-        )
-        title, abstract, claims, description = texts[origin]
-        texts[member] = (
-            title,
-            abstract,
-            claims,
-            _mutate(rng, description, pool, n_edits=2),
-        )
+        description = _mutate(rng, texts[origin]["description"], pools[member], n_edits=2)
+        texts[member] = {**texts[origin], "description": description}
 
     documents = {}
     for i, spec in enumerate(specs):
-        title, abstract, claims, description = texts[i]
-        doc = PatentDocument(
-            doc_id=spec["doc_id"],
-            jurisdiction=spec["jurisdiction"],
-            language=spec["language"],
-            ipc_codes=spec["ipc_codes"],
-            filing_date=spec["filing_date"],
-            family_id=spec["family_id"],
-            title=title,
-            abstract=abstract,
-            claims=claims,
-            description=description,
+        documents[spec["doc_id"]] = PatentDocument(
+            **spec, family_id=family_of.get(i, ""), **texts[i]
         )
-        documents[doc.doc_id] = doc
 
-    by_cluster: dict[int, list[int]] = {}
-    for i, spec in enumerate(specs):
-        by_cluster.setdefault(spec["cluster"], []).append(i)
     citations: list[CitationRecord] = []
     for i, spec in enumerate(specs):
         if rng.random() >= 0.45:
             continue
+        family = family_of.get(i)
         peers = [
             j
-            for j in by_cluster[spec["cluster"]]
-            if j != i
-            and (not spec["family_id"] or specs[j]["family_id"] != spec["family_id"])
+            for j in range(i % N_CLUSTERS, n_docs, N_CLUSTERS)
+            if j != i and (family is None or family_of.get(j) != family)
         ]
         if not peers:
             continue
