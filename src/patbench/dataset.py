@@ -455,7 +455,9 @@ def build_dataset(
     sample_size: int | None = None,
     seed: int = 0,
 ) -> EvaluationDataset:
-    """Full pipeline: extract, augment, filter, assemble."""
+    """Full pipeline: extract, augment, filter, assemble.  ``targets`` is
+    checked first, so a bad map costs no alignment scoring."""
+    _validate_targets(targets or {})
     scorer = scorer if scorer is not None else TrigramJaccardScorer()
     base = extract_x_citations(corpus)
     cases = augment_with_family_citations(corpus, base, scorer, threshold)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from patbench.cli import main
 from patbench.corpus import load_corpus, manifest_path_for, write_corpus
-from patbench.dataset import load_dataset
+from patbench.dataset import TrigramJaccardScorer, load_dataset
 from patbench.execution import RankedList, sanitize_run_log
 
 BUNDLED = "data/synthetic_corpus.jsonl"
@@ -215,6 +215,30 @@ class TestBuildDataset:
         )
         assert result.exit_code == 2
         assert "fr" in result.output
+
+    def test_bad_targets_exit_2_before_scoring(self, runner, tmp_path, bundled_corpus_path, monkeypatch):
+        calls = []
+        score = TrigramJaccardScorer.score
+
+        def counting_score(self, doc_a, doc_b):
+            calls.append((doc_a.doc_id, doc_b.doc_id))
+            return score(self, doc_a, doc_b)
+
+        monkeypatch.setattr(TrigramJaccardScorer, "score", counting_score)
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"language": {"en|zh": 1.0}}))
+        result = runner.invoke(
+            main,
+            [
+                "build-dataset",
+                "--corpus", str(bundled_corpus_path),
+                "--out", str(tmp_path / "ds.jsonl"),
+                "--targets", str(targets),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "'en|zh' is not a stratum label" in result.output
+        assert calls == []
 
     def test_missing_corpus_exit_2(self, runner, workdir):
         result = runner.invoke(

@@ -591,6 +591,17 @@ def test_a_target_label_must_name_one_stratum(label):
         assemble_dataset(cases, make_corpus(docs), targets, sample_size=2, seed=0, **_ASSEMBLE_KW)
 
 
+@pytest.mark.parametrize(
+    "targets",
+    [{"language": {"en|zh": 1.0}}, {"language": {"en": 0.5}}, {"colour": {"red": 1.0}}],
+)
+def test_build_checks_targets_before_scoring(synth_corpus, targets):
+    scorer = RecordingScorer()
+    with pytest.raises(ValueError):
+        build_dataset(synth_corpus, scorer=scorer, targets=targets)
+    assert scorer.calls == []
+
+
 # Short text, the separator, the missing label's key and the reserved names;
 # a label the rule rejects becomes a missing label (None).
 _LABELS = st.one_of(
