@@ -530,10 +530,12 @@ class RemoteEndpointConfig:
 
 def remote_adapter_query(
     config: RemoteEndpointConfig, query: Query, controls: RunControls
-) -> list[tuple[object, object]]:
+) -> list[object]:
     """Issue one search request against a remote endpoint.
 
-    Retries transport failures at most ``config.max_retries`` times with
+    Returns the hits in response order: an object hit as its
+    ``(id_field, score_field)`` pair, a ``[doc_id, score]`` pair or a bare id
+    unchanged, for :func:`standardize_results` to read.  Retries transport failures at most ``config.max_retries`` times with
     exponential backoff.  A timeout raises :class:`AdapterTimeout`; a
     non-success HTTP status or unparseable body raises :class:`AdapterError`
     with a response snippet.
@@ -593,7 +595,7 @@ def remote_adapter_query(
         return [
             (item.get(config.id_field), item.get(config.score_field))
             if isinstance(item, Mapping)
-            else (item, None)
+            else item
             for item in node
         ]
     raise AdapterError(

@@ -840,6 +840,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self._send(200, {"hits": hits})
         elif self.path == "/nested":
             self._send(200, {"data": {"results": [{"id": "US7A", "conf": 0.7}]}})
+        elif self.path == "/pairs":
+            self._send(200, {"hits": [["US1A", 0.9], ["US2A", 0.5]]})
         elif self.path == "/auth":
             self._send(
                 200,
@@ -935,6 +937,14 @@ class TestRemoteAdapter:
         raw = remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
         assert raw == [("US7A", 0.7)]
 
+    def test_pair_hits_keep_their_ids_and_scores(self, stub_server):
+        config = _remote_config(stub_server + "/pairs")
+        raw = remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
+        ranked, repairs = standardize_results(raw, query_id="Q1", max_depth=10)
+        assert ranked.doc_ids == ("US1A", "US2A")
+        assert list(ranked.scores) == [0.9, 0.5]
+        assert repairs == 0
+
     def test_auth_token_from_environment(self, stub_server, monkeypatch):
         monkeypatch.setenv("STUB_TOKEN", "s3cr3t")
         config = _remote_config(stub_server + "/auth", auth_token_env="STUB_TOKEN")
@@ -974,7 +984,7 @@ class TestRemoteAdapter:
     def test_get_uses_query_params(self, stub_server):
         config = _remote_config(stub_server + "/get", method="GET")
         raw = remote_adapter_query(config, _query("Q1"), RunControls(seed=0, max_depth=2))
-        assert raw == [("G0A", None), ("G1A", None)]
+        assert raw == ["G0A", "G1A"]
 
     def test_connection_errors_retry_then_succeed(self, monkeypatch):
         attempts = []
