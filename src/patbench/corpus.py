@@ -10,7 +10,6 @@ corpus reference date and record counts.
 from __future__ import annotations
 
 import functools
-import gc
 import hashlib
 import json
 import logging
@@ -259,36 +258,24 @@ def read_jsonl(
     ``error_cls("path:line: message")``.  With ``skips`` given, the
     ``(line_number, message)`` pair is appended there instead and reading goes
     on.  Other exceptions propagate unchanged.
-
-    The cyclic garbage collector is paused during the read and restored
-    afterwards, also when reading fails.  Loaders keep hundreds of thousands
-    of acyclic records alive, and each full collection the allocations would
-    trigger re-scans all of them while it can free none; refcounting frees
-    the per-line temporaries anyway.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        # Bytes in, one line decoded at a time: a bad byte is an error of its
-        # own line, under the same policy as bad JSON.
-        with path.open("rb") as fh:
-            for line_number, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    if not isinstance(rec, dict):
-                        raise ValueError("record is not a JSON object")
-                    handle(rec, line_number)
-                except (ValueError, KeyError, TypeError) as exc:
-                    msg = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-                    if skips is None:
-                        raise error_cls(f"{path}:{line_number}: {msg}") from exc
-                    skips.append((line_number, msg))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    # Bytes in, one line decoded at a time: a bad byte is an error of its own
+    # line, under the same policy as bad JSON.
+    with path.open("rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("record is not a JSON object")
+                handle(rec, line_number)
+            except (ValueError, KeyError, TypeError) as exc:
+                msg = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                if skips is None:
+                    raise error_cls(f"{path}:{line_number}: {msg}") from exc
+                skips.append((line_number, msg))
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> Path:

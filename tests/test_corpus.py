@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import gc
 import hashlib
 import json
 from datetime import date, timedelta
@@ -258,39 +257,31 @@ class TestDates:
         assert repr(value) in str(err.value)
 
 
-class TestReadJsonlPausesGc:
-    """The collector is off while records are built and back to the caller's
-    setting afterwards, whichever way the read ends."""
-
+class TestReadJsonl:
     def _read(self, path, handle):
         path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
         read_jsonl(path, handle, CorpusFormatError)
 
-    def test_enabled_after_clean_read(self, tmp_path):
+    def test_blank_line_skipped_but_counted(self, tmp_path):
         seen = []
-        self._read(tmp_path / "x.jsonl", lambda rec, line: seen.append((line, gc.isenabled())))
-        assert seen == [(1, False), (3, False)]
-        assert gc.isenabled()
+        self._read(tmp_path / "x.jsonl", lambda rec, line: seen.append((line, rec["a"])))
+        assert seen == [(1, 1), (3, 2)]
 
     @pytest.mark.parametrize(
         "exc, raised",
         [(ValueError("bad value"), CorpusFormatError), (RuntimeError("not a format error"), RuntimeError)],
     )
-    def test_enabled_after_handler_raises(self, tmp_path, exc, raised):
+    def test_handler_raises(self, tmp_path, exc, raised):
         def handle(rec, line):
             raise exc
 
-        with pytest.raises(raised):
-            self._read(tmp_path / "x.jsonl", handle)
-        assert gc.isenabled()
-
-    def test_left_disabled_when_caller_disabled_it(self, tmp_path):
-        gc.disable()
-        try:
-            self._read(tmp_path / "x.jsonl", lambda rec, line: None)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
+        path = tmp_path / "x.jsonl"
+        with pytest.raises(raised) as err:
+            self._read(path, handle)
+        if raised is CorpusFormatError:
+            assert str(err.value) == f"{path}:1: bad value"
+        else:
+            assert err.value is exc
 
 
 def test_lenient_load_skips_and_records(tmp_path):
