@@ -168,6 +168,7 @@ def synthetic_corpus(n_docs: int = 200, seed: int = 0) -> Corpus:
             if len(pool) < 2:
                 break
             families.append((pool.pop(), pool.pop()))
+    # Only same-language pairs so far: member b's texts copy those of a.
     copies = {b: a for a, b in families}
     for _ in range(5):
         en_pool, zh_pool = unpaired("en"), unpaired("zh")
