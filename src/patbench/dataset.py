@@ -408,7 +408,6 @@ def assemble_dataset(
 
     labels = {qid: stratum_labels(corpus.documents[qid]) for qid in cases}
 
-    # Without targets, every case is in the one stratum over no dimensions.
     targets = targets or {}
     _validate_targets(targets)
     dims = sorted(targets)
