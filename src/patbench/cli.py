@@ -209,7 +209,7 @@ def _make_adapter(adapter: str, corpus: Corpus, exclude_family: bool):
         try:
             return RemoteAdapter(RemoteEndpointConfig.from_file(config_path))
         except (OSError, ValueError) as exc:
-            raise ValueError(f"bad adapter config: {exc}") from exc
+            raise ValueError(f"bad adapter config {config_path}: {exc}") from exc
     raise ValueError(f"unknown adapter {adapter!r} (use reference or remote:<config.json>)")
 
 

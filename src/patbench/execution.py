@@ -17,11 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .corpus import Corpus, normalize_doc_id, read_jsonl, write_lines
+from .corpus import Corpus, from_record, normalize_doc_id, read_jsonl, write_lines
 from .dataset import EvaluationDataset
 from .query import EmptyInputError, Query
 
@@ -466,22 +466,6 @@ class ReferenceAdapter:
 # ---------------------------------------------------------------------------
 
 
-# What a remote config key must hold, for the keys that are not strings.
-_CONFIG_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
-    "headers": (
-        lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
-        "an object of strings",
-    ),
-    "extra_params": (lambda v: isinstance(v, dict), "an object"),
-    "hits_path": (
-        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-        "a list of strings",
-    ),
-    "max_retries": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    "backoff_s": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a number >= 0"),
-}
-
-
 @dataclass(frozen=True)
 class RemoteEndpointConfig:
     """Shape of a remote system endpoint.
@@ -508,24 +492,20 @@ class RemoteEndpointConfig:
     max_retries: int = 2
     backoff_s: float = 0.25
 
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError("backoff_s must be a finite number >= 0")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RemoteEndpointConfig":
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(rec, dict):
-            raise ValueError(f"{path}: remote config must be a JSON object")
-        if "adapter_id" not in rec or "url" not in rec:
-            raise ValueError(f"{path}: remote config needs adapter_id and url")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(rec) - known
+        config = from_record(cls, rec)
+        unknown = set(rec) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in rec.items():
-            fits, expected = _CONFIG_TYPES.get(key, (lambda v: isinstance(v, str), "a string"))
-            if not fits(value):
-                raise ValueError(f"{path}: config key {key!r} must be {expected}, got {value!r}")
-        if "hits_path" in rec:
-            rec["hits_path"] = tuple(rec["hits_path"])
-        return cls(**rec)
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        return config
 
 
 def remote_adapter_query(
@@ -659,11 +639,12 @@ def load_run_log(path: str | Path) -> RunRecord:
     """Inverse of :func:`write_run_log`.
 
     Raises :class:`RunLogFormatError`, naming the file and line, for a record
-    that is not valid JSON, misses a field, repeats the header, comes before
-    the header, repeats a query's ranked list, holds more hits than the
-    header's ``max_depth``, or holds a hit whose rank is not an integer in the
-    run 1, 2, ..., whose doc_id is not a non-empty string, whose score is not
-    a finite number, or whose score is above the previous hit's.
+    that is not valid JSON, misses a field, holds a run control of the wrong
+    type, repeats the header, comes before the header, repeats a query's
+    ranked list, holds more hits than the header's ``max_depth``, or holds a
+    hit whose rank is not an integer in the run 1, 2, ..., whose doc_id is not
+    a non-empty string, whose score is not a finite number, or whose score is
+    above the previous hit's.
     """
     path = Path(path)
     header: dict | None = None
@@ -679,15 +660,11 @@ def load_run_log(path: str | Path) -> RunRecord:
         if kind == "run_header":
             if header is not None:
                 raise ValueError("second run_header record")
-            c = rec["controls"]
+            # RunControls has defaults for these, but a run log must state them.
+            if not {"timeout_ms", "max_depth"} <= set(rec["controls"]):
+                raise ValueError("controls must hold timeout_ms and max_depth")
             header = {
-                "controls": RunControls(
-                    seed=int(c["seed"]),
-                    timeout_ms=int(c["timeout_ms"]),
-                    max_depth=int(c["max_depth"]),
-                    adapter_id=str(c.get("adapter_id", "")),
-                    parallelism=int(c.get("parallelism", 1)),
-                ),
+                "controls": from_record(RunControls, rec["controls"]),
                 "dataset_manifest_hash": rec["dataset_manifest_hash"],
                 "started": rec.get("started", ""),
                 "finished": rec.get("finished", ""),

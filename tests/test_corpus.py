@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 from datetime import date, timedelta
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from patbench.corpus import (
     canonical_corpus_lines,
     corpus_content_hash,
     family_members,
+    from_record,
     invert_families,
     ipc_section_of,
     is_stratum_label,
@@ -27,6 +29,7 @@ from patbench.corpus import (
     read_jsonl,
     write_corpus,
 )
+from patbench.execution import RemoteEndpointConfig, RunControls
 from patbench.synth import synthetic_corpus
 
 
@@ -255,6 +258,138 @@ class TestDates:
             load_corpus(path, lenient=lenient)
         assert str(side) in str(err.value)
         assert repr(value) in str(err.value)
+
+
+class TestFieldTypes:
+    """A present field holds its annotated type; nothing is coerced.  With
+    ``str(...)`` a null family_id became the family "None", which joined
+    every patent written that way into one family."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("family_id", None), ("family_id", 7), ("title", False), ("language", 5),
+            ("jurisdiction", None), ("doc_id", 12), ("ipc_codes", "G06F 17/30"),
+            ("ipc_codes", ["G06F 17/30", None]), ("filing_date", None),
+        ],
+    )
+    def test_patent_field_strict_rejects_with_location(self, tmp_path, field, value):
+        path = tmp_path / "typed.jsonl"
+        patent = {**json.loads(_patent_line("US2A")), field: value}
+        _write_lines(path, [_patent_line("US1A"), json.dumps(patent)])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert f"{path}:2: field {field!r}" in str(err.value)
+
+    @pytest.mark.parametrize("field, value", [("cited_id", None), ("category", 1), ("source", None)])
+    def test_citation_field_strict_rejects_with_location(self, tmp_path, field, value):
+        path = tmp_path / "typed.jsonl"
+        citation = {"kind": "citation", "citing_id": "US1A", "cited_id": "US2A", "category": "X"}
+        _write_lines(path, [_patent_line("US1A"), json.dumps({**citation, field: value})])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert f"{path}:2: field {field!r}" in str(err.value)
+
+    def test_lenient_skips_null_families(self, tmp_path):
+        path = tmp_path / "typed.jsonl"
+        _write_lines(
+            path,
+            [_patent_line("US1A", family_id=None), _patent_line("US2A", family_id=None),
+             _patent_line("US3A")],
+        )
+        corpus = load_corpus(path, lenient=True)
+        assert sorted(corpus.documents) == ["US3A"]
+        assert [line for line, _ in corpus.load_skips] == [1, 2]
+        assert corpus.families == {}
+
+
+@dataclasses.dataclass(frozen=True)
+class _EveryType:
+    s: str
+    i: int = 0
+    f: float = 0.0
+    d: date = date(2000, 1, 1)
+    t: tuple[str, ...] = ()
+    ms: Mapping[str, str] = dataclasses.field(default_factory=dict)
+    mo: Mapping[str, object] = dataclasses.field(default_factory=dict)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Unreadable:
+    b: bytes
+
+
+class TestFromRecord:
+    @pytest.mark.parametrize(
+        "field, value, read",
+        [
+            ("s", "x", "x"), ("i", -3, -3), ("f", 2, 2), ("f", 2.5, 2.5),
+            ("d", "2015-01-02", date(2015, 1, 2)), ("t", ["a", "b"], ("a", "b")), ("t", [], ()),
+            ("ms", {"k": "v"}, {"k": "v"}), ("mo", {"k": [1, None]}, {"k": [1, None]}),
+        ],
+    )
+    def test_accepts(self, field, value, read):
+        assert getattr(from_record(_EveryType, {"s": "x", field: value}), field) == read
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("s", None), ("s", 5), ("s", True), ("s", ["x"]),
+            ("i", None), ("i", 1.5), ("i", 1.0), ("i", "1"), ("i", True),
+            ("f", None), ("f", "1.5"), ("f", False),
+            ("d", None), ("d", 20150102),
+            ("t", None), ("t", "ab"), ("t", ["a", 1]), ("t", {"a": "b"}),
+            ("ms", None), ("ms", {"k": 1}), ("ms", ["k"]),
+            ("mo", None), ("mo", [1]),
+        ],
+    )
+    def test_rejects_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^field {field!r} must be "):
+            from_record(_EveryType, {"s": "x", field: value})
+
+    def test_date_format_keeps_its_message(self):
+        with pytest.raises(ValueError, match="date '20150102' is not YYYY-MM-DD"):
+            from_record(_EveryType, {"s": "x", "d": "20150102"})
+
+    def test_missing_required_key(self):
+        with pytest.raises(ValueError, match="^missing field 's'$"):
+            from_record(_EveryType, {"i": 1})
+
+    def test_left_out_keys_take_defaults_and_other_keys_are_ignored(self):
+        assert from_record(_EveryType, {"s": "x", "kind": "patent", "extra": None}) == _EveryType("x")
+
+    def test_rejects_a_record_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            from_record(_EveryType, ["s", "x"])
+
+    def test_every_field_of_the_record_classes_has_a_reader(self):
+        # Every field holds a value other than its default, so each is read.
+        doc, other, cit = _record_fixture()
+        cit = dataclasses.replace(cit, source="FAMILY_DERIVED")
+        patent, _, citation = _canonical_records(make_corpus([doc, other], [cit]))
+        assert from_record(PatentDocument, patent) == doc
+        assert from_record(CitationRecord, citation) == cit
+        controls = RunControls(seed=3, timeout_ms=9, max_depth=7, adapter_id="x", parallelism=2)
+        config = RemoteEndpointConfig(
+            adapter_id="a", url="u", method="GET", headers={"h": "v"}, auth_token_env="E",
+            auth_header="H", auth_scheme="S", query_field="q", max_depth_field="m",
+            seed_field="", extra_params={"p": [1]}, hits_path=("r", "h"), id_field="i",
+            score_field="c", max_retries=0, backoff_s=1,
+        )
+        for record in (controls, config):
+            as_json = json.loads(json.dumps(dataclasses.asdict(record)))
+            assert from_record(type(record), as_json) == record
+        for record in (doc, cit, controls, config):
+            for f in dataclasses.fields(record):
+                assert getattr(record, f.name) != f.default, f.name
+
+    def test_an_annotation_without_a_reader_is_no_format_error(self, tmp_path):
+        with pytest.raises(NotImplementedError, match="_Unreadable.b"):
+            from_record(_Unreadable, {"b": "x"})
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"b": "x"}\n', encoding="utf-8")
+        with pytest.raises(NotImplementedError):
+            read_jsonl(path, lambda rec, line: from_record(_Unreadable, rec), CorpusFormatError, [])
 
 
 class TestReadJsonl:

@@ -469,6 +469,10 @@ class TestRunEvaluation:
         with pytest.raises(ValueError):
             RunControls(seed=0, parallelism=0)
 
+    def test_unknown_status_rejected(self):
+        with pytest.raises(ValueError, match="unknown status 'DONE'"):
+            RankedList(query_id="Q", status="DONE")
+
     def test_non_ok_ranked_list_cannot_carry_hits(self):
         with pytest.raises(ValueError):
             RankedList(
@@ -976,6 +980,11 @@ class TestRemoteAdapter:
             remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
         assert "data.absent" in str(err.value)
 
+    def test_hits_path_to_a_non_array(self, stub_server):
+        config = _remote_config(stub_server + "/nested", hits_path=("data",))
+        with pytest.raises(AdapterError, match="hit list is not an array"):
+            remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
+
     def test_timeout_maps_to_adapter_timeout(self, stub_server):
         config = _remote_config(stub_server + "/slow")
         with pytest.raises(AdapterTimeout):
@@ -1064,6 +1073,30 @@ class TestRemoteAdapter:
         not_an_object.write_text(json.dumps(["adapter_id", "url"]))
         with pytest.raises(ValueError, match="JSON object"):
             RemoteEndpointConfig.from_file(not_an_object)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("adapter_id", None), ("url", 5), ("max_retries", True), ("max_retries", 1.0),
+         ("backoff_s", "0.5"), ("hits_path", ["data", 0]), ("headers", {"h": None}),
+         ("extra_params", [1])],
+    )
+    def test_config_from_file_rejects_a_field_of_the_wrong_type(self, tmp_path, key, value):
+        path = tmp_path / "remote.json"
+        path.write_text(json.dumps({"adapter_id": "x", "url": "u", key: value}))
+        with pytest.raises(ValueError, match=f"^field {key!r} must be "):
+            RemoteEndpointConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"max_retries": -1}, {"backoff_s": -0.5}, {"backoff_s": math.inf}, {"backoff_s": math.nan}],
+    )
+    def test_config_range_checked_however_built(self, tmp_path, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            _remote_config("http://invalid.test/ok", **overrides)
+        path = tmp_path / "remote.json"
+        path.write_text(json.dumps({"adapter_id": "x", "url": "u", **overrides}))
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            RemoteEndpointConfig.from_file(path)
 
     def test_requests_loaded_only_when_adapter_is_built(self, tmp_path):
         # A fresh interpreter, because this one has imported requests already.
@@ -1316,6 +1349,44 @@ class TestRunLogIO:
         with pytest.raises(
             RunLogFormatError, match=re.escape(f"{path}:5: second ranked_list for query 'Q1'")
         ):
+            load_run_log(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_depth", 100.5), ("max_depth", "100"), ("max_depth", True), ("seed", None),
+         ("timeout_ms", 1e3), ("adapter_id", None), ("parallelism", "2")],
+    )
+    def test_load_rejects_control_of_the_wrong_type(self, tmp_path, key, value):
+        # int() once truncated 100.5 and read "100", and str() made null "None".
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["controls"][key] = value
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:1: field {key!r} must be ")):
+            load_run_log(path)
+
+    @pytest.mark.parametrize("key", ["seed", "timeout_ms", "max_depth"])
+    def test_load_requires_controls_with_defaults(self, tmp_path, key):
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["controls"][key]
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:1: ")):
+            load_run_log(path)
+
+    def test_load_rejects_unknown_kind_and_empty_file(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + ['{"kind": "mystery"}\n'] + lines[1:]))
+        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:2: unknown record kind 'mystery'")):
+            load_run_log(path)
+        path.write_text("\n")
+        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}: missing run_header record")):
             load_run_log(path)
 
     def test_load_rejects_header_without_controls(self, tmp_path):
