@@ -21,6 +21,7 @@ from .dataset import (
     EvaluationDataset,
     build_dataset,
     load_dataset,
+    validate_targets,
     write_dataset,
 )
 from .execution import (
@@ -94,9 +95,9 @@ def _parse_int_list(raw: str, name: str) -> tuple[int, ...]:
 def _parse_choices(
     raw: str, what: str, allowed: Sequence[str], aliases: Mapping[str, str]
 ) -> tuple[str, ...]:
-    """The comma-separated values of ``raw``, aliases resolved; raises
-    ``ValueError`` on a value outside ``allowed``."""
-    values: list[str] = []
+    """The distinct comma-separated values of ``raw`` in first-seen order,
+    aliases resolved; raises ``ValueError`` on a value outside ``allowed``."""
+    values: dict[str, None] = {}
     for part in raw.split(","):
         part = part.strip()
         if not part:
@@ -104,7 +105,7 @@ def _parse_choices(
         value = aliases.get(part, part)
         if value not in allowed:
             raise ValueError(f"unknown {what} {part!r} (use {', '.join(allowed)})")
-        values.append(value)
+        values[value] = None
     return tuple(values)
 
 
@@ -175,13 +176,14 @@ def cmd_build_dataset(
     lenient: bool,
 ) -> None:
     """Construct an evaluation dataset from a corpus."""
-    corpus = _load_corpus(corpus_path, lenient)
     targets = None
     if targets_path:
         try:
             targets = json.loads(Path(targets_path).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ValueError(f"bad targets file: {exc}") from exc
+        validate_targets(targets)  # before the corpus loads: a bad file fails at once
+    corpus = _load_corpus(corpus_path, lenient)
     dataset = build_dataset(
         corpus,
         threshold=threshold,

@@ -310,7 +310,9 @@ def largest_remainder(proportions: Mapping[str, float], total: int) -> dict[str,
     return alloc
 
 
-def _validate_targets(targets: Mapping[str, Mapping[str, float]]) -> None:
+def validate_targets(targets: Mapping[str, Mapping[str, float]]) -> None:
+    """Raise ``ValueError`` unless ``targets`` maps stratification dimensions
+    to stratum labels with finite, non-negative proportions summing to 1."""
     if not isinstance(targets, Mapping):
         raise ValueError("targets must map each dimension to stratum proportions")
     for dim, props in targets.items():
@@ -409,7 +411,7 @@ def assemble_dataset(
     labels = {qid: stratum_labels(corpus.documents[qid]) for qid in cases}
 
     targets = targets or {}
-    _validate_targets(targets)
+    validate_targets(targets)
     dims = sorted(targets)
     pools: dict[str, list[str]] = {}
     for qid in sorted(cases):
@@ -456,7 +458,7 @@ def build_dataset(
 ) -> EvaluationDataset:
     """Full pipeline: extract, augment, filter, assemble.  ``targets`` is
     checked first, so a bad map costs no alignment scoring."""
-    _validate_targets(targets or {})
+    validate_targets(targets or {})
     scorer = scorer if scorer is not None else TrigramJaccardScorer()
     base = extract_x_citations(corpus)
     cases = augment_with_family_citations(corpus, base, scorer, threshold)

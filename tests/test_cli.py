@@ -240,6 +240,28 @@ class TestBuildDataset:
         assert "'en|zh' is not a stratum label" in result.output
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [("{not json", "bad targets file"),
+         (json.dumps({"language": {"en|zh": 1.0}}), "'en|zh' is not a stratum label")],
+        ids=["not-json", "pipe-label"],
+    )
+    def test_bad_targets_exit_2_before_the_corpus_loads(
+        self, runner, tmp_path, bundled_corpus_path, monkeypatch, content, named
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr("patbench.cli.load_corpus", no_load)
+        targets = tmp_path / "targets.json"
+        targets.write_text(content)
+        result = runner.invoke(
+            main,
+            ["build-dataset", "--corpus", str(bundled_corpus_path),
+             "--out", str(tmp_path / "ds.jsonl"), "--targets", str(targets)],
+        )
+        _assert_input_error(result, named)
+
     def test_missing_corpus_exit_2(self, runner, workdir):
         result = runner.invoke(
             main,
@@ -495,6 +517,8 @@ class TestEvaluate:
             ("compare", "0,10", "(0, 10)"),
             ("compare", "10,10", "(10, 10)"),
             ("compare", "1,10,200", "200"),
+            ("evaluate", "1,x", "comma-separated list of integers: '1,x'"),
+            ("compare", ",", "--k-grid must not be empty"),
         ],
     )
     def test_bad_k_grid_exit_2(
@@ -627,6 +651,32 @@ class TestEvaluate:
         with open(out_dir / "detection.csv", newline="") as fh:
             dimensions = {row["dimension"] for row in csv.DictReader(fh)}
         assert dimensions == {"overall", "ipc_section", "jurisdiction"}
+
+
+    def test_unknown_dimension_exit_2(self, runner, tmp_path, dataset_path, run_paths):
+        result = runner.invoke(
+            main,
+            ["evaluate", "--run", str(run_paths["a"]), "--dataset", str(dataset_path),
+             "--out", str(tmp_path / "out"), "--dimensions", "ipc,colour"],
+        )
+        _assert_input_error(result, "unknown dimension 'colour'")
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_dimension_counts_once(self, runner, tmp_path, dataset_path, run_paths):
+        # ipc is an alias of ipc_section: each table row must be written once.
+        out_dir = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--run", str(run_paths["a"]), "--dataset", str(dataset_path),
+             "--out", str(out_dir), "--k-grid", "1,10", "--dimensions", "ipc,ipc_section,ipc",
+             "--formats", "csv,csv"],
+        )
+        assert result.exit_code == 0, result.output
+        for name in ("detection.csv", "recall.csv"):
+            with open(out_dir / name, newline="") as fh:
+                rows = [tuple(row) for row in csv.reader(fh)]
+            assert len(rows) == len(set(rows)), name
+            assert {row[0] for row in rows[1:]} == {"overall", "ipc_section"}, name
 
 
 class TestCompare:
@@ -866,6 +916,17 @@ def _second_line_repeated(lines):
     return lines[:2] + lines[1:]
 
 
+def _header_control(key, value):
+    """An edit that sets one field of the run header's controls."""
+
+    def edit(lines):
+        header = json.loads(lines[0])
+        header["controls"][key] = value
+        return [json.dumps(header) + "\n"] + lines[1:]
+
+    return edit
+
+
 def _query_case_without_relevant(lines):
     rec = json.loads(lines[1])
     del rec["relevant"]
@@ -900,6 +961,16 @@ class TestMalformedInputs:
             ("run", "dataset", _second_line_repeated, 3),
             ("evaluate", "dataset", _second_line_repeated, 3),
             ("compare", "dataset", _second_line_repeated, 3),
+            ("evaluate", "dataset", lambda lines: lines[:1] + lines, 2),
+            (
+                "evaluate", "exclude",
+                lambda lines: lines[:1] + ['{"kind": "mystery"}\n'] + lines[1:], 2,
+            ),
+            ("compare", "exclude", lambda lines: [], None),
+            ("evaluate", "exclude", _header_control("max_depth", 100.5), 1),
+            ("compare", "exclude", _header_control("max_depth", "100"), 1),
+            ("evaluate", "exclude", _header_control("max_depth", True), 1),
+            ("compare", "exclude", _header_control("adapter_id", None), 1),
         ],
         ids=[
             "evaluate-run-log-bad-json",
@@ -923,6 +994,13 @@ class TestMalformedInputs:
             "run-dataset-repeated-query-case",
             "evaluate-dataset-repeated-query-case",
             "compare-dataset-repeated-query-case",
+            "evaluate-dataset-second-manifest",
+            "evaluate-run-log-unknown-kind",
+            "compare-run-log-empty",
+            "evaluate-run-log-fractional-max-depth",
+            "compare-run-log-string-max-depth",
+            "evaluate-run-log-bool-max-depth",
+            "compare-run-log-null-adapter-id",
         ],
     )
     def test_exit_2(self, runner, tmp_path, quickstart, command, broken, edit, line):
@@ -1154,9 +1232,12 @@ class TestStratumLabelRule:
 
     def test_labels_holding_a_pipe(self, runner, tmp_path):
         """Labels c / a|b and c|a / b once joined to one composite stratum,
-        c|a|b, and a sample of 4 held 6 queries."""
+        c|a|b, and a sample of 4 held 6 queries.  The targets naming them are
+        checked first, before the corpus loads; the corpus fails on its own."""
         corpus = _labelled_corpus(tmp_path / "corpus.jsonl", [("c", "a|b"), ("c|a", "b")])
         result = self._build(runner, tmp_path, corpus, self.PIPE_TARGETS)
+        _assert_input_error(result, "target jurisdiction 'c|a'")
+        result = self._build(runner, tmp_path, corpus)
         _assert_input_error(result, f"{corpus}:1:", "language 'a|b'")
         assert not (tmp_path / "ds.jsonl").exists()
 
@@ -1201,6 +1282,26 @@ class TestStratumLabelRule:
         )
         _assert_input_error(result, f"{dataset}:2:", f"strata {dim} {label!r}")
         assert not (tmp_path / "out").exists()
+
+
+class TestFieldTypeRule:
+    """A corpus field holds its annotated type: null, a number or a bool in a
+    string field is a format error, not coerced to a string."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("family_id", None), ("language", 5), ("title", True)],
+        ids=["null-family", "numeric-language", "bool-title"],
+    )
+    def test_corpus_field(self, runner, tmp_path, bundled_corpus_path, field, value):
+        corpus = _with_patent_fields(
+            bundled_corpus_path, tmp_path / "corpus.jsonl", 2, **{field: value}
+        )
+        argv = ["build-dataset", "--corpus", str(corpus), "--out", str(tmp_path / "ds.jsonl")]
+        _assert_input_error(runner.invoke(main, argv), f"{corpus}:2: field {field!r}")
+        lenient = runner.invoke(main, argv + ["--lenient"])
+        assert lenient.exit_code == 0, lenient.output
+        assert "skipped 1 malformed lines" in lenient.output
 
 
 class TestDateRule:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -422,6 +423,20 @@ class TestEmission:
         assert line.count("<polyline") == 2  # en and zh series
         assert "<rect" in bars
         assert "recall@100 by language" in bars
+
+    def test_svg_line_chart_of_a_one_k_grid(self, tmp_path):
+        # One cutoff has no span to spread over: its points sit mid-plot.
+        dataset, run = _six_query_fixture()
+        report = MetricsReport(
+            match_rule="exact",
+            overall=breakdown_by(run, dataset, "overall", ks=(10,)),
+            breakdowns=(breakdown_by(run, dataset, "language", ks=(10,)),),
+        )
+        emit_report(report, tmp_path, formats=("svg-plot-data",))
+        line = (tmp_path / "detection_language.svg").read_text()
+        points = re.findall(r'<polyline [^>]*points="([^"]*)"', line)
+        assert len(points) == 2
+        assert all(len(p.split()) == 1 and p.startswith("255.0,") for p in points)
 
 
 # Relevant ids come from _POOL; the GHOST ids are never in the corpus, the X
