@@ -501,8 +501,13 @@ def write_dataset(dataset: EvaluationDataset, path: str | Path) -> Path:
 
 def load_dataset(path: str | Path) -> EvaluationDataset:
     """Inverse of :func:`write_dataset`; the manifest hash survives the trip.
-    A query's stratum label that fails
-    :func:`~patbench.corpus.is_stratum_label` is a format error."""
+
+    Raises :class:`DatasetFormatError`, naming the file and line, for a
+    ``query_case`` whose ``query_doc_id`` is not a string, whose ``relevant``
+    is not a non-empty list of objects, each with a string ``doc_id`` and a
+    ``source`` of EXAMINER or FAMILY_DERIVED, that lists one ``doc_id``
+    twice, or whose ``strata`` is not an object; and for a stratum label that
+    fails :func:`~patbench.corpus.is_stratum_label`."""
     path = Path(path)
     queries: list[QueryCase] = []
     strata: dict[str, dict[str, str]] = {}
@@ -516,20 +521,42 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
                 raise ValueError("second manifest record")
             manifest = {k: v for k, v in rec.items() if k != "kind"}
         elif kind == "query_case":
-            if rec["query_doc_id"] in strata:
-                raise ValueError(f"repeated query_case for {rec['query_doc_id']!r}")
-            provenance = {r["doc_id"]: r["source"] for r in rec["relevant"]}
+            query_id = rec["query_doc_id"]
+            if type(query_id) is not str:
+                raise ValueError(f"query_doc_id {query_id!r} is not a string")
+            if query_id in strata:
+                raise ValueError(f"repeated query_case for {query_id!r}")
+            relevant = rec["relevant"]
+            if type(relevant) is not list or not relevant:
+                raise ValueError(f"relevant of {query_id!r} is not a non-empty list")
+            provenance: dict[str, str] = {}
+            for entry in relevant:
+                if type(entry) is not dict:
+                    raise ValueError(f"relevant entry {entry!r} is not an object")
+                doc_id, source = entry["doc_id"], entry["source"]
+                if type(doc_id) is not str:
+                    raise ValueError(f"relevant doc_id {doc_id!r} is not a string")
+                if source not in (PROVENANCE_EXAMINER, PROVENANCE_FAMILY):
+                    raise ValueError(
+                        f"relevant {doc_id!r} has source {source!r}, "
+                        f"not {PROVENANCE_EXAMINER} or {PROVENANCE_FAMILY}"
+                    )
+                if doc_id in provenance:
+                    raise ValueError(f"relevant {doc_id!r} is listed twice for {query_id!r}")
+                provenance[doc_id] = source
+            labels = rec["strata"]
+            if type(labels) is not dict:
+                raise ValueError(f"strata of {query_id!r} is not an object")
             queries.append(
                 QueryCase(
-                    query_doc_id=rec["query_doc_id"],
+                    query_doc_id=query_id,
                     relevant_ids=frozenset(provenance),
                     relevant_provenance=provenance,
                 )
             )
-            labels = dict(rec["strata"])
             for dim, label in labels.items():
                 require_stratum_label(f"strata {dim}", label)
-            strata[rec["query_doc_id"]] = labels
+            strata[query_id] = labels
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 

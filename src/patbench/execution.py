@@ -9,11 +9,11 @@ import logging
 import math
 import os
 import re
+import sys
 import threading
 import time
 from array import array
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -151,16 +151,10 @@ def _finite_score(score: object) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _coerce_hit(item: object) -> tuple[object, float | None]:
-    # Pairs first: most adapters return them, and the Mapping test is an ABC
-    # check that costs more than the tuple/list one.
-    if isinstance(item, (tuple, list)) and len(item) == 2:
-        return item[0], item[1]
-    if isinstance(item, Mapping):
-        return item.get("doc_id"), item.get("score")
-    if isinstance(item, str):
-        return item, None
-    return None, None
+# The largest finite float: a float score x is finite and no higher than the
+# previous score p exactly when -_FLOAT_MAX <= x <= p, with p = _FLOAT_MAX
+# before the first hit.  NaN fails every comparison.
+_FLOAT_MAX = sys.float_info.max
 
 
 def standardize_results(
@@ -181,30 +175,41 @@ def standardize_results(
     duplicate, inherited score and clamped score.
     """
     repairs = 0
-    # Normalized id -> its raw score, in the order the ids were first seen.
-    kept: dict[str, object] = {}
+    # Normalized ids in the order they were first seen; the values are unused.
+    kept: dict[str, None] = {}
+    scores = array("d")
+    prev = _FLOAT_MAX
     for item in raw:
-        raw_id, score = _coerce_hit(item)
+        # Pairs first: most adapters return them, and the Mapping test is an
+        # ABC check that costs more than the tuple/list one.
+        if isinstance(item, (tuple, list)) and len(item) == 2:
+            raw_id, score = item[0], item[1]
+        elif isinstance(item, Mapping):
+            raw_id, score = item.get("doc_id"), item.get("score")
+        elif isinstance(item, str):
+            raw_id, score = item, None
+        else:
+            repairs += 1
+            continue
         norm = normalize_doc_id(raw_id)
         if norm is None or norm in kept:
             repairs += 1
             continue
-        kept[norm] = score
-        if len(kept) == max_depth:
-            break
-
-    scores = array("d")
-    prev = math.inf
-    for score in kept.values():
-        score = _finite_score(score)
-        if score is None:
-            repairs += 1
-            score = 1.0 if prev is math.inf else prev
-        elif score > prev:
-            repairs += 1
-            score = prev
+        kept[norm] = None
+        if type(score) is not float or not -_FLOAT_MAX <= score <= prev:
+            value = _finite_score(score)
+            if value is None:
+                repairs += 1
+                score = prev if scores else 1.0
+            elif value > prev:
+                repairs += 1
+                score = prev
+            else:
+                score = value
         prev = score
         scores.append(score)
+        if len(scores) == max_depth:
+            break
     ranked = RankedList(
         query_id=query_id, doc_ids=tuple(kept), scores=scores, latency_ms=latency_ms
     )
@@ -249,47 +254,69 @@ def run_evaluation(
     started = _utc_now()
     query_ids = dataset.query_ids()
     total = len(query_ids)
+    # Guards the counters below; each worker takes it once per query, to add
+    # its last query's tallies and draw the next index.
     tally_lock = threading.Lock()
     anomalies = 0
     errors = 0
+    next_index = 0
+    # What a worker let through: a BaseException from the adapter.
+    raised: list[BaseException] = []
+    results: list[RankedList | None] = [None] * total
 
-    def settle(query_id: str) -> RankedList | None:
-        """Search one query and classify its result as OK, TIMEOUT or ERROR.
-        Returns ``None`` without searching once the run has failed."""
-        nonlocal anomalies, errors
-        if errors * 2 > total:
-            return None
+    def work() -> None:
+        """Settle queries, drawn in dataset order, until none is left, the
+        run has failed or another worker has let an exception through."""
+        nonlocal anomalies, errors, next_index
         repairs = 0
-        try:
-            query = queries.get(query_id)
-            if query is None:
-                raise AdapterError(f"no query built for {query_id!r}")
-            t0 = time.perf_counter()
-            raw = adapter.search(query, controls)
-            elapsed_ms = int((time.perf_counter() - t0) * 1000)
-            if elapsed_ms > controls.timeout_ms:
-                raise AdapterTimeout(f"query {query_id!r} took {elapsed_ms} ms")
-            ranked, repairs = standardize_results(
-                raw, query_id=query_id, max_depth=controls.max_depth, latency_ms=elapsed_ms
-            )
-        except AdapterTimeout:
-            ranked = RankedList(query_id=query_id, status=STATUS_TIMEOUT)
-        except Exception as exc:
-            logger.debug("query %s failed: %s", query_id, exc)
-            ranked = RankedList(query_id=query_id, status=STATUS_ERROR)
-        with tally_lock:
-            anomalies += repairs
-            errors += ranked.status == STATUS_ERROR
-        return ranked
+        failed = False
+        while True:
+            with tally_lock:
+                anomalies += repairs
+                errors += failed
+                if errors * 2 > total or raised or next_index == total:
+                    return
+                index = next_index
+                next_index += 1
+            query_id = query_ids[index]
+            repairs = 0
+            try:
+                query = queries.get(query_id)
+                if query is None:
+                    raise AdapterError(f"no query built for {query_id!r}")
+                t0 = time.perf_counter()
+                raw = adapter.search(query, controls)
+                elapsed_ms = int((time.perf_counter() - t0) * 1000)
+                if elapsed_ms > controls.timeout_ms:
+                    raise AdapterTimeout(f"query {query_id!r} took {elapsed_ms} ms")
+                ranked, repairs = standardize_results(
+                    raw, query_id=query_id, max_depth=controls.max_depth, latency_ms=elapsed_ms
+                )
+            except AdapterTimeout:
+                ranked = RankedList(query_id=query_id, status=STATUS_TIMEOUT)
+            except Exception as exc:
+                logger.debug("query %s failed: %s", query_id, exc)
+                ranked = RankedList(query_id=query_id, status=STATUS_ERROR)
+            except BaseException as exc:
+                with tally_lock:
+                    raised.append(exc)
+                return
+            results[index] = ranked
+            failed = ranked.status == STATUS_ERROR
 
-    # Each task settles its own query, so the main thread waits only once, in
-    # the pool's shutdown, and never takes the GIL from a searching worker.
-    with ThreadPoolExecutor(max_workers=controls.parallelism) as pool:
-        futures = [pool.submit(settle, query_id) for query_id in query_ids]
-    # ``result()`` re-raises what a task let through: a BaseException from
-    # the adapter.  A task returns None only after the run failed, and then
-    # the check below raises.
-    results = {query_id: future.result() for query_id, future in zip(query_ids, futures)}
+    # Daemon workers, so that a worker still searching can never keep the
+    # process alive.  The main thread waits once, in the joins, and never
+    # takes the interpreter lock from a searching worker.
+    workers = [
+        threading.Thread(target=work, name=f"patbench-run-{i}", daemon=True)
+        for i in range(min(controls.parallelism, total))
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if raised:
+        raise raised[0]
     if errors * 2 > total:
         raise RunFailureError(
             f"{errors} of {total} queries failed against adapter "
@@ -298,7 +325,7 @@ def run_evaluation(
     return RunRecord(
         controls=controls,
         dataset_manifest_hash=dataset.manifest_hash,
-        results=results,
+        results=dict(zip(query_ids, results)),
         started=started,
         finished=_utc_now(),
         anomaly_count=anomalies,
@@ -626,8 +653,15 @@ def _log_records(record: RunRecord) -> Iterator[dict]:
         }
 
 
+# One encoder for every line, where json.dumps with options builds one per
+# call.  Records are built afresh from dataclasses and are never cyclic, so
+# the circular-reference check, which tracks every hit list, is skipped; the
+# bytes are those of json.dumps(rec, sort_keys=True, ensure_ascii=False).
+_LOG_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, check_circular=False)
+
+
 def _log_line(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, ensure_ascii=False)
+    return _LOG_ENCODER.encode(rec)
 
 
 def write_run_log(record: RunRecord, path: str | Path) -> Path:
@@ -635,12 +669,32 @@ def write_run_log(record: RunRecord, path: str | Path) -> Path:
     return write_lines(path, map(_log_line, _log_records(record)))
 
 
+def _str_field(rec: dict, name: str, default: str | None = None) -> str:
+    """``rec[name]``, which must be a string; ``default`` when given and the
+    key is left out.  A missing required key raises KeyError."""
+    value = rec[name] if default is None else rec.get(name, default)
+    if type(value) is not str:
+        raise ValueError(f"field {name!r} must be a string, got {value!r}")
+    return value
+
+
+def _count_field(rec: dict, name: str) -> int:
+    """``rec[name]``, which must be an integer >= 0 (not a bool); 0 when the
+    key is left out."""
+    value = rec.get(name, 0)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"field {name!r} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def load_run_log(path: str | Path) -> RunRecord:
     """Inverse of :func:`write_run_log`.
 
     Raises :class:`RunLogFormatError`, naming the file and line, for a record
     that is not valid JSON, misses a field, holds a run control of the wrong
-    type, repeats the header, comes before the header, repeats a query's
+    type, holds a manifest hash, timestamp, query id or status that is not a
+    string, or an anomaly count or latency that is not an integer >= 0,
+    repeats the header, comes before the header, repeats a query's
     ranked list, holds more hits than the header's ``max_depth``, or holds a
     hit whose rank is not an integer in the run 1, 2, ..., whose doc_id is not
     a non-empty string, whose score is not a finite number, or whose score is
@@ -665,15 +719,15 @@ def load_run_log(path: str | Path) -> RunRecord:
                 raise ValueError("controls must hold timeout_ms and max_depth")
             header = {
                 "controls": from_record(RunControls, rec["controls"]),
-                "dataset_manifest_hash": rec["dataset_manifest_hash"],
-                "started": rec.get("started", ""),
-                "finished": rec.get("finished", ""),
-                "anomaly_count": int(rec.get("anomaly_count", 0)),
+                "dataset_manifest_hash": _str_field(rec, "dataset_manifest_hash"),
+                "started": _str_field(rec, "started", ""),
+                "finished": _str_field(rec, "finished", ""),
+                "anomaly_count": _count_field(rec, "anomaly_count"),
             }
         elif kind == "ranked_list":
             if header is None:
                 raise ValueError("ranked_list before the run_header record")
-            query_id = rec["query_id"]
+            query_id = _str_field(rec, "query_id")
             if query_id in results:
                 raise ValueError(f"second ranked_list for query {query_id!r}")
             hits = rec["hits"]
@@ -710,8 +764,8 @@ def load_run_log(path: str | Path) -> RunRecord:
                 query_id=query_id,
                 doc_ids=tuple(doc_ids),
                 scores=scores,
-                status=rec["status"],
-                latency_ms=int(rec.get("latency_ms", 0)),
+                status=_str_field(rec, "status"),
+                latency_ms=_count_field(rec, "latency_ms"),
             )
         else:
             raise ValueError(f"unknown record kind {kind!r}")

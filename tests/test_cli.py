@@ -933,6 +933,25 @@ def _query_case_without_relevant(lines):
     return lines[:1] + [json.dumps(rec) + "\n"] + lines[2:]
 
 
+def _first_query_case_repeating_a_relevant_id(lines):
+    """The first query case lists its first relevant id again, as
+    FAMILY_DERIVED."""
+    rec = json.loads(lines[1])
+    rec["relevant"].append({"doc_id": rec["relevant"][0]["doc_id"], "source": "FAMILY_DERIVED"})
+    return lines[:1] + [json.dumps(rec) + "\n"] + lines[2:]
+
+
+def _record_field(line, key, value):
+    """An edit that sets one top-level field of the record on ``line`` (0-based)."""
+
+    def edit(lines):
+        rec = json.loads(lines[line])
+        rec[key] = value
+        return lines[:line] + [json.dumps(rec) + "\n"] + lines[line + 1:]
+
+    return edit
+
+
 class TestMalformedInputs:
     """A malformed run log or dataset is a data-format error: exit 2 with the
     file named, not a traceback."""
@@ -967,6 +986,10 @@ class TestMalformedInputs:
                 lambda lines: lines[:1] + ['{"kind": "mystery"}\n'] + lines[1:], 2,
             ),
             ("compare", "exclude", lambda lines: [], None),
+            ("run", "dataset", _first_query_case_repeating_a_relevant_id, 2),
+            ("evaluate", "dataset", _record_field(1, "query_doc_id", 7), 2),
+            ("evaluate", "exclude", _record_field(0, "anomaly_count", 2.9), 1),
+            ("compare", "exclude", _record_field(1, "latency_ms", "7"), 2),
             ("evaluate", "exclude", _header_control("max_depth", 100.5), 1),
             ("compare", "exclude", _header_control("max_depth", "100"), 1),
             ("evaluate", "exclude", _header_control("max_depth", True), 1),
@@ -997,6 +1020,10 @@ class TestMalformedInputs:
             "evaluate-dataset-second-manifest",
             "evaluate-run-log-unknown-kind",
             "compare-run-log-empty",
+            "run-dataset-repeated-relevant-id",
+            "evaluate-dataset-int-query-doc-id",
+            "evaluate-run-log-fractional-anomaly-count",
+            "compare-run-log-string-latency",
             "evaluate-run-log-fractional-max-depth",
             "compare-run-log-string-max-depth",
             "evaluate-run-log-bool-max-depth",

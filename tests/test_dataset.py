@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
+import re
 from collections import Counter
 from datetime import date
 
@@ -695,6 +697,66 @@ class TestBuildAndSerialize:
         bad.write_text("{nope\n")
         with pytest.raises(DatasetFormatError):
             load_dataset(bad)
+
+
+def _query_case(**overrides) -> dict:
+    rec = {
+        "kind": "query_case",
+        "query_doc_id": "US1A",
+        "relevant": [{"doc_id": "US2A", "source": "EXAMINER"}],
+        "strata": {"language": "en"},
+    }
+    rec.update(overrides)
+    return rec
+
+
+class TestLoadQueryCases:
+    """Each query_case field is checked as read, not coerced."""
+
+    def _write(self, tmp_path, case: dict):
+        path = tmp_path / "dataset.jsonl"
+        manifest = {"kind": "manifest", "seed": 0}
+        path.write_text(json.dumps(manifest) + "\n" + json.dumps(case) + "\n")
+        return path
+
+    def test_good_case_loads(self, tmp_path):
+        dataset = load_dataset(self._write(tmp_path, _query_case()))
+        (case,) = dataset.queries
+        assert case.query_doc_id == "US1A"
+        assert dict(case.relevant_provenance) == {"US2A": "EXAMINER"}
+        assert dict(dataset.strata["US1A"]) == {"language": "en"}
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"query_doc_id": 7}, "query_doc_id 7 is not a string"),
+            ({"query_doc_id": None}, "query_doc_id None is not a string"),
+            ({"relevant": []}, "relevant of 'US1A' is not a non-empty list"),
+            ({"relevant": {"doc_id": "US2A", "source": "EXAMINER"}}, "is not a non-empty list"),
+            ({"relevant": ["US2A"]}, "relevant entry 'US2A' is not an object"),
+            ({"relevant": [{"doc_id": None, "source": 3}]}, "relevant doc_id None is not a string"),
+            ({"relevant": [{"doc_id": "US2A", "source": 3}]}, "has source 3, not EXAMINER"),
+            ({"relevant": [{"doc_id": "US2A", "source": "examiner"}]}, "has source 'examiner'"),
+            ({"relevant": [{"doc_id": "US2A"}]}, "missing field 'source'"),
+            ({"strata": [["language", "en"]]}, "strata of 'US1A' is not an object"),
+            ({"strata": None}, "strata of 'US1A' is not an object"),
+            (
+                {
+                    "relevant": [
+                        {"doc_id": "US2A", "source": "EXAMINER"},
+                        {"doc_id": "US2A", "source": "FAMILY_DERIVED"},
+                    ]
+                },
+                "relevant 'US2A' is listed twice for 'US1A'",
+            ),
+        ],
+    )
+    def test_bad_case_is_a_format_error(self, tmp_path, overrides, message):
+        from patbench.dataset import DatasetFormatError
+
+        path = self._write(tmp_path, _query_case(**overrides))
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:2: ") + ".*" + re.escape(message)):
+            load_dataset(path)
 
 
 class TestProfile:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from array import array
 from collections import Counter
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 import pytest
 import requests
@@ -106,8 +108,25 @@ _GOOD_IDS = st.one_of(
     st.sampled_from(["US1A", "us1a", " US 1A ", "EP-2/B1", "ep-2/b1", "CN3"]),
     st.from_regex(r"[A-Za-z0-9][A-Za-z0-9 ./-]{0,3}", fullmatch=True),
 )
+
+
+class _IdStr(str):
+    """An id an adapter may hand back: a ``str`` subclass."""
+
+
+class _PairHit(NamedTuple):
+    """A two-field record hit, read as a (doc_id, score) pair."""
+
+    doc_id: object
+    score: object
+
+
+# Non-finite and signed-zero floats, drawn often: the float fast path in
+# standardize_results must leave each to the general rule, first score or not.
+_EDGE_SCORES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
 _RAW_IDS = st.one_of(
     _GOOD_IDS,
+    _GOOD_IDS.map(_IdStr),
     st.sampled_from(["??", "", "-X1"]),
     st.text(max_size=6),
     st.integers(),
@@ -117,6 +136,7 @@ _RAW_IDS = st.one_of(
 )
 _RAW_SCORES = st.one_of(
     st.none(),
+    _EDGE_SCORES,
     st.floats(min_value=0.0, max_value=10.0),
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(),
@@ -125,6 +145,7 @@ _RAW_SCORES = st.one_of(
 )
 _RAW_HITS = st.one_of(
     st.tuples(_GOOD_IDS, _RAW_SCORES),
+    st.builds(_PairHit, _RAW_IDS, _RAW_SCORES),
     _RAW_IDS,
     st.tuples(_RAW_IDS, _RAW_SCORES),
     st.tuples(_RAW_IDS, _RAW_SCORES).map(list),
@@ -265,6 +286,20 @@ class TestStandardizeResults:
             scalar_standardize_results, raw, max_depth
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        first=_EDGE_SCORES,
+        rest=st.lists(_RAW_HITS, max_size=5),
+        max_depth=st.sampled_from([1, 2, 25]),
+    )
+    def test_edge_first_score_matches_scalar_spec(self, first, rest, max_depth):
+        heads = [("US1A", first), _PairHit(_IdStr("us 1a"), first), {"doc_id": "US1A", "score": first}]
+        for head in heads:
+            raw = [head, *rest]
+            assert _outcome(standardize_results, raw, max_depth) == _outcome(
+                scalar_standardize_results, raw, max_depth
+            )
+
 
 class ListAdapter:
     adapter_id = "list"
@@ -366,7 +401,7 @@ class TestRunEvaluation:
         queries = {q: _query(q) for q in qids}
         mapping = {q: [(f"US{i}{q[-1]}A", 1.0 - i / 10) for i in range(5)] for q in qids}
         logs = []
-        for parallelism in (1, 4):
+        for parallelism in (1, 2, 4):
             record = run_evaluation(
                 dataset,
                 ListAdapter(mapping),
@@ -376,7 +411,7 @@ class TestRunEvaluation:
             path = tmp_path / f"run_p{parallelism}.jsonl"
             write_run_log(record, path)
             logs.append(sanitize_run_log(path))
-        assert logs[0] == logs[1]
+        assert logs[0] == logs[1] == logs[2]
 
     def test_results_come_back_in_dataset_order(self):
         qids = [f"Q{i}" for i in range(6)]
@@ -460,6 +495,99 @@ class TestRunEvaluation:
         assert 1 <= len(thread_ids) <= 3
         assert threading.get_ident() not in thread_ids
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    @pytest.mark.parametrize("outcome", ["ok", "run-failure", "base-exception"])
+    def test_workers_are_daemons_and_all_exit(self, parallelism, outcome):
+        class Halt(BaseException):
+            pass
+
+        qids = [f"Q{i}" for i in range(10)]
+        daemons = []
+
+        class LifecycleAdapter:
+            adapter_id = "lifecycle"
+
+            def search(self, query, controls):
+                daemons.append(threading.current_thread().daemon)
+                time.sleep(0.001)
+                if outcome == "run-failure":
+                    raise RuntimeError("backend exploded")
+                if outcome == "base-exception" and query.query_id == "Q3":
+                    raise Halt
+                return [("US1A", 1.0)]
+
+        expected = {"ok": None, "run-failure": RunFailureError, "base-exception": Halt}[outcome]
+        before = threading.active_count()
+        with pytest.raises(expected) if expected else contextlib.nullcontext():
+            run_evaluation(
+                tiny_dataset(qids),
+                LifecycleAdapter(),
+                RunControls(seed=0, parallelism=parallelism),
+                queries={q: _query(q) for q in qids},
+            )
+        assert threading.active_count() == before
+        assert daemons and all(daemons)
+
+    def test_tallies_survive_frequent_thread_switches(self):
+        # More workers than cores and a tiny switch interval: each query is
+        # searched once, and every worker's repairs and errors reach the
+        # tallies, those of the last query it settled included.
+        qids = [f"Q{i:03d}" for i in range(300)]
+        searched = []
+
+        class CountingAdapter:
+            adapter_id = "counting"
+
+            def search(self, query, controls):
+                searched.append(query.query_id)
+                if query.query_id.endswith("7"):
+                    raise RuntimeError("backend exploded")
+                # One duplicate and one unmappable entry: two repairs.
+                return [("US1A", 1.0), ("US1A", 0.5), "??"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            record = run_evaluation(
+                tiny_dataset(qids),
+                CountingAdapter(),
+                RunControls(seed=0, parallelism=8),
+                queries={q: _query(q) for q in qids},
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(searched) == qids
+        assert list(record.results) == qids
+        assert tally_statuses(record) == {"ERROR": 30, "OK": 270, "TIMEOUT": 0}
+        assert record.anomaly_count == 2 * 270
+
+    def test_no_search_starts_after_the_run_fails(self):
+        # Every query fails; 6 errors of 10 fail the run.  Each worker adds
+        # its last query's tally and draws the next one under one lock, so
+        # once the sixth error is tallied, only the other worker's search,
+        # already running, may still start and finish.
+        qids = [f"Q{i}" for i in range(10)]
+        searched = []
+
+        class SlowFlakyAdapter:
+            adapter_id = "slow-flaky"
+
+            def search(self, query, controls):
+                searched.append(query.query_id)
+                time.sleep(0.005)
+                raise RuntimeError("backend exploded")
+
+        with pytest.raises(RunFailureError):
+            run_evaluation(
+                tiny_dataset(qids),
+                SlowFlakyAdapter(),
+                RunControls(seed=0, parallelism=2),
+                queries={q: _query(q) for q in qids},
+            )
+        # Queries are drawn in dataset order, so the searched ones are a prefix.
+        assert sorted(searched) == qids[: len(searched)]
+        assert 6 <= len(searched) <= 7
 
     def test_controls_validation(self):
         with pytest.raises(ValueError):
@@ -1388,6 +1516,88 @@ class TestRunLogIO:
         path.write_text("\n")
         with pytest.raises(RunLogFormatError, match=re.escape(f"{path}: missing run_header record")):
             load_run_log(path)
+
+    @pytest.mark.parametrize(
+        "line, key, value",
+        [
+            (0, "dataset_manifest_hash", None),
+            (0, "dataset_manifest_hash", 5),
+            (0, "started", 5),
+            (0, "finished", None),
+            (0, "anomaly_count", 2.9),
+            (0, "anomaly_count", -1),
+            (0, "anomaly_count", True),
+            (0, "anomaly_count", "2"),
+            (1, "query_id", 5),
+            (1, "query_id", None),
+            (1, "status", 5),
+            (1, "status", ["OK"]),
+            (1, "latency_ms", "7"),
+            (1, "latency_ms", -1),
+            (1, "latency_ms", 7.0),
+            (1, "latency_ms", False),
+        ],
+    )
+    def test_load_rejects_field_of_the_wrong_type(self, tmp_path, line, key, value):
+        # int() once read 2.9 as 2 and "7" as 7, and a null hash or an
+        # integer query id loaded unchecked.
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[line])
+        rec[key] = value
+        lines[line] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(
+            RunLogFormatError, match=re.escape(f"{path}:{line + 1}: field {key!r} must be ")
+        ):
+            load_run_log(path)
+
+    def test_load_keeps_defaults_of_left_out_fields(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        header, first = json.loads(lines[0]), json.loads(lines[1])
+        for key in ("started", "finished", "anomaly_count"):
+            del header[key]
+        del first["latency_ms"]
+        lines[:2] = [json.dumps(header) + "\n", json.dumps(first) + "\n"]
+        path.write_text("".join(lines))
+        loaded = load_run_log(path)
+        assert (loaded.started, loaded.finished, loaded.anomaly_count) == ("", "", 0)
+        assert loaded.results[first["query_id"]].latency_ms == 0
+        for key in ("dataset_manifest_hash", "query_id", "status"):
+            rec = json.loads(lines[0] if key == "dataset_manifest_hash" else lines[1])
+            del rec[key]
+            line = 0 if key == "dataset_manifest_hash" else 1
+            broken = lines[:line] + [json.dumps(rec) + "\n"] + lines[line + 1:]
+            path.write_text("".join(broken))
+            with pytest.raises(
+                RunLogFormatError, match=re.escape(f"{path}:{line + 1}: missing field {key!r}")
+            ):
+                load_run_log(path)
+
+    @pytest.mark.parametrize(
+        "doc_ids, scores",
+        [
+            (("US1A", "CN-雷达1", "DE-Größe2", "JP\u3000３"), (1.7976931348623157e308, 1.0, 5e-324, -0.0)),
+            (("EP\U0001f600", 'US"1"A', "US\\1A"), (0.0, -0.0, -1.7976931348623157e308)),
+            ((), ()),
+        ],
+    )
+    def test_log_line_is_json_dumps(self, doc_ids, scores):
+        from patbench.execution import _log_line, _log_records
+
+        ranked = RankedList(query_id="Q-ü1", doc_ids=doc_ids, scores=scores, latency_ms=3)
+        record = RunRecord(
+            controls=RunControls(seed=1, adapter_id="adaptér"),
+            dataset_manifest_hash="h",
+            results={"Q-ü1": ranked},
+            started="",
+            finished="",
+        )
+        for rec in _log_records(record):
+            assert _log_line(rec) == json.dumps(rec, sort_keys=True, ensure_ascii=False)
 
     def test_load_rejects_header_without_controls(self, tmp_path):
         path = tmp_path / "run.jsonl"
