@@ -4,6 +4,7 @@ retriever for harness validation."""
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -366,53 +367,73 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class ReferenceIndex:
-    postings: dict[str, dict[str, int]]
     n_docs: int
-    # Scoring arrays derived from the fields above; see the comment block.
     doc_ids: list[str]
     row_of: dict[str, int]
     terms: dict[str, tuple[np.ndarray, np.ndarray, float]]
     sqrt_len: np.ndarray
     family_code: np.ndarray
+    # weight_of_tf[tf] == 1 + ln tf (0.0 at tf 0); strictly increasing.
+    weight_of_tf: np.ndarray
+
+    @functools.cached_property
+    def postings(self) -> dict[str, dict[str, int]]:
+        """term -> {doc_id: tf}, derived from ``terms`` on first read.
+
+        No scoring path reads it; the index holds its postings once, as the
+        ``terms`` columns.
+        """
+        return {
+            term: dict(
+                zip(
+                    map(self.doc_ids.__getitem__, rows.tolist()),
+                    np.searchsorted(self.weight_of_tf, weights).tolist(),
+                )
+            )
+            for term, (rows, weights, _) in self.terms.items()
+        }
 
 
 def build_reference_index(corpus: Corpus) -> ReferenceIndex:
     """Inverted index over title, abstract, claims, and description."""
     doc_ids = sorted(corpus.documents)
-    postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
-    for doc_id in doc_ids:
+    # Each term's postings as flat (row, tf) pairs, rows ascending.
+    pairs: dict[str, array] = {}
+    lengths: list[int] = []
+    for row, doc_id in enumerate(doc_ids):
         doc = corpus.documents[doc_id]
         tokens = tokenize(
             " ".join((doc.title, doc.abstract, doc.claims, doc.description))
         )
-        doc_lengths[doc_id] = len(tokens)
+        lengths.append(len(tokens))
         for term, tf in Counter(tokens).items():
-            postings.setdefault(term, {})[doc_id] = tf
+            plist = pairs.get(term)
+            if plist is None:
+                pairs[term] = plist = array("i")
+            plist.append(row)
+            plist.append(tf)
 
     n_docs = len(doc_ids)
-    row_of = {doc_id: row for row, doc_id in enumerate(doc_ids)}
-    max_tf = max((max(plist.values()) for plist in postings.values()), default=0)
+    max_tf = max((max(plist[1::2]) for plist in pairs.values()), default=0)
     weight_of_tf = np.array([0.0] + [1.0 + math.log(tf) for tf in range(1, max_tf + 1)])
-    terms = {
-        term: (
-            np.fromiter(map(row_of.__getitem__, plist), dtype=np.int32, count=len(plist)),
-            weight_of_tf[np.fromiter(plist.values(), dtype=np.intp, count=len(plist))],
-            math.log(1.0 + n_docs / len(plist)),
-        )
-        for term, plist in postings.items()
-    }
+    terms = {}
+    # Pop each term's pairs as its columns are built, so the two copies of
+    # the postings never coexist whole.
+    for term in list(pairs):
+        flat = np.frombuffer(pairs.pop(term), dtype=np.intc)
+        rows = flat[0::2].astype(np.int32)
+        terms[term] = (rows, weight_of_tf[flat[1::2]], math.log(1.0 + n_docs / len(rows)))
     code_of = {family: code for code, family in enumerate(sorted(corpus.families))}
     return ReferenceIndex(
-        postings=postings,
         n_docs=n_docs,
         doc_ids=doc_ids,
-        row_of=row_of,
+        row_of={doc_id: row for row, doc_id in enumerate(doc_ids)},
         terms=terms,
-        sqrt_len=np.array([math.sqrt(doc_lengths[doc_id] or 1) for doc_id in doc_ids]),
+        sqrt_len=np.array([math.sqrt(length or 1) for length in lengths]),
         family_code=np.array(
             [code_of.get(corpus.family_of.get(doc_id), -1) for doc_id in doc_ids], dtype=np.int32
         ),
+        weight_of_tf=weight_of_tf,
     )
 
 

@@ -18,6 +18,7 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import example, given, settings
@@ -794,6 +795,30 @@ class TestReferenceRetriever:
         assert index.postings["pump"] == {"US1A": 2}
         assert index.postings["valve"] == {"US1A": 1, "US2A": 1}
         assert index.n_docs == 2
+
+    def test_index_columns_match_token_count_oracle(self, synth_corpus):
+        index = build_reference_index(synth_corpus)
+        # The index holds its postings once, as columns: no dict of dicts is
+        # built until ``postings`` is read.
+        assert "postings" not in vars(index)
+        doc_ids = sorted(synth_corpus.documents)
+        oracle: dict[str, dict[str, int]] = {}
+        for doc_id in doc_ids:
+            doc = synth_corpus.documents[doc_id]
+            text = " ".join((doc.title, doc.abstract, doc.claims, doc.description))
+            for term, tf in Counter(tokenize(text)).items():
+                oracle.setdefault(term, {})[doc_id] = tf
+        assert list(index.terms) == list(oracle)
+        for term, plist in oracle.items():
+            rows, weights, idf = index.terms[term]
+            want_rows = np.array([doc_ids.index(doc_id) for doc_id in plist], dtype=np.int32)
+            want_weights = np.array([1.0 + math.log(tf) for tf in plist.values()])
+            assert rows.dtype == np.int32 and rows.tobytes() == want_rows.tobytes(), term
+            assert weights.dtype == np.float64, term
+            assert weights.tobytes() == want_weights.tobytes(), term
+            assert repr(idf) == repr(math.log(1 + len(doc_ids) / len(plist))), term
+        assert index.postings == oracle
+        assert vars(index)["postings"] is index.postings
 
     def test_adapter_is_deterministic_over_synth_corpus(self, synth_corpus, tmp_path):
         from patbench.dataset import build_dataset
