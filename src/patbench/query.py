@@ -60,7 +60,9 @@ _HEADING_RE = re.compile(
     )
 )
 
-_TAG_RE = re.compile(r"<[^>]*>")
+# Markup is tag-shaped: "<", an optional "/", an ASCII letter, then up to the
+# next ">".  A lone "<" or ">", as in "20 < T and T > 5", is text.
+_TAG_RE = re.compile(r"</?[A-Za-z][^>]*>")
 _WS_RE = re.compile(r"\s+")
 _SENTENCE_ENDERS = ".!?。！？"
 
@@ -96,18 +98,20 @@ class Query:
 def preprocess_text(raw: str) -> str:
     """Normalize raw patent text.
 
-    Markup tags are replaced with spaces, control and format characters are
-    removed, whitespace runs collapse to single spaces, and the result is
-    Unicode NFC normalized.  Idempotent: applying it twice equals once.
+    Control and format characters are removed, the text is Unicode NFC
+    normalized, tag-shaped markup (``<b>``, ``</p>``, ``<br/>``) is replaced
+    with spaces, and whitespace runs collapse to single spaces.  Tags are
+    matched after the first two steps, which can make one (``<\x00b>``, or
+    the Kelvin sign that NFC turns into ``K``), so the function is
+    idempotent: applying it twice equals once.
     """
-    s = _TAG_RE.sub(" ", raw)
     s = "".join(
         ch
-        for ch in s
+        for ch in raw
         if not (unicodedata.category(ch) in ("Cc", "Cf") and ch not in "\t\n\r\x0b\x0c")
     )
-    s = _WS_RE.sub(" ", s).strip()
-    return unicodedata.normalize("NFC", s)
+    s = _TAG_RE.sub(" ", unicodedata.normalize("NFC", s))
+    return _WS_RE.sub(" ", s).strip()
 
 
 def parse_description(doc: PatentDocument) -> tuple[Segment, ...]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import unicodedata
 from collections import Counter
 from collections.abc import Mapping
 from datetime import date
@@ -176,6 +177,39 @@ def scalar_reference_retrieve(query, corpus, max_depth=100, *, exclude_family=Tr
         scores=tuple(score for _, score in ranked[:max_depth]),
         status=STATUS_OK,
     )
+
+
+_SCALAR_KEPT_CONTROLS = "\t\n\r\x0b\x0c"
+
+
+def scalar_preprocess_text(raw):
+    """Character-by-character spec of ``patbench.query.preprocess_text``:
+    drop control and format characters (tab, LF, CR, VT and FF kept), NFC,
+    replace each tag (``<``, an optional ``/``, an ASCII letter, then up to
+    the next ``>``) with a space, collapse whitespace runs, strip."""
+    kept = []
+    for ch in raw:
+        if unicodedata.category(ch) in ("Cc", "Cf") and ch not in _SCALAR_KEPT_CONTROLS:
+            continue
+        kept.append(ch)
+    text = unicodedata.normalize("NFC", "".join(kept))
+
+    out = []
+    i = 0
+    while i < len(text):
+        if text[i] == "<":
+            j = i + 1
+            if j < len(text) and text[j] == "/":
+                j += 1
+            if j < len(text) and text[j].isascii() and text[j].isalpha():
+                end = text.find(">", j)
+                if end >= 0:
+                    out.append(" ")
+                    i = end + 1
+                    continue
+        out.append(text[i])
+        i += 1
+    return " ".join("".join(out).split())
 
 
 _SCALAR_ID_WS_RE = re.compile(r"\s+")

@@ -3,12 +3,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_corpus, make_doc
+from helpers import make_corpus, make_doc, scalar_preprocess_text
 import patbench.query
 from patbench.query import (
     HEADING_LEXICON,
@@ -117,17 +118,54 @@ class TestPreprocess:
         assert preprocess_text("") == ""
         assert preprocess_text(" \t\r\n ") == ""
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("wherein 20 < T and T > 5 degrees", "wherein 20 < T and T > 5 degrees"),
+            ("a<br/>b</P>c", "a b c"),
+            ("a <\x00b>bold", "a bold"),  # a tag once the NUL is gone
+            ("<\u212a>x", "x"),  # NFC makes the Kelvin sign a "K"
+            ("<a<b>>c", ">c"),  # a tag runs to the first ">"
+            ("< b> </ p> <1>", "< b> </ p> <1>"),
+            ("x <b unclosed", "x <b unclosed"),
+        ],
+    )
+    def test_tag_shaped_markup_only(self, raw, expected):
+        assert preprocess_text(raw) == expected
+        assert preprocess_text(expected) == expected
+
     @settings(max_examples=200)
     @given(st.text(max_size=400))
     def test_idempotent(self, raw):
         once = preprocess_text(raw)
         assert preprocess_text(once) == once
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["<b>", "</p>", "<br/>", "<a href='x'>", "<", ">", "</", "<1>", "< b>",
+                     "<\x00i>", "<\u200bb>", "\u212a", "e\u0301", "\u3000", "\r\n"]
+                ),
+                st.text(alphabet="<>/ab 1", max_size=6),
+                st.text(alphabet=st.characters(min_codepoint=0x4E00, max_codepoint=0x4E20), max_size=4),
+                st.text(alphabet=st.characters(whitelist_categories=("Cc", "Cf", "Zs")), max_size=3),
+                st.text(max_size=6),
+            ),
+            max_size=16,
+        ).map("".join)
+    )
+    def test_matches_scalar_spec(self, raw):
+        out = preprocess_text(raw)
+        assert out == scalar_preprocess_text(raw)
+        assert preprocess_text(out) == out
+
     @settings(max_examples=200)
     @given(st.text(max_size=400))
     def test_output_has_no_markup_or_control_chars(self, raw):
         out = preprocess_text(raw)
-        assert "<" not in out or ">" not in out.partition("<")[2]
+        assert not re.search(r"</?[A-Za-z][^>]*>", out)
         assert not any(ch for ch in out if ord(ch) < 32)
         assert "  " not in out
 
