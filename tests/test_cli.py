@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from patbench.cli import main
 from patbench.corpus import load_corpus, manifest_path_for, write_corpus
-from patbench.dataset import TrigramJaccardScorer, load_dataset
+from patbench.dataset import TrigramJaccardScorer, load_dataset, write_dataset
 from patbench.execution import RankedList, sanitize_run_log
 
 BUNDLED = "data/synthetic_corpus.jsonl"
@@ -1356,3 +1356,20 @@ class TestDateRule:
         argv = ["build-dataset", "--corpus", str(corpus), "--out", str(tmp_path / "ds.jsonl")]
         result = runner.invoke(main, argv + (["--lenient"] if lenient else []))
         _assert_input_error(result, str(side), repr(value))
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN_DIR.glob("*_dataset.jsonl")), ids=lambda path: path.name
+)
+def test_golden_dataset_is_a_fixed_point(tmp_path, path):
+    """Reading a dataset file and writing it back gives the same bytes."""
+    out = write_dataset(load_dataset(path), tmp_path / path.name)
+    assert out.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN_DIR.glob("*_run_*.jsonl")), ids=lambda path: path.name
+)
+def test_golden_run_log_is_a_fixed_point(path):
+    """A sanitized run log, read and sanitized again, gives the same bytes."""
+    assert sanitize_run_log(path) == path.read_bytes()
