@@ -14,10 +14,10 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NewType, TypeVar, get_type_hints
 
 logger = logging.getLogger(__name__)
 
@@ -205,34 +205,52 @@ def _parse_date(value: str) -> date:
     return date.fromisoformat(value)
 
 
-# By field annotation: (test of a present JSON value, what it must be,
-# conversion).  None is the str test, inlined.  ``type(v) is int`` skips bool.
-_FIELD_TYPES: dict[str, tuple[Callable[[object], bool] | None, str, Callable | None]] = {
-    "str": (None, "a string", None),
-    "int": (lambda v: type(v) is int, "an integer", None),
-    "float": (lambda v: type(v) in (int, float), "a number", None),
-    "date": (None, "a YYYY-MM-DD string", _parse_date),
-    "tuple[str, ...]": (
+# An integer >= 0, such as a count or a latency; a plain int at run time.
+Count = NewType("Count", int)
+
+# By field type: (test of a present JSON value, what it must be, conversion).
+# None is the str test, inlined.  ``type(v) is int`` skips bool.
+_FIELD_TYPES: dict[object, tuple[Callable[[object], bool] | None, str, Callable | None]] = {
+    str: (None, "a string", None),
+    int: (lambda v: type(v) is int, "an integer", None),
+    Count: (lambda v: type(v) is int and v >= 0, "an integer >= 0", None),
+    float: (lambda v: type(v) in (int, float), "a number", None),
+    date: (None, "a YYYY-MM-DD string", _parse_date),
+    tuple[str, ...]: (
         lambda v: type(v) is list and all(type(x) is str for x in v), "a list of strings", tuple
     ),
-    "Mapping[str, str]": (
+    Mapping[str, str]: (
         lambda v: type(v) is dict and all(type(x) is str for x in v.values()),
         "an object of strings",
         None,
     ),
-    "Mapping[str, object]": (lambda v: type(v) is dict, "an object", None),
+    Mapping[str, object]: (lambda v: type(v) is dict, "an object", None),
 }
+
+
+def _field_type(hint: object) -> tuple | None:
+    """The ``_FIELD_TYPES`` entry of a field type, where a dataclass reads
+    from an object and a ``tuple[Record, ...]`` from a list of objects."""
+    if is_dataclass(hint):
+        return (lambda v: type(v) is dict, "an object", functools.partial(from_record, hint))
+    item = getattr(hint, "__args__", (None,))[0]
+    if is_dataclass(item) and hint == tuple[item, ...]:
+        test = lambda v: type(v) is list and all(type(x) is dict for x in v)  # noqa: E731
+        return (test, "a list of objects", lambda v: tuple([from_record(item, x) for x in v]))
+    return _FIELD_TYPES.get(hint)
 
 
 @functools.cache
 def _field_readers(cls: type) -> tuple[tuple, ...]:
+    hints = get_type_hints(cls)
     readers = []
     for f in fields(cls):
-        if f.type not in _FIELD_TYPES or not f.init or f.kw_only:
+        field_type = _field_type(hints[f.name])
+        if field_type is None or not f.init or f.kw_only:
             # A programming error, which read_jsonl's format-error policy lets through.
             raise NotImplementedError(f"from_record cannot read {cls.__name__}.{f.name}: {f.type}")
         default = f.default_factory if f.default is MISSING else (lambda d=f.default: d)
-        readers.append((f.name, *_FIELD_TYPES[f.type], default))
+        readers.append((f.name, *field_type, default))
     return tuple(readers)
 
 
@@ -418,7 +436,6 @@ def canonical_corpus_lines(corpus: Corpus) -> Iterator[str]:
         record = dict(
             vars(doc),
             kind="patent",
-            ipc_codes=list(doc.ipc_codes),
             filing_date=doc.filing_date.isoformat(),
         )
         yield json.dumps(record, sort_keys=True, ensure_ascii=False)

@@ -17,12 +17,14 @@ from pathlib import Path
 from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .corpus import (
+    CITATION_SOURCES,
     MISSING_LABEL,
     TOTAL_LABEL,
     Corpus,
     PatentDocument,
     corpus_content_hash,
     family_members,
+    from_record,
     ipc_section_of,
     read_jsonl,
     require_stratum_label,
@@ -120,6 +122,28 @@ class QueryCase:
             raise ValueError(f"query {self.query_doc_id!r} lists itself as relevant")
         if set(self.relevant_provenance) != set(self.relevant_ids):
             raise ValueError("relevant_provenance must cover exactly relevant_ids")
+        for doc_id, source in self.relevant_provenance.items():
+            if source not in CITATION_SOURCES:
+                expected = " or ".join(sorted(CITATION_SOURCES))
+                raise ValueError(f"relevant {doc_id!r} has source {source!r}, not {expected}")
+
+
+@dataclass(frozen=True)
+class RelevantEntry:
+    """One relevant publication of a ``query_case`` line, and its source."""
+
+    doc_id: str
+    source: str
+
+
+@dataclass(frozen=True)
+class QueryCaseRecord:
+    """A dataset file's ``query_case`` line, apart from its ``kind``: the
+    relevant ids in sorted order, and the query's stratum labels."""
+
+    query_doc_id: str
+    relevant: tuple[RelevantEntry, ...]
+    strata: Mapping[str, str]
 
 
 @dataclass(frozen=True)
@@ -152,7 +176,8 @@ class EvaluationDataset:
 
 
 def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    # A dataclass record encodes as the object of its fields.
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"), default=vars)
 
 
 def manifest_hash(manifest: Mapping[str, object]) -> str:
@@ -483,15 +508,9 @@ def _dataset_records(dataset: EvaluationDataset) -> Iterator[dict]:
     per query in ``queries`` order."""
     yield {"kind": "manifest", **dataset.build_manifest}
     for case in dataset.queries:
-        yield {
-            "kind": "query_case",
-            "query_doc_id": case.query_doc_id,
-            "relevant": [
-                {"doc_id": rid, "source": case.relevant_provenance[rid]}
-                for rid in sorted(case.relevant_ids)
-            ],
-            "strata": dict(sorted(dataset.strata[case.query_doc_id].items())),
-        }
+        relevant = tuple(RelevantEntry(*item) for item in sorted(case.relevant_provenance.items()))
+        record = QueryCaseRecord(case.query_doc_id, relevant, dataset.strata[case.query_doc_id])
+        yield {"kind": "query_case", **vars(record)}
 
 
 def write_dataset(dataset: EvaluationDataset, path: str | Path) -> Path:
@@ -503,14 +522,14 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
     """Inverse of :func:`write_dataset`; the manifest hash survives the trip.
 
     Raises :class:`DatasetFormatError`, naming the file and line, for a
-    ``query_case`` whose ``query_doc_id`` is not a string, whose ``relevant``
-    is not a non-empty list of objects, each with a string ``doc_id`` and a
-    ``source`` of EXAMINER or FAMILY_DERIVED, that lists one ``doc_id``
-    twice, or whose ``strata`` is not an object; and for a stratum label that
-    fails :func:`~patbench.corpus.is_stratum_label`."""
+    ``query_case`` line that :func:`~patbench.corpus.from_record` cannot read
+    as a :class:`QueryCaseRecord` or that :class:`QueryCase` rejects (an
+    empty relevant set, a source other than EXAMINER or FAMILY_DERIVED), that
+    repeats a query or lists one relevant ``doc_id`` twice, or that holds a
+    stratum label failing :func:`~patbench.corpus.is_stratum_label`."""
     path = Path(path)
     queries: list[QueryCase] = []
-    strata: dict[str, dict[str, str]] = {}
+    strata: dict[str, Mapping[str, str]] = {}
     manifest: dict | None = None
 
     def add(rec: dict, line_number: int) -> None:
@@ -521,42 +540,18 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
                 raise ValueError("second manifest record")
             manifest = {k: v for k, v in rec.items() if k != "kind"}
         elif kind == "query_case":
-            query_id = rec["query_doc_id"]
-            if type(query_id) is not str:
-                raise ValueError(f"query_doc_id {query_id!r} is not a string")
+            case = from_record(QueryCaseRecord, rec)
+            query_id = case.query_doc_id
             if query_id in strata:
                 raise ValueError(f"repeated query_case for {query_id!r}")
-            relevant = rec["relevant"]
-            if type(relevant) is not list or not relevant:
-                raise ValueError(f"relevant of {query_id!r} is not a non-empty list")
-            provenance: dict[str, str] = {}
-            for entry in relevant:
-                if type(entry) is not dict:
-                    raise ValueError(f"relevant entry {entry!r} is not an object")
-                doc_id, source = entry["doc_id"], entry["source"]
-                if type(doc_id) is not str:
-                    raise ValueError(f"relevant doc_id {doc_id!r} is not a string")
-                if source not in (PROVENANCE_EXAMINER, PROVENANCE_FAMILY):
-                    raise ValueError(
-                        f"relevant {doc_id!r} has source {source!r}, "
-                        f"not {PROVENANCE_EXAMINER} or {PROVENANCE_FAMILY}"
-                    )
-                if doc_id in provenance:
-                    raise ValueError(f"relevant {doc_id!r} is listed twice for {query_id!r}")
-                provenance[doc_id] = source
-            labels = rec["strata"]
-            if type(labels) is not dict:
-                raise ValueError(f"strata of {query_id!r} is not an object")
-            queries.append(
-                QueryCase(
-                    query_doc_id=query_id,
-                    relevant_ids=frozenset(provenance),
-                    relevant_provenance=provenance,
-                )
-            )
-            for dim, label in labels.items():
+            provenance = {entry.doc_id: entry.source for entry in case.relevant}
+            if len(provenance) < len(case.relevant):
+                ((doc_id, _),) = Counter(e.doc_id for e in case.relevant).most_common(1)
+                raise ValueError(f"relevant {doc_id!r} is listed twice for {query_id!r}")
+            queries.append(QueryCase(query_id, frozenset(provenance), provenance))
+            for dim, label in case.strata.items():
                 require_stratum_label(f"strata {dim}", label)
-            strata[query_id] = labels
+            strata[query_id] = case.strata
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 

@@ -15,14 +15,14 @@ import threading
 import time
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .corpus import Corpus, from_record, normalize_doc_id, read_jsonl, write_lines
+from .corpus import Count, Corpus, from_record, normalize_doc_id, read_jsonl, write_lines
 from .dataset import EvaluationDataset
 from .query import EmptyInputError, Query
 
@@ -131,13 +131,30 @@ class RankedList:
 
 
 @dataclass(frozen=True)
-class RunRecord:
+class RunHeaderRecord:
+    """A run log's ``run_header`` line, apart from its ``kind``: the
+    :class:`RunRecord` without its results."""
+
     controls: RunControls
     dataset_manifest_hash: str
-    results: Mapping[str, RankedList]
-    started: str
-    finished: str
-    anomaly_count: int = 0
+    started: str = ""
+    finished: str = ""
+    anomaly_count: Count = 0
+
+
+@dataclass(frozen=True)
+class RunRecord(RunHeaderRecord):
+    results: Mapping[str, RankedList] = field(kw_only=True)
+
+
+@dataclass(frozen=True)
+class RankedListRecord:
+    """A run log's ``ranked_list`` line, apart from its ``kind`` and its
+    ``hits``: the :class:`RankedList` without its columns."""
+
+    query_id: str
+    status: str
+    latency_ms: Count = 0
 
 
 def _finite_score(score: object) -> float | None:
@@ -563,10 +580,10 @@ def remote_adapter_query(
 
     Returns the hits in response order: an object hit as its
     ``(id_field, score_field)`` pair, a ``[doc_id, score]`` pair or a bare id
-    unchanged, for :func:`standardize_results` to read.  Retries transport failures at most ``config.max_retries`` times with
-    exponential backoff.  A timeout raises :class:`AdapterTimeout`; a
-    non-success HTTP status or unparseable body raises :class:`AdapterError`
-    with a response snippet.
+    unchanged, for :func:`standardize_results` to read.  Retries transport
+    failures at most ``config.max_retries`` times with exponential backoff.
+    A timeout raises :class:`AdapterTimeout`; a non-success HTTP status or
+    unparseable body raises :class:`AdapterError` with a response snippet.
     """
     import requests  # only remote runs pay for loading it
 
@@ -654,24 +671,14 @@ class RemoteAdapter:
 def _log_records(record: RunRecord) -> Iterator[dict]:
     """The run log's records in file order: the header, then one ranked list
     per query in query-id order."""
-    yield {
-        "kind": "run_header",
-        "controls": asdict(record.controls),
-        "dataset_manifest_hash": record.dataset_manifest_hash,
-        "started": record.started,
-        "finished": record.finished,
-        "anomaly_count": record.anomaly_count,
-    }
-    for query_id, ranked in sorted(record.results.items()):
+    header = RunHeaderRecord(*[getattr(record, f.name) for f in fields(RunHeaderRecord)])
+    yield {"kind": "run_header", **asdict(header)}
+    for _, ranked in sorted(record.results.items()):
         ranks = range(1, len(ranked.doc_ids) + 1)
-        yield {
-            "kind": "ranked_list",
-            "query_id": query_id,
-            "status": ranked.status,
-            "latency_ms": ranked.latency_ms,
-            # Encodes to the same bytes as a list of [doc_id, score, rank].
-            "hits": list(zip(ranked.doc_ids, ranked.scores, ranks)),
-        }
+        # The scalars by name: asdict would deep-copy the columns.
+        rec = {f.name: getattr(ranked, f.name) for f in fields(RankedListRecord)}
+        # Encodes to the same bytes as a list of [doc_id, score, rank].
+        yield dict(rec, kind="ranked_list", hits=list(zip(ranked.doc_ids, ranked.scores, ranks)))
 
 
 # One encoder for every line, where json.dumps with options builds one per
@@ -690,39 +697,21 @@ def write_run_log(record: RunRecord, path: str | Path) -> Path:
     return write_lines(path, map(_log_line, _log_records(record)))
 
 
-def _str_field(rec: dict, name: str, default: str | None = None) -> str:
-    """``rec[name]``, which must be a string; ``default`` when given and the
-    key is left out.  A missing required key raises KeyError."""
-    value = rec[name] if default is None else rec.get(name, default)
-    if type(value) is not str:
-        raise ValueError(f"field {name!r} must be a string, got {value!r}")
-    return value
-
-
-def _count_field(rec: dict, name: str) -> int:
-    """``rec[name]``, which must be an integer >= 0 (not a bool); 0 when the
-    key is left out."""
-    value = rec.get(name, 0)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"field {name!r} must be an integer >= 0, got {value!r}")
-    return value
-
-
 def load_run_log(path: str | Path) -> RunRecord:
     """Inverse of :func:`write_run_log`.
 
     Raises :class:`RunLogFormatError`, naming the file and line, for a record
-    that is not valid JSON, misses a field, holds a run control of the wrong
-    type, holds a manifest hash, timestamp, query id or status that is not a
-    string, or an anomaly count or latency that is not an integer >= 0,
-    repeats the header, comes before the header, repeats a query's
-    ranked list, holds more hits than the header's ``max_depth``, or holds a
-    hit whose rank is not an integer in the run 1, 2, ..., whose doc_id is not
-    a non-empty string, whose score is not a finite number, or whose score is
-    above the previous hit's.
+    that is not valid JSON or that :func:`~patbench.corpus.from_record` cannot
+    read as a :class:`RunHeaderRecord` or :class:`RankedListRecord`, controls
+    without ``timeout_ms`` and ``max_depth``, a repeated header, a ranked list
+    before the header or repeating a query's, ``hits`` that are not a list or
+    outnumber the header's ``max_depth``, or a hit that is not a ``[doc_id,
+    score, rank]`` array, whose rank is not an integer in the run 1, 2, ...,
+    whose doc_id is not a non-empty string, whose score is not a finite
+    number, or whose score is above the previous hit's.
     """
     path = Path(path)
-    header: dict | None = None
+    header: RunHeaderRecord | None = None
     results: dict[str, RankedList] = {}
     # One id object per distinct doc id in this log: `json.loads` makes a new
     # string for every occurrence, and a log repeats a few thousand ids
@@ -735,24 +724,21 @@ def load_run_log(path: str | Path) -> RunRecord:
         if kind == "run_header":
             if header is not None:
                 raise ValueError("second run_header record")
+            header = from_record(RunHeaderRecord, rec)
             # RunControls has defaults for these, but a run log must state them.
-            if not {"timeout_ms", "max_depth"} <= set(rec["controls"]):
+            if not {"timeout_ms", "max_depth"} <= rec["controls"].keys():
                 raise ValueError("controls must hold timeout_ms and max_depth")
-            header = {
-                "controls": from_record(RunControls, rec["controls"]),
-                "dataset_manifest_hash": _str_field(rec, "dataset_manifest_hash"),
-                "started": _str_field(rec, "started", ""),
-                "finished": _str_field(rec, "finished", ""),
-                "anomaly_count": _count_field(rec, "anomaly_count"),
-            }
         elif kind == "ranked_list":
             if header is None:
                 raise ValueError("ranked_list before the run_header record")
-            query_id = _str_field(rec, "query_id")
+            meta = from_record(RankedListRecord, rec)
+            query_id = meta.query_id
             if query_id in results:
                 raise ValueError(f"second ranked_list for query {query_id!r}")
             hits = rec["hits"]
-            max_depth = header["controls"].max_depth
+            if type(hits) is not list:
+                raise ValueError(f"field 'hits' must be a list of hit arrays, got {hits!r}")
+            max_depth = header.controls.max_depth
             if len(hits) > max_depth:
                 raise ValueError(
                     f"{len(hits)} hits for query {query_id!r}, "
@@ -763,38 +749,40 @@ def load_run_log(path: str | Path) -> RunRecord:
             previous = math.inf
             # JSON values come back as exactly these types, so `type(x) is`
             # tests suffice, and they keep bool out of int.
-            for expected, (doc_id, score, rank) in enumerate(hits, start=1):
-                if type(rank) is not int or rank != expected:
-                    raise ValueError(f"hit {doc_id!r} at rank {rank!r}: ranks must be the integers 1, 2, ...")
-                if type(doc_id) is not str or not doc_id:
-                    raise ValueError(f"hit at rank {rank}: doc_id {doc_id!r} is not a non-empty string")
-                if type(score) is not float or not math.isfinite(score):
-                    value = _finite_score(score) if type(score) is int else None
-                    if value is None:
-                        raise ValueError(f"hit {doc_id!r}: score {score!r} is not a finite number")
-                    score = value
-                if score > previous:
-                    raise ValueError(
-                        f"hit {doc_id!r} at rank {rank}: score {score!r} is above the previous "
-                        f"score {previous!r}; scores must be non-increasing"
-                    )
-                previous = score
-                doc_ids.append(shared.setdefault(doc_id, doc_id))
-                scores.append(score)
-            results[query_id] = RankedList(
-                query_id=query_id,
-                doc_ids=tuple(doc_ids),
-                scores=scores,
-                status=_str_field(rec, "status"),
-                latency_ms=_count_field(rec, "latency_ms"),
-            )
+            try:
+                for expected, (doc_id, score, rank) in enumerate(hits, start=1):
+                    if type(rank) is not int or rank != expected:
+                        raise ValueError(f"hit {doc_id!r} at rank {rank!r}: ranks must be the integers 1, 2, ...")
+                    if type(doc_id) is not str or not doc_id:
+                        raise ValueError(f"hit at rank {rank}: doc_id {doc_id!r} is not a non-empty string")
+                    if type(score) is not float or not math.isfinite(score):
+                        value = _finite_score(score) if type(score) is int else None
+                        if value is None:
+                            raise ValueError(f"hit {doc_id!r}: score {score!r} is not a finite number")
+                        score = value
+                    if score > previous:
+                        raise ValueError(
+                            f"hit {doc_id!r} at rank {rank}: score {score!r} is above the previous "
+                            f"score {previous!r}; scores must be non-increasing"
+                        )
+                    previous = score
+                    doc_ids.append(shared.setdefault(doc_id, doc_id))
+                    scores.append(score)
+            except (ValueError, TypeError):
+                # A malformed hit fails above at its own position: name its shape.
+                position, hit = len(doc_ids) + 1, hits[len(doc_ids)]
+                if type(hit) is not list or len(hit) != 3:
+                    shape = "must be a [doc_id, score, rank] array"
+                    raise ValueError(f"hit {position} of query {query_id!r} {shape}, got {hit!r}") from None
+                raise
+            results[query_id] = RankedList(doc_ids=tuple(doc_ids), scores=scores, **vars(meta))
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 
     read_jsonl(path, add, RunLogFormatError)
     if header is None:
         raise RunLogFormatError(f"{path}: missing run_header record")
-    return RunRecord(results=results, **header)
+    return RunRecord(results=results, **vars(header))
 
 
 def sanitize_run_log(path: str | Path) -> bytes:

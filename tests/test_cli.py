@@ -1291,9 +1291,14 @@ class TestStratumLabelRule:
 
 
     @pytest.mark.parametrize(
-        "dim, label", [("jurisdiction", "__all__"), ("language", "a|b"), ("language", 5)]
+        "dim, label, message",
+        [
+            pytest.param("jurisdiction", "__all__", "strata jurisdiction '__all__'", id="jurisdiction-__all__"),
+            pytest.param("language", "a|b", "strata language 'a|b'", id="language-a|b"),
+            pytest.param("language", 5, "field 'strata' must be an object of strings", id="language-5"),
+        ],
     )
-    def test_dataset_strata_label(self, runner, tmp_path, quickstart, dim, label):
+    def test_dataset_strata_label(self, runner, tmp_path, quickstart, dim, label, message):
         """A dataset's strata are checked too: the manifest hash does not
         cover them."""
         lines = quickstart["dataset"].read_text(encoding="utf-8").splitlines(keepends=True)
@@ -1307,7 +1312,7 @@ class TestStratumLabelRule:
             ["evaluate", "--run", str(quickstart["exclude"]), "--dataset", str(dataset),
              "--out", str(tmp_path / "out")],
         )
-        _assert_input_error(result, f"{dataset}:2:", f"strata {dim} {label!r}")
+        _assert_input_error(result, f"{dataset}:2:", message)
         assert not (tmp_path / "out").exists()
 
 

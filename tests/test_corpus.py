@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from datetime import date, timedelta
 from typing import Mapping
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import make_corpus, make_doc, scalar_family_members
 from patbench.corpus import (
     CitationRecord,
+    Count,
     CorpusFormatError,
     DuplicateDocIdError,
     PatentDocument,
@@ -29,7 +31,8 @@ from patbench.corpus import (
     read_jsonl,
     write_corpus,
 )
-from patbench.execution import RemoteEndpointConfig, RunControls
+from patbench.dataset import QueryCaseRecord, RelevantEntry
+from patbench.execution import RankedListRecord, RemoteEndpointConfig, RunControls, RunHeaderRecord
 from patbench.synth import synthetic_corpus
 
 
@@ -304,6 +307,12 @@ class TestFieldTypes:
 
 
 @dataclasses.dataclass(frozen=True)
+class _Inner:
+    a: str
+    n: Count = 0
+
+
+@dataclasses.dataclass(frozen=True)
 class _EveryType:
     s: str
     i: int = 0
@@ -312,11 +321,19 @@ class _EveryType:
     t: tuple[str, ...] = ()
     ms: Mapping[str, str] = dataclasses.field(default_factory=dict)
     mo: Mapping[str, object] = dataclasses.field(default_factory=dict)
+    c: Count = 0
+    r: _Inner = _Inner("x")
+    rs: tuple[_Inner, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
 class _Unreadable:
     b: bytes
+
+
+@dataclasses.dataclass(frozen=True)
+class _HoldsUnreadable:
+    u: _Unreadable
 
 
 class TestFromRecord:
@@ -326,6 +343,8 @@ class TestFromRecord:
             ("s", "x", "x"), ("i", -3, -3), ("f", 2, 2), ("f", 2.5, 2.5),
             ("d", "2015-01-02", date(2015, 1, 2)), ("t", ["a", "b"], ("a", "b")), ("t", [], ()),
             ("ms", {"k": "v"}, {"k": "v"}), ("mo", {"k": [1, None]}, {"k": [1, None]}),
+            ("c", 0, 0), ("c", 7, 7), ("r", {"a": "y", "n": 2}, _Inner("y", 2)),
+            ("rs", [{"a": "y"}, {"a": "z"}], (_Inner("y"), _Inner("z"))), ("rs", [], ()),
         ],
     )
     def test_accepts(self, field, value, read):
@@ -341,10 +360,29 @@ class TestFromRecord:
             ("t", None), ("t", "ab"), ("t", ["a", 1]), ("t", {"a": "b"}),
             ("ms", None), ("ms", {"k": 1}), ("ms", ["k"]),
             ("mo", None), ("mo", [1]),
+            ("c", -1), ("c", True), ("c", 1.0), ("c", None),
+            ("r", None), ("r", ["y"]), ("r", "y"),
+            ("rs", None), ("rs", {"a": "y"}), ("rs", [["y"]]), ("rs", [{"a": "y"}, None]),
         ],
     )
     def test_rejects_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^field {field!r} must be "):
+            from_record(_EveryType, {"s": "x", field: value})
+
+    def test_count_message(self):
+        with pytest.raises(ValueError, match=r"^field 'c' must be an integer >= 0, got -1$"):
+            from_record(_EveryType, {"s": "x", "c": -1})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("r", {"a": 5}, "field 'a' must be a string, got 5"),
+            ("r", {"n": 1}, "missing field 'a'"),
+            ("rs", [{"a": "y"}, {"a": "z", "n": -2}], "field 'n' must be an integer >= 0, got -2"),
+        ],
+    )
+    def test_a_nested_record_names_its_own_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             from_record(_EveryType, {"s": "x", field: value})
 
     def test_date_format_keeps_its_message(self):
@@ -376,16 +414,28 @@ class TestFromRecord:
             seed_field="", extra_params={"p": [1]}, hits_path=("r", "h"), id_field="i",
             score_field="c", max_retries=0, backoff_s=1,
         )
-        for record in (controls, config):
+        header = RunHeaderRecord(
+            controls=controls, dataset_manifest_hash="h", started="s", finished="f", anomaly_count=4
+        )
+        ranked = RankedListRecord(query_id="Q1", status="TIMEOUT", latency_ms=5)
+        entry = RelevantEntry(doc_id="US2A", source="FAMILY_DERIVED")
+        case = QueryCaseRecord(
+            query_doc_id="US1A", relevant=(entry, RelevantEntry("US3A", "EXAMINER")),
+            strata={"language": "de"},
+        )
+        records = (controls, config, header, ranked, entry, case)
+        for record in records:
             as_json = json.loads(json.dumps(dataclasses.asdict(record)))
             assert from_record(type(record), as_json) == record
-        for record in (doc, cit, controls, config):
+        for record in (doc, cit) + records:
             for f in dataclasses.fields(record):
                 assert getattr(record, f.name) != f.default, f.name
 
     def test_an_annotation_without_a_reader_is_no_format_error(self, tmp_path):
         with pytest.raises(NotImplementedError, match="_Unreadable.b"):
             from_record(_Unreadable, {"b": "x"})
+        with pytest.raises(NotImplementedError, match="_Unreadable.b"):
+            from_record(_HoldsUnreadable, {"u": {"b": "x"}})
         path = tmp_path / "x.jsonl"
         path.write_text('{"b": "x"}\n', encoding="utf-8")
         with pytest.raises(NotImplementedError):

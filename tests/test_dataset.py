@@ -726,21 +726,60 @@ class TestLoadQueryCases:
         assert dict(case.relevant_provenance) == {"US2A": "EXAMINER"}
         assert dict(dataset.strata["US1A"]) == {"language": "en"}
 
+    # Each id names the fault in the input line.
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"query_doc_id": 7}, "query_doc_id 7 is not a string"),
-            ({"query_doc_id": None}, "query_doc_id None is not a string"),
-            ({"relevant": []}, "relevant of 'US1A' is not a non-empty list"),
-            ({"relevant": {"doc_id": "US2A", "source": "EXAMINER"}}, "is not a non-empty list"),
-            ({"relevant": ["US2A"]}, "relevant entry 'US2A' is not an object"),
-            ({"relevant": [{"doc_id": None, "source": 3}]}, "relevant doc_id None is not a string"),
-            ({"relevant": [{"doc_id": "US2A", "source": 3}]}, "has source 3, not EXAMINER"),
-            ({"relevant": [{"doc_id": "US2A", "source": "examiner"}]}, "has source 'examiner'"),
-            ({"relevant": [{"doc_id": "US2A"}]}, "missing field 'source'"),
-            ({"strata": [["language", "en"]]}, "strata of 'US1A' is not an object"),
-            ({"strata": None}, "strata of 'US1A' is not an object"),
-            (
+            pytest.param(
+                {"query_doc_id": 7}, "field 'query_doc_id' must be a string, got 7",
+                id="overrides0-query_doc_id 7 is not a string",
+            ),
+            pytest.param(
+                {"query_doc_id": None}, "field 'query_doc_id' must be a string, got None",
+                id="overrides1-query_doc_id None is not a string",
+            ),
+            pytest.param(
+                {"relevant": []}, "query 'US1A' has an empty relevant set",
+                id="overrides2-relevant of 'US1A' is not a non-empty list",
+            ),
+            pytest.param(
+                {"relevant": {"doc_id": "US2A", "source": "EXAMINER"}},
+                "field 'relevant' must be a list of objects, got {",
+                id="overrides3-is not a non-empty list",
+            ),
+            pytest.param(
+                {"relevant": ["US2A"]}, "field 'relevant' must be a list of objects, got ['US2A']",
+                id="overrides4-relevant entry 'US2A' is not an object",
+            ),
+            pytest.param(
+                {"relevant": [{"doc_id": None, "source": 3}]},
+                "field 'doc_id' must be a string, got None",
+                id="overrides5-relevant doc_id None is not a string",
+            ),
+            pytest.param(
+                {"relevant": [{"doc_id": "US2A", "source": 3}]},
+                "field 'source' must be a string, got 3",
+                id="overrides6-has source 3, not EXAMINER",
+            ),
+            pytest.param(
+                {"relevant": [{"doc_id": "US2A", "source": "examiner"}]},
+                "relevant 'US2A' has source 'examiner', not EXAMINER or FAMILY_DERIVED",
+                id="overrides7-has source 'examiner'",
+            ),
+            pytest.param(
+                {"relevant": [{"doc_id": "US2A"}]}, "missing field 'source'",
+                id="overrides8-missing field 'source'",
+            ),
+            pytest.param(
+                {"strata": [["language", "en"]]},
+                "field 'strata' must be an object of strings, got [['language', 'en']]",
+                id="overrides9-strata of 'US1A' is not an object",
+            ),
+            pytest.param(
+                {"strata": None}, "field 'strata' must be an object of strings, got None",
+                id="overrides10-strata of 'US1A' is not an object",
+            ),
+            pytest.param(
                 {
                     "relevant": [
                         {"doc_id": "US2A", "source": "EXAMINER"},
@@ -748,6 +787,7 @@ class TestLoadQueryCases:
                     ]
                 },
                 "relevant 'US2A' is listed twice for 'US1A'",
+                id="overrides11-relevant 'US2A' is listed twice for 'US1A'",
             ),
         ],
     )
@@ -757,6 +797,12 @@ class TestLoadQueryCases:
         path = self._write(tmp_path, _query_case(**overrides))
         with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:2: ") + ".*" + re.escape(message)):
             load_dataset(path)
+
+    def test_a_bad_source_is_rejected_when_the_case_is_built(self):
+        """So write_dataset cannot write a case that load_dataset rejects."""
+        message = "relevant 'US2A' has source 'bogus', not EXAMINER or FAMILY_DERIVED"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QueryCase("US1A", frozenset({"US2A"}), {"US2A": "bogus"})
 
 
 class TestProfile:

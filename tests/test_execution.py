@@ -1417,42 +1417,53 @@ class TestRunLogIO:
             load_run_log(path)
 
     @pytest.mark.parametrize(
-        "hits",
+        "hits, message",
         [
-            [["US1A", 0.9, 0]],
-            [["US1A", 0.9, 1], ["US2A", 0.8, 3]],
-            [["US1A", 0.9]],
-            [["US1A", 0.9, 1.5]],
-            [["US1A", 0.9, 1.0]],
-            [["US1A", 0.9, True]],
-            [["US1A", 0.9, "1"]],
-            [[123, 0.9, 1]],
-            [["", 0.9, 1]],
-            [["US1A", "nan", 1]],
-            [["US1A", float("nan"), 1]],
-            [["US1A", float("inf"), 1]],
-            [["US1A", None, 1]],
-            [["US1A", True, 1]],
-            [["US1A", 10**400, 1]],
-            [["US1A", 0.1, 1], ["US2A", 0.9, 2]],
-            [["US1A", 0.0, 1], ["US2A", 5e-324, 2]],
+            ([["US1A", 0.9, 0]], "hit 'US1A' at rank 0: ranks must be the integers 1, 2, ..."),
+            ([["US1A", 0.9, 1], ["US2A", 0.8, 3]], "hit 'US2A' at rank 3: ranks must be"),
+            ([["US1A", 0.9]], "hit 1 of query 'Q2' must be a [doc_id, score, rank] array, got ['US1A', 0.9]"),
+            ([["US1A", 0.9, 1.5]], "hit 'US1A' at rank 1.5: ranks must be"),
+            ([["US1A", 0.9, 1.0]], "hit 'US1A' at rank 1.0: ranks must be"),
+            ([["US1A", 0.9, True]], "hit 'US1A' at rank True: ranks must be"),
+            ([["US1A", 0.9, "1"]], "hit 'US1A' at rank '1': ranks must be"),
+            ([[123, 0.9, 1]], "hit at rank 1: doc_id 123 is not a non-empty string"),
+            ([["", 0.9, 1]], "hit at rank 1: doc_id '' is not a non-empty string"),
+            ([["US1A", "nan", 1]], "hit 'US1A': score 'nan' is not a finite number"),
+            ([["US1A", float("nan"), 1]], "hit 'US1A': score nan is not a finite number"),
+            ([["US1A", float("inf"), 1]], "hit 'US1A': score inf is not a finite number"),
+            ([["US1A", None, 1]], "hit 'US1A': score None is not a finite number"),
+            ([["US1A", True, 1]], "hit 'US1A': score True is not a finite number"),
+            ([["US1A", 10**400, 1]], f"hit 'US1A': score {10**400} is not a finite number"),
+            ([["US1A", 0.1, 1], ["US2A", 0.9, 2]], "hit 'US2A' at rank 2: score 0.9 is above the previous score 0.1"),
+            ([["US1A", 0.0, 1], ["US2A", 5e-324, 2]], "hit 'US2A' at rank 2: score 5e-324 is above"),
+            (
+                [{"doc_id": "US1A", "score": 0.9, "rank": 1}],
+                "hit 1 of query 'Q2' must be a [doc_id, score, rank] array, got {'doc_id': 'US1A'",
+            ),
+            ([["US1A", 0.9, 1], ["US2A", 0.8]], "hit 2 of query 'Q2' must be a [doc_id, score, rank] array"),
+            ([["US1A", 0.9, 1, 0]], "hit 1 of query 'Q2' must be a [doc_id, score, rank] array"),
+            (["abc"], "hit 1 of query 'Q2' must be a [doc_id, score, rank] array, got 'abc'"),
+            ([5], "hit 1 of query 'Q2' must be a [doc_id, score, rank] array, got 5"),
+            ([["US1A", 0.9, 0], ["US2A", 0.8]], "hit 'US1A' at rank 0"),
         ],
         ids=[
             "rank-0", "rank-gap", "short-hit", "rank-fraction", "rank-float", "rank-bool",
             "rank-str", "doc-id-int", "doc-id-empty", "score-str", "score-nan", "score-inf",
             "score-null", "score-bool", "score-int-beyond-float-range",
-            "score-increases", "score-rises-above-zero",
+            "score-increases", "score-rises-above-zero", "hit-object", "second-hit-short",
+            "long-hit", "hit-string", "hit-number", "first-fault-reported",
         ],
     )
-    def test_load_rejects_broken_ranked_list(self, tmp_path, hits):
+    def test_load_rejects_broken_ranked_list(self, tmp_path, hits, message):
         path = tmp_path / "run.jsonl"
         write_run_log(self._record(), path)
         lines = path.read_text().splitlines(keepends=True)
         rec = json.loads(lines[2])
+        assert rec["query_id"] == "Q2"
         rec["hits"] = hits
         lines[2] = json.dumps(rec) + "\n"
         path.write_text("".join(lines))
-        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:3: ")):
+        with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:3: {message}")):
             load_run_log(path)
 
     def test_load_rejects_more_hits_than_max_depth(self, tmp_path):
@@ -1561,6 +1572,10 @@ class TestRunLogIO:
             (1, "latency_ms", -1),
             (1, "latency_ms", 7.0),
             (1, "latency_ms", False),
+            (0, "controls", None),
+            (0, "controls", [["seed", 11]]),
+            (1, "hits", 5),
+            (1, "hits", {"US1A": 0.9}),
         ],
     )
     def test_load_rejects_field_of_the_wrong_type(self, tmp_path, line, key, value):
