@@ -546,7 +546,7 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
                 raise ValueError(f"repeated query_case for {query_id!r}")
             provenance = {entry.doc_id: entry.source for entry in case.relevant}
             if len(provenance) < len(case.relevant):
-                ((doc_id, _),) = Counter(e.doc_id for e in case.relevant).most_common(1)
+                doc_id = Counter(e.doc_id for e in case.relevant).most_common(1)[0][0]
                 raise ValueError(f"relevant {doc_id!r} is listed twice for {query_id!r}")
             queries.append(QueryCase(query_id, frozenset(provenance), provenance))
             for dim, label in case.strata.items():
