@@ -81,10 +81,10 @@ class PatentDocument:
     ipc_codes: tuple[str, ...]
     filing_date: date
     family_id: str = ""
-    title: str = ""
-    abstract: str = ""
-    claims: str = ""
-    description: str = ""
+    title: Text = ""
+    abstract: Text = ""
+    claims: Text = ""
+    description: Text = ""
 
     def __post_init__(self) -> None:
         if not self.doc_id:
@@ -208,62 +208,106 @@ def _parse_date(value: str) -> date:
 # An integer >= 0, such as a count or a latency; a plain int at run time.
 Count = NewType("Count", int)
 
-# By field type: (test of a present JSON value, what it must be, conversion).
-# None is the str test, inlined.  ``type(v) is int`` skips bool.
+# Free text, such as a patent's claims; a plain str at run time.  Unlike the
+# other strings of a record, it is not read through the pool.
+Text = NewType("Text", str)
+
+
+class _WrongItem(Exception):
+    """An item of a list or object field that is not of the field's type."""
+
+
+def _pooled(value: str, pool: dict[str, str]) -> str:
+    return pool.setdefault(value, value)
+
+
+# A field holding strings reads its items in one pass, which checks and
+# pools each; a comprehension after an all() test took twice as long.
+def _pooled_list(value: list, pool: dict[str, str]) -> tuple[str, ...]:
+    items = []
+    for x in value:
+        if type(x) is not str:
+            raise _WrongItem
+        items.append(pool.setdefault(x, x))
+    return tuple(items)
+
+
+def _pooled_object(value: dict, pool: dict[str, str]) -> dict[str, str]:
+    items = {}
+    for k, x in value.items():
+        if type(x) is not str:
+            raise _WrongItem
+        items[pool.setdefault(k, k)] = pool.setdefault(x, x)
+    return items
+
+
+# By field type: (test of a present JSON value, what it must be, conversion
+# of the value and the pool, which raises _WrongItem for an item of the wrong
+# type).  None is the str test, inlined.  ``type(v) is int`` skips bool.
 _FIELD_TYPES: dict[object, tuple[Callable[[object], bool] | None, str, Callable | None]] = {
-    str: (None, "a string", None),
+    str: (None, "a string", _pooled),
+    Text: (None, "a string", None),
     int: (lambda v: type(v) is int, "an integer", None),
     Count: (lambda v: type(v) is int and v >= 0, "an integer >= 0", None),
     float: (lambda v: type(v) in (int, float), "a number", None),
-    date: (None, "a YYYY-MM-DD string", _parse_date),
-    tuple[str, ...]: (
-        lambda v: type(v) is list and all(type(x) is str for x in v), "a list of strings", tuple
-    ),
-    Mapping[str, str]: (
-        lambda v: type(v) is dict and all(type(x) is str for x in v.values()),
-        "an object of strings",
-        None,
-    ),
+    date: (None, "a YYYY-MM-DD string", lambda v, pool: _parse_date(v)),
+    tuple[str, ...]: (lambda v: type(v) is list, "a list of strings", _pooled_list),
+    Mapping[str, str]: (lambda v: type(v) is dict, "an object of strings", _pooled_object),
     Mapping[str, object]: (lambda v: type(v) is dict, "an object", None),
 }
 
 
 def _field_type(hint: object) -> tuple | None:
-    """The ``_FIELD_TYPES`` entry of a field type, where a dataclass reads
-    from an object and a ``tuple[Record, ...]`` from a list of objects."""
+    """The ``_FIELD_TYPES`` entry of a field type, plus what builds the
+    records of a field that holds them from their values (else None): a
+    dataclass reads from an object and a ``tuple[Record, ...]`` from a list
+    of objects, each as the list of its values."""
     if is_dataclass(hint):
-        return (lambda v: type(v) is dict, "an object", functools.partial(from_record, hint))
+        readers = _record_type(hint)[0]
+        read = lambda v, pool: _read_values(readers, v, pool)  # noqa: E731
+        return (lambda v: type(v) is dict, "an object", read, functools.partial(_build, hint))
     item = getattr(hint, "__args__", (None,))[0]
     if is_dataclass(item) and hint == tuple[item, ...]:
-        test = lambda v: type(v) is list and all(type(x) is dict for x in v)  # noqa: E731
-        return (test, "a list of objects", lambda v: tuple([from_record(item, x) for x in v]))
-    return _FIELD_TYPES.get(hint)
+        readers = _record_type(item)[0]
+
+        def read(value: list, pool: dict[str, str]) -> list[list]:
+            rows = []
+            for x in value:
+                if type(x) is not dict:
+                    raise _WrongItem
+                rows.append(_read_values(readers, x, pool))
+            return rows
+
+        test = lambda v: type(v) is list  # noqa: E731
+        return (test, "a list of objects", read, lambda v: tuple([_build(item, x) for x in v]))
+    entry = _FIELD_TYPES.get(hint)
+    return None if entry is None else (*entry, None)
 
 
 @functools.cache
-def _field_readers(cls: type) -> tuple[tuple, ...]:
+def _record_type(cls: type) -> tuple[tuple[tuple, ...], tuple[tuple[int, Callable], ...]]:
+    """The readers of ``cls``'s fields, and the (position, build) pairs of
+    its fields that hold records."""
     hints = get_type_hints(cls)
     readers = []
+    builds = []
     for f in fields(cls):
         field_type = _field_type(hints[f.name])
         if field_type is None or not f.init or f.kw_only:
             # A programming error, which read_jsonl's format-error policy lets through.
             raise NotImplementedError(f"from_record cannot read {cls.__name__}.{f.name}: {f.type}")
+        test, expected, convert, build = field_type
         default = f.default_factory if f.default is MISSING else (lambda d=f.default: d)
-        readers.append((f.name, *field_type, default))
-    return tuple(readers)
+        readers.append((f.name, test, expected, convert, default))
+        if build is not None:
+            builds.append((len(readers) - 1, build))
+    return tuple(readers), tuple(builds)
 
 
-def from_record(cls: type[T], rec: object) -> T:
-    """The dataclass ``cls`` read from a JSON object, the inverse of ``asdict``
-    and :func:`canonical_corpus_lines`.  A field with no default is required; a
-    key left out takes the field's default; a present key must hold a non-null
-    value of the field's annotated type.  Other keys are ignored."""
-    if type(rec) is not dict:
-        raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(rec).__name__}")
+def _read_values(readers: tuple[tuple, ...], rec: dict, pool: dict[str, str]) -> list:
     # Positional arguments and rec[name]: kwargs or rec.get made parsing 5-15% slower.
-    args = []
-    for name, test, expected, convert, default in _field_readers(cls):
+    values = []
+    for name, test, expected, convert, default in readers:
         try:
             value = rec[name]
         except KeyError:
@@ -273,10 +317,49 @@ def from_record(cls: type[T], rec: object) -> T:
         else:
             if not (type(value) is str if test is None else test(value)):
                 raise ValueError(f"field {name!r} must be {expected}, got {value!r}")
-            if convert is not None:
-                value = convert(value)
-        args.append(value)
-    return cls(*args)
+            # The str conversion, inlined: most fields are strings.
+            if convert is _pooled:
+                value = pool.setdefault(value, value)
+            elif convert is not None:
+                try:
+                    value = convert(value, pool)
+                except _WrongItem:
+                    raise ValueError(f"field {name!r} must be {expected}, got {value!r}") from None
+        values.append(value)
+    return values
+
+
+def record_values(cls: type, rec: object, pool: dict[str, str] | None = None) -> list:
+    """The values :func:`from_record` passes to ``cls``, in field order,
+    read by the same rules but without building ``cls``: a field that holds
+    records and is present in ``rec`` holds each record's list of values."""
+    if type(rec) is not dict:
+        raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(rec).__name__}")
+    return _read_values(_record_type(cls)[0], rec, {} if pool is None else pool)
+
+
+def _build(cls: type[T], values: list) -> T:
+    for position, build in _record_type(cls)[1]:
+        # A value read holds lists; a default holds the records already.
+        if type(values[position]) is list:
+            values[position] = build(values[position])
+    return cls(*values)
+
+
+def from_record(cls: type[T], rec: object, pool: dict[str, str] | None = None) -> T:
+    """The dataclass ``cls`` read from a JSON object, the inverse of ``asdict``
+    and :func:`canonical_corpus_lines`.  A field with no default is required; a
+    key left out takes the field's default; a present key must hold a non-null
+    value of the field's annotated type.  Other keys are ignored.
+
+    The strings of ``str``, ``tuple[str, ...]`` and ``Mapping[str, str]``
+    fields, keys included, are taken from ``pool``: the first string of each
+    value is added to it and an equal string read later is replaced by that
+    one, so that the records of one file hold one object per id and label.
+    :data:`Text` fields and ``Mapping[str, object]`` values are read as they
+    are.  A loader passes one pool to every call over its file and drops it
+    when the load returns; without one, a call uses a pool of its own."""
+    return _build(cls, record_values(cls, rec, pool))
 
 
 def manifest_path_for(corpus_path: str | Path) -> Path:
@@ -353,11 +436,12 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
     citations: list[CitationRecord] = []
     citation_lines: list[int] = []
     skips: list[tuple[int, str]] = []
+    pool: dict[str, str] = {}
 
     def add(rec: dict, line_number: int) -> None:
         kind = rec.get("kind")
         if kind == "patent":
-            doc = from_record(PatentDocument, rec)
+            doc = from_record(PatentDocument, rec, pool)
             _require_canonical("doc_id", doc.doc_id)
             require_stratum_label("language", doc.language)
             require_stratum_label("jurisdiction", doc.jurisdiction)
@@ -365,7 +449,7 @@ def load_corpus(path: str | Path, lenient: bool = False) -> Corpus:
                 raise DuplicateDocIdError(doc.doc_id, line_number)
             documents[doc.doc_id] = doc
         elif kind == "citation":
-            cit = from_record(CitationRecord, rec)
+            cit = from_record(CitationRecord, rec, pool)
             _require_canonical("citing_id", cit.citing_id)
             _require_canonical("cited_id", cit.cited_id)
             citations.append(cit)

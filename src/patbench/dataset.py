@@ -24,9 +24,10 @@ from .corpus import (
     PatentDocument,
     corpus_content_hash,
     family_members,
-    from_record,
     ipc_section_of,
+    is_stratum_label,
     read_jsonl,
+    record_values,
     require_stratum_label,
     write_lines,
 )
@@ -120,7 +121,7 @@ class QueryCase:
             raise ValueError(f"query {self.query_doc_id!r} has an empty relevant set")
         if self.query_doc_id in self.relevant_ids:
             raise ValueError(f"query {self.query_doc_id!r} lists itself as relevant")
-        if set(self.relevant_provenance) != set(self.relevant_ids):
+        if self.relevant_provenance.keys() != self.relevant_ids:
             raise ValueError("relevant_provenance must cover exactly relevant_ids")
         for doc_id, source in self.relevant_provenance.items():
             if source not in CITATION_SOURCES:
@@ -522,8 +523,8 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
     """Inverse of :func:`write_dataset`; the manifest hash survives the trip.
 
     Raises :class:`DatasetFormatError`, naming the file and line, for a
-    ``query_case`` line that :func:`~patbench.corpus.from_record` cannot read
-    as a :class:`QueryCaseRecord` or that :class:`QueryCase` rejects (an
+    ``query_case`` line that :func:`~patbench.corpus.record_values` cannot
+    read as a :class:`QueryCaseRecord` or that :class:`QueryCase` rejects (an
     empty relevant set, a source other than EXAMINER or FAMILY_DERIVED), that
     repeats a query or lists one relevant ``doc_id`` twice, or that holds a
     stratum label failing :func:`~patbench.corpus.is_stratum_label`."""
@@ -531,6 +532,7 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
     queries: list[QueryCase] = []
     strata: dict[str, Mapping[str, str]] = {}
     manifest: dict | None = None
+    pool: dict[str, str] = {}
 
     def add(rec: dict, line_number: int) -> None:
         nonlocal manifest
@@ -540,18 +542,21 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
                 raise ValueError("second manifest record")
             manifest = {k: v for k, v in rec.items() if k != "kind"}
         elif kind == "query_case":
-            case = from_record(QueryCaseRecord, rec)
-            query_id = case.query_doc_id
+            # Values, not a QueryCaseRecord: each relevant entry is read as its
+            # [doc_id, source] pair, and no RelevantEntry is built.
+            query_id, relevant, labels = record_values(QueryCaseRecord, rec, pool)
             if query_id in strata:
                 raise ValueError(f"repeated query_case for {query_id!r}")
-            provenance = {entry.doc_id: entry.source for entry in case.relevant}
-            if len(provenance) < len(case.relevant):
-                doc_id = Counter(e.doc_id for e in case.relevant).most_common(1)[0][0]
+            provenance = dict(relevant)
+            if len(provenance) < len(relevant):
+                doc_id = Counter(doc_id for doc_id, _ in relevant).most_common(1)[0][0]
                 raise ValueError(f"relevant {doc_id!r} is listed twice for {query_id!r}")
             queries.append(QueryCase(query_id, frozenset(provenance), provenance))
-            for dim, label in case.strata.items():
-                require_stratum_label(f"strata {dim}", label)
-            strata[query_id] = case.strata
+            # The field name is formatted only for a label that fails.
+            for dim, label in labels.items():
+                if not is_stratum_label(label):
+                    require_stratum_label(f"strata {dim}", label)
+            strata[query_id] = labels
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 

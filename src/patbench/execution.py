@@ -713,10 +713,9 @@ def load_run_log(path: str | Path) -> RunRecord:
     path = Path(path)
     header: RunHeaderRecord | None = None
     results: dict[str, RankedList] = {}
-    # One id object per distinct doc id in this log: `json.loads` makes a new
-    # string for every occurrence, and a log repeats a few thousand ids
-    # hundreds of thousands of times.
-    shared: dict[str, str] = {}
+    # One object per distinct id and label in this log (see from_record): a
+    # log repeats a few thousand doc ids hundreds of thousands of times.
+    pool: dict[str, str] = {}
 
     def add(rec: dict, line_number: int) -> None:
         nonlocal header
@@ -724,14 +723,14 @@ def load_run_log(path: str | Path) -> RunRecord:
         if kind == "run_header":
             if header is not None:
                 raise ValueError("second run_header record")
-            header = from_record(RunHeaderRecord, rec)
+            header = from_record(RunHeaderRecord, rec, pool)
             # RunControls has defaults for these, but a run log must state them.
             if not {"timeout_ms", "max_depth"} <= rec["controls"].keys():
                 raise ValueError("controls must hold timeout_ms and max_depth")
         elif kind == "ranked_list":
             if header is None:
                 raise ValueError("ranked_list before the run_header record")
-            meta = from_record(RankedListRecord, rec)
+            meta = from_record(RankedListRecord, rec, pool)
             query_id = meta.query_id
             if query_id in results:
                 raise ValueError(f"second ranked_list for query {query_id!r}")
@@ -766,7 +765,7 @@ def load_run_log(path: str | Path) -> RunRecord:
                             f"score {previous!r}; scores must be non-increasing"
                         )
                     previous = score
-                    doc_ids.append(shared.setdefault(doc_id, doc_id))
+                    doc_ids.append(pool.setdefault(doc_id, doc_id))
                     scores.append(score)
             except (ValueError, TypeError):
                 # A malformed hit fails above at its own position: name its shape.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import pathlib
 import re
 from datetime import date, timedelta
 from typing import Mapping
@@ -29,10 +30,17 @@ from patbench.corpus import (
     load_corpus,
     manifest_path_for,
     read_jsonl,
+    record_values,
     write_corpus,
 )
-from patbench.dataset import QueryCaseRecord, RelevantEntry
-from patbench.execution import RankedListRecord, RemoteEndpointConfig, RunControls, RunHeaderRecord
+from patbench.dataset import QueryCaseRecord, RelevantEntry, load_dataset
+from patbench.execution import (
+    RankedListRecord,
+    RemoteEndpointConfig,
+    RunControls,
+    RunHeaderRecord,
+    load_run_log,
+)
 from patbench.synth import synthetic_corpus
 
 
@@ -429,6 +437,26 @@ class TestFromRecord:
             for f in dataclasses.fields(record):
                 assert getattr(record, f.name) != f.default, f.name
 
+    def test_record_values_reads_records_as_lists(self):
+        values = record_values(_EveryType, {"s": "x", "r": {"a": "y"}, "rs": [{"a": "z", "n": 1}]})
+        names = [f.name for f in dataclasses.fields(_EveryType)]
+        assert values[names.index("r")] == ["y", 0]
+        assert values[names.index("rs")] == [["z", 1]]
+        # A default is the field's own value, records and all.
+        assert record_values(_EveryType, {"s": "x"})[names.index("r")] == _Inner("x")
+
+    def test_without_a_pool_a_call_pools_its_own_strings(self):
+        line = (
+            '{"query_doc_id": "US1A", "relevant": [{"doc_id": "US2A", "source": "EXAMINER"}], '
+            '"strata": {"language": "en", "jurisdiction": "en"}}'
+        )
+        record = from_record(QueryCaseRecord, json.loads(line))
+        assert record == from_record(QueryCaseRecord, json.loads(line), {})
+        assert record == QueryCaseRecord(
+            "US1A", (RelevantEntry("US2A", "EXAMINER"),), {"language": "en", "jurisdiction": "en"}
+        )
+        assert record.strata["language"] is record.strata["jurisdiction"]
+
     def test_an_annotation_without_a_reader_is_no_format_error(self, tmp_path):
         with pytest.raises(NotImplementedError, match="_Unreadable.b"):
             from_record(_Unreadable, {"b": "x"})
@@ -465,6 +493,84 @@ class TestReadJsonl:
             assert str(err.value) == f"{path}:1: bad value"
         else:
             assert err.value is exc
+
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _strings(value) -> list[str]:
+    """Every str in a loaded record's fields, container or mapping, keys included."""
+    if isinstance(value, str):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, Mapping):
+        return [s for k, v in value.items() for s in _strings(k) + _strings(v)]
+    if isinstance(value, (tuple, list, frozenset)):
+        return [s for v in value for s in _strings(v)]
+    return []
+
+
+def _one_object_per_value(strings) -> None:
+    by_value: dict[str, set[int]] = {}
+    for s in strings:
+        by_value.setdefault(s, set()).add(id(s))
+    assert by_value
+    assert {v: ids for v, ids in by_value.items() if len(ids) > 1} == {}
+
+
+class TestLoadPool:
+    """Each loader reads a file's ids and labels through one pool: equal
+    strings within the file are one object, and no object outlives the load
+    into another load's records."""
+
+    def test_dataset_examiner_and_labels(self):
+        dataset = load_dataset(GOLDEN_DIR / "quickstart_dataset.jsonl")
+        sources = [s for case in dataset.queries for s in case.relevant_provenance.values()]
+        _one_object_per_value(s for s in sources if s == "EXAMINER")
+        assert sources.count("EXAMINER") > 1
+        _one_object_per_value(_strings(dataset.strata))
+        _one_object_per_value(_strings(dataset.queries))
+
+    def test_corpus_fields(self, bundled_corpus_path):
+        corpus = load_corpus(bundled_corpus_path)
+        docs = list(corpus.documents.values())
+        for name in ("language", "jurisdiction", "family_id"):
+            values = [getattr(doc, name) for doc in docs]
+            assert len(values) > len(set(values)), name
+            _one_object_per_value(values)
+        _one_object_per_value(code for doc in docs for code in doc.ipc_codes)
+        # Citation ends are the patents' own doc_id objects.
+        assert corpus.citations
+        for cit in corpus.citations:
+            assert cit.citing_id is corpus.documents[cit.citing_id].doc_id
+
+    def test_run_log_doc_ids_and_statuses(self):
+        record = load_run_log(GOLDEN_DIR / "quickstart_run_exclude_family.jsonl")
+        lists = list(record.results.values())
+        doc_ids = [doc_id for ranked in lists for doc_id in ranked.doc_ids]
+        # Ids are unique within a list, so a repeat is an id in two lists.
+        assert len(doc_ids) > len(set(doc_ids))
+        _one_object_per_value(doc_ids)
+        statuses = [ranked.status for ranked in lists]
+        assert statuses.count("OK") > 1
+        _one_object_per_value(statuses)
+
+    @pytest.mark.parametrize(
+        "load, name",
+        [
+            (load_dataset, "quickstart_dataset.jsonl"),
+            (load_corpus, None),
+            (load_run_log, "quickstart_run_exclude_family.jsonl"),
+        ],
+    )
+    def test_two_loads_share_no_id(self, load, name, bundled_corpus_path):
+        path = bundled_corpus_path if name is None else GOLDEN_DIR / name
+        first, second = load(path), load(path)
+        # One-character strings are the interpreter's own shared objects.
+        ids = [{id(s) for s in _strings(loaded) if len(s) > 1} for loaded in (first, second)]
+        assert ids[0] and ids[1]
+        assert ids[0].isdisjoint(ids[1])
 
 
 def test_lenient_load_skips_and_records(tmp_path):
