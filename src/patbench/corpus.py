@@ -366,6 +366,9 @@ def manifest_path_for(corpus_path: str | Path) -> Path:
     return Path(str(corpus_path) + ".manifest.json")
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
 def read_jsonl(
     path: Path,
     handle: Callable[[dict, int], None],
@@ -387,9 +390,20 @@ def read_jsonl(
         for line_number, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                # The line without JSON's whitespace; it is blank when the
+                # rest is whitespace too.
+                text = line.strip(" \t\n\r")
+                if not text or text.isspace():
                     continue
-                rec = json.loads(line)
+                # json.loads(line) in one C call: its Python steps cost about a
+                # microsecond a line.  A line that the scanner does not read
+                # whole goes to json.loads, which raises the error naming the fault.
+                try:
+                    rec, end = _scan_json(text, 0)
+                except StopIteration:
+                    end = -1
+                if end != len(text):
+                    rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise ValueError("record is not a JSON object")
                 handle(rec, line_number)

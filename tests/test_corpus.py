@@ -469,6 +469,39 @@ class TestFromRecord:
 
 
 class TestReadJsonl:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"a": 1}', '  {"a": 1}', '{"a": 1}  ', '\t{"a": [1, {"b": null}]}\r',
+            '{"a": 1} x', '{"a": 1}{}', '\u00a0{"a": 1}', '{"a": 1}\u00a0', '\ufeff{"a": 1}',
+            '{not json', '{"a": NaN}', '[1]', '"a"', '1 2',
+        ],
+    )
+    def test_a_line_reads_as_json_loads_reads_it(self, tmp_path, line):
+        path = tmp_path / "x.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            expected = json.loads(line)
+        except ValueError as exc:
+            expected = f"{path}:1: {exc}"
+        else:
+            if not isinstance(expected, dict):
+                expected = f"{path}:1: record is not a JSON object"
+        seen = []
+        try:
+            read_jsonl(path, lambda rec, number: seen.append(rec), CorpusFormatError)
+        except CorpusFormatError as exc:
+            seen.append(str(exc))
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("line", ["", " \t", "\x0c", "\u00a0 \u2003"])
+    def test_a_line_of_whitespace_is_skipped(self, tmp_path, line):
+        path = tmp_path / "x.jsonl"
+        path.write_text(line + '\n{"a": 1}\n', encoding="utf-8")
+        seen = []
+        read_jsonl(path, lambda rec, number: seen.append((number, rec)), CorpusFormatError)
+        assert seen == [(2, {"a": 1})]
+
     def _read(self, path, handle):
         path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
         read_jsonl(path, handle, CorpusFormatError)
