@@ -158,10 +158,9 @@ def normalize_doc_id(raw: object) -> str | None:
     return _normalize_str_id(raw)
 
 
-# Ids repeat heavily: a corpus load sees each id once per patent and citation,
-# and a run sees the same few thousand ids in every query's hits.  The type
-# test stays outside the cache so that unhashable ids never reach it.  At
-# about 140 bytes an entry, the bound keeps the cache under 5 MB.
+# Ids repeat heavily: a run sees the same few thousand ids in every query's
+# hits.  The type test stays outside the cache so that unhashable ids never
+# reach it.  At about 140 bytes an entry, the bound keeps the cache under 5 MB.
 @functools.lru_cache(maxsize=1 << 15)
 def _normalize_str_id(raw: str) -> str | None:
     norm = _ID_WS_RE.sub("", raw).upper()
@@ -171,7 +170,10 @@ def _normalize_str_id(raw: str) -> str | None:
 
 
 def _require_canonical(field_name: str, doc_id: str) -> None:
-    if normalize_doc_id(doc_id) != doc_id:
+    # An id is its own normalize_doc_id form exactly when it holds only the
+    # characters that form allows.  Tested without that function's cache,
+    # which would keep every id of a loaded file for the life of the process.
+    if not _ID_OK_RE.fullmatch(doc_id):
         raise ValueError(
             f"{field_name} {doc_id!r} is not a canonical publication id: "
             "upper-case letters, digits, '.', '/' and '-', led by a letter or digit"
@@ -263,8 +265,7 @@ def _field_type(hint: object) -> tuple | None:
     dataclass reads from an object and a ``tuple[Record, ...]`` from a list
     of objects, each as the list of its values."""
     if is_dataclass(hint):
-        readers = _record_type(hint)[0]
-        read = lambda v, pool: _read_values(readers, v, pool)  # noqa: E731
+        read = functools.partial(_read_values, _record_type(hint)[0])
         return (lambda v: type(v) is dict, "an object", read, functools.partial(_build, hint))
     item = getattr(hint, "__args__", (None,))[0]
     if is_dataclass(item) and hint == tuple[item, ...]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_corpus, make_doc, scalar_family_members
+from helpers import make_corpus, make_doc, scalar_family_members, scalar_normalize_doc_id
 from patbench.corpus import (
     CitationRecord,
     Count,
@@ -20,6 +20,8 @@ from patbench.corpus import (
     DuplicateDocIdError,
     PatentDocument,
     UnknownDocIdError,
+    _normalize_str_id,
+    _require_canonical,
     canonical_corpus_lines,
     corpus_content_hash,
     family_members,
@@ -589,6 +591,11 @@ class TestLoadPool:
         assert statuses.count("OK") > 1
         _one_object_per_value(statuses)
 
+    def test_corpus_load_leaves_no_id_in_the_normalize_cache(self, bundled_corpus_path):
+        _normalize_str_id.cache_clear()
+        load_corpus(bundled_corpus_path)
+        assert _normalize_str_id.cache_info().currsize == 0
+
     @pytest.mark.parametrize(
         "load, name",
         [
@@ -604,6 +611,18 @@ class TestLoadPool:
         ids = [{id(s) for s in _strings(loaded) if len(s) > 1} for loaded in (first, second)]
         assert ids[0] and ids[1]
         assert ids[0].isdisjoint(ids[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="AZaz09./-_ \t\n\u00a0\u00df\u0131\ufb01", max_size=6))
+def test_canonical_id_check_is_the_normalize_fixed_point(raw):
+    try:
+        _require_canonical("doc_id", raw)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (scalar_normalize_doc_id(raw) == raw)
 
 
 def test_lenient_load_skips_and_records(tmp_path):
