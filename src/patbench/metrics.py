@@ -8,7 +8,7 @@ import os
 import threading
 from collections.abc import Set as AbstractSet
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -156,15 +156,16 @@ def first_relevant_rank(
 
 @dataclass(frozen=True, eq=False)
 class QueryOutcomes:
-    """What one run retrieved for each query of a dataset under one match rule.
+    """What one run retrieved for each query of ``dataset`` under one match rule.
 
-    The per-query columns follow ``query_ids``, the dataset's query ids in
-    ``dataset.queries`` order.  The pair columns have one row per (query,
-    relevant document): queries in the same order, relevant ids sorted within
-    a query.  Every metric and report is a count or sum over these columns.
+    The per-query columns follow ``dataset.queries``, which is never empty.
+    The pair columns have one row per (query, relevant document): queries in
+    the same order, relevant ids sorted within a query.  Every metric and
+    report is a count or sum over these columns, grouped by the strata of
+    ``dataset``.
     """
 
-    query_ids: tuple[str, ...]
+    dataset: EvaluationDataset = field(repr=False)
     first_rank: np.ndarray  # int64: rank of the earliest matching hit, 0 for none
     matched: np.ndarray  # int64: relevant documents retrieved
     relevant: np.ndarray  # int64: size of the relevant set
@@ -178,22 +179,6 @@ class QueryOutcomes:
         first = self.first_rank[:, None]
         return (first > 0) & (first <= np.asarray(ks, dtype=np.int64)[None, :])
 
-    def check_dataset(self, dataset: EvaluationDataset) -> None:
-        """Raise :class:`ValueError` unless the rows follow the queries of
-        ``dataset``, in its order."""
-        expected = tuple(dataset.query_ids())
-        if self.query_ids == expected:
-            return
-        if len(self.query_ids) != len(expected):
-            raise ValueError(
-                f"outcome table has {len(self.query_ids)} rows, "
-                f"the dataset {len(expected)} queries"
-            )
-        row, got, wanted = next(
-            (i, a, b) for i, (a, b) in enumerate(zip(self.query_ids, expected)) if a != b
-        )
-        raise ValueError(f"outcome table row {row} is query {got!r}, the dataset's is {wanted!r}")
-
 
 def query_outcomes(
     run: RunRecord,
@@ -203,9 +188,12 @@ def query_outcomes(
 ) -> QueryOutcomes:
     """Walk each ranked list of ``run`` once and tabulate its outcomes.
 
-    Raises :class:`CoverageError` unless the run covers exactly the
-    dataset's query ids.
+    Raises :class:`UndefinedMetricError` for an empty dataset, on which every
+    metric is undefined, and :class:`CoverageError` unless the run covers
+    exactly the dataset's query ids.
     """
+    if not dataset.queries:
+        raise UndefinedMetricError("metrics are undefined on an empty dataset")
     family_map, members = _match_args(match_rule, family_of)
     _check_coverage(run, dataset)
     first_rank: list[int] = []
@@ -224,7 +212,7 @@ def query_outcomes(
         pair_matched += retrieved
     relevant_col = np.array(relevant, dtype=np.int64)
     return QueryOutcomes(
-        query_ids=tuple(dataset.query_ids()),
+        dataset=dataset,
         first_rank=np.array(first_rank, dtype=np.int64),
         matched=np.array(matched, dtype=np.int64),
         relevant=relevant_col,
@@ -254,8 +242,6 @@ def topk_detection_rate(
     """Share of queries with at least one relevant document in the top k."""
     if k < 1:
         raise UndefinedMetricError(f"k must be at least 1, got {k}")
-    if not dataset.queries:
-        raise UndefinedMetricError("detection rate is undefined on an empty dataset")
     outcomes = query_outcomes(run, dataset, match_rule, family_of)
     return int(outcomes.detected((k,)).sum()) / len(dataset.queries)
 
@@ -269,8 +255,6 @@ def detection_curve(
 ) -> DetectionCurve:
     """Detection rates over a strictly increasing k grid."""
     ks = validate_k_grid(ks)
-    if not dataset.queries:
-        raise UndefinedMetricError("detection curve is undefined on an empty dataset")
     counts = query_outcomes(run, dataset, match_rule, family_of).detected(ks).sum(axis=0)
     n = len(dataset.queries)
     points = tuple((k, count / n) for k, count in zip(ks, counts.tolist()))
@@ -285,8 +269,6 @@ def recall(
 ) -> float:
     """Recall over the full returned lists (depth = the run's max_depth):
     pooled retrieved-relevant count over pooled relevant count."""
-    if not dataset.queries:
-        raise UndefinedMetricError("recall is undefined on an empty dataset")
     outcomes = query_outcomes(run, dataset, match_rule, family_of)
     return int(outcomes.matched.sum()) / int(outcomes.relevant.sum())
 
@@ -316,36 +298,31 @@ def _group_strata(
         merged: list[int] = []
         for key in small:
             merged.extend(groups.pop(key))
-        if merged:
-            logger.warning(
-                "merged %d strata below %d queries into catch-all", len(small), MIN_STRATUM_SIZE
-            )
-            groups.setdefault(CATCH_ALL_LABEL, []).extend(merged)
+        logger.warning(
+            "merged %d strata below %d queries into catch-all", len(small), MIN_STRATUM_SIZE
+        )
+        groups.setdefault(CATCH_ALL_LABEL, []).extend(merged)
     return sorted(groups.items())
 
 
 def _paired_contributions(
     outcomes_a: QueryOutcomes, outcomes_b: QueryOutcomes, metric: str, k: int | None
-) -> tuple[str, float, np.ndarray, np.ndarray | None]:
-    """Name, observed difference and per-query paired contributions (u, m).
+) -> tuple[str, np.ndarray, np.ndarray]:
+    """Name and per-query paired contributions (u, m), both int64; the
+    difference on a resample S is sum(u[S]) / sum(m[S]).
 
-    Detection: u is the hit-indicator difference and m is all ones, given as
-    ``None``; diff on a resample S is sum(u[S]) / |S|.  Recall (micro): u is
-    the matched-count difference, m the relevant-set size; diff is
-    sum(u[S]) / sum(m[S]).
+    Detection: u is the hit-indicator difference and m is all ones.  Recall
+    (micro): u is the matched-count difference, m the relevant-set size.
     """
     if metric == "detection":
         if k is None or k < 1:
             raise UndefinedMetricError("detection metric needs k >= 1")
-        hit_a, hit_b = (
-            o.detected((k,))[:, 0].astype(np.float64) for o in (outcomes_a, outcomes_b)
-        )
+        hit_a, hit_b = (o.detected((k,))[:, 0].astype(np.int64) for o in (outcomes_a, outcomes_b))
         u = hit_a - hit_b
-        return f"top{k}_detection", float(u.sum() / len(u)), u, None
+        return f"top{k}_detection", u, np.ones_like(u)
     if metric == "recall":
-        u = (outcomes_a.matched - outcomes_b.matched).astype(np.float64)
-        m = outcomes_a.relevant.astype(np.float64)
-        return f"recall@{outcomes_a.depth}", float(u.sum() / m.sum()), u, m
+        u = outcomes_a.matched - outcomes_b.matched
+        return f"recall@{outcomes_a.depth}", u, outcomes_a.relevant
     raise UndefinedMetricError(f"unknown bootstrap metric {metric!r}")
 
 
@@ -383,7 +360,6 @@ def paired_bootstrap(
     (result,) = paired_bootstrap_outcomes(
         query_outcomes(run_a, dataset, match_rule, family_of),
         query_outcomes(run_b, dataset, match_rule, family_of),
-        dataset,
         ((metric, k),),
         strata_dims=strata_dims,
         n_resamples=n_resamples,
@@ -395,34 +371,32 @@ def paired_bootstrap(
 def paired_bootstrap_outcomes(
     outcomes_a: QueryOutcomes,
     outcomes_b: QueryOutcomes,
-    dataset: EvaluationDataset,
     metrics: Sequence[tuple[str, int | None]],
     *,
     strata_dims: Sequence[str] = DEFAULT_BOOTSTRAP_STRATA,
     n_resamples: int = DEFAULT_N_RESAMPLES,
     seed: int = 0,
 ) -> tuple[SignificanceResult, ...]:
-    """:func:`paired_bootstrap` over two outcome tables of ``dataset``, for
+    """:func:`paired_bootstrap` over two outcome tables of one dataset, for
     each ``(metric, k)`` of ``metrics``.
 
     Every metric is evaluated on the same resamples, drawn once, so each
     result equals what :func:`paired_bootstrap` gives for that metric alone
-    with the same seed.  Raises :class:`ValueError` unless both tables follow
-    the queries of ``dataset`` (:meth:`QueryOutcomes.check_dataset`).
+    with the same seed.  Raises :class:`ValueError` unless both tables were
+    built over the same dataset object.
     """
-    if not dataset.queries:
-        raise UndefinedMetricError("bootstrap is undefined on an empty dataset")
-    outcomes_a.check_dataset(dataset)
-    outcomes_b.check_dataset(dataset)
+    if outcomes_a.dataset is not outcomes_b.dataset:
+        raise ValueError("the two outcome tables were built over different datasets")
     if n_resamples < 1000:
         raise ValueError("n_resamples must be at least 1000")
     stats = [_paired_contributions(outcomes_a, outcomes_b, metric, k) for metric, k in metrics]
-    strata = _group_strata(dataset, strata_dims)
+    strata = _group_strata(outcomes_a.dataset, strata_dims)
     strata_spec = f"{'x'.join(strata_dims)} ({len(strata)} strata)"
-    all_diffs = _resampled_diffs(stats, strata, n_resamples, seed)
+    all_diffs = _resampled_diffs([(u, m) for _, u, m in stats], strata, n_resamples, seed)
 
     results = []
-    for (metric_name, observed, _, _), diffs in zip(stats, all_diffs):
+    for (metric_name, u, m), diffs in zip(stats, all_diffs):
+        observed = float(u.sum() / m.sum())
         ci_low, ci_high = (float(x) for x in np.percentile(diffs, [2.5, 97.5]))
         results.append(
             SignificanceResult(
@@ -482,16 +456,15 @@ def _pack_columns(values: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, 
 
 
 def _resampled_diffs(
-    stats: Sequence[tuple[str, float, np.ndarray, np.ndarray | None]],
+    contributions: Sequence[tuple[np.ndarray, np.ndarray]],
     strata: list[tuple[str, list[int]]],
     n_resamples: int,
     seed: int,
 ) -> list[np.ndarray]:
     """Resampled differences of each statistic, all from one draw per chunk.
 
-    Every statistic's ``u`` and ``m`` columns (ones for detection) form one
-    ``(n, 2 * stats)`` matrix of integers; a column that is not integral
-    raises :class:`ValueError`.  Each stratum's rows are packed into int64
+    Every statistic's int64 ``u`` and ``m`` columns form one ``(n, 2 *
+    stats)`` matrix of integers.  Each stratum's rows are packed into int64
     words (:func:`_pack_columns`).  A chunk of ``rows`` resamples of a
     stratum of ``n_s`` queries is one ``(rows, n_s)`` matrix of drawn
     indices; gathering each word at those indices and summing along the rows
@@ -509,14 +482,8 @@ def _resampled_diffs(
     draws do not depend on the chunk shape, and every sum is an exact
     integer.
     """
-    n_stats = len(stats)
-    columns = [u for _, _, u, _ in stats] + [
-        np.ones_like(u) if m is None else m for _, _, u, m in stats
-    ]
-    values = np.column_stack(columns)
-    if not (np.isfinite(values).all() and (values == np.trunc(values)).all()):
-        raise ValueError("bootstrap contributions must be integers")
-    values = values.astype(np.int64)
+    n_stats = len(contributions)
+    values = np.column_stack([u for u, _ in contributions] + [m for _, m in contributions])
     sums = np.zeros((n_resamples, 2 * n_stats), dtype=np.int64)
     lock = threading.Lock()
     workers = _bootstrap_workers(len(strata))

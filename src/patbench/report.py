@@ -23,7 +23,6 @@ from .metrics import (
     MATCH_FAMILY,
     QueryOutcomes,
     SignificanceResult,
-    UndefinedMetricError,
     group_indices,
     paired_bootstrap_outcomes,
     query_outcomes,
@@ -126,18 +125,11 @@ def _check_manifest(run: RunRecord, dataset: EvaluationDataset, run_name: str) -
         )
 
 
-def _breakdown(
-    outcomes: QueryOutcomes,
-    dataset: EvaluationDataset,
-    dimension: str,
-    ks: Sequence[int],
-) -> BreakdownTable:
+def _breakdown(outcomes: QueryOutcomes, dimension: str, ks: Sequence[int]) -> BreakdownTable:
     if dimension != OVERALL_DIMENSION and dimension not in REPORT_DIMENSIONS:
         raise ValueError(f"unknown breakdown dimension {dimension!r}")
     ks = validate_k_grid(ks)
-    if not dataset.queries:
-        raise UndefinedMetricError("breakdown is undefined on an empty dataset")
-    outcomes.check_dataset(dataset)
+    dataset = outcomes.dataset
     # Per query: a hit within each k, then the recall numerator and denominator.
     columns = np.column_stack((outcomes.detected(ks), outcomes.matched, outcomes.relevant))
 
@@ -181,8 +173,7 @@ def breakdown_by(
     is computed over the whole dataset and therefore equals the overall
     metrics; per-stratum hit counts sum exactly to its counts.
     """
-    outcomes = query_outcomes(run, dataset, match_rule, family_of)
-    return _breakdown(outcomes, dataset, dimension, ks)
+    return _breakdown(query_outcomes(run, dataset, match_rule, family_of), dimension, ks)
 
 
 def cross_language_recall(
@@ -199,13 +190,11 @@ def cross_language_recall(
     ``unknown`` language bucket.  Only observed pairs produce cells, so a
     monolingual corpus yields no off-diagonal entries.
     """
-    return _cross_language(query_outcomes(run, dataset, match_rule, family_of), dataset, corpus)
+    return _cross_language(query_outcomes(run, dataset, match_rule, family_of), corpus)
 
 
-def _cross_language(
-    outcomes: QueryOutcomes, dataset: EvaluationDataset, corpus: Corpus
-) -> tuple[CrossLanguageCell, ...]:
-    outcomes.check_dataset(dataset)
+def _cross_language(outcomes: QueryOutcomes, corpus: Corpus) -> tuple[CrossLanguageCell, ...]:
+    dataset = outcomes.dataset
     query_language = [
         str(dataset.strata.get(case.query_doc_id, {}).get("language", UNKNOWN_LANGUAGE))
         for case in dataset.queries
@@ -253,17 +242,17 @@ def evaluate_run(
     _check_manifest(run, dataset, "run log")
     family_of = corpus.family_of if corpus is not None else None
     outcomes = query_outcomes(run, dataset, match_rule, family_of)
-    overall = _breakdown(outcomes, dataset, OVERALL_DIMENSION, ks)
-    breakdowns = tuple(_breakdown(outcomes, dataset, dim, ks) for dim in dimensions)
+    overall = _breakdown(outcomes, OVERALL_DIMENSION, ks)
+    breakdowns = tuple(_breakdown(outcomes, dim, ks) for dim in dimensions)
     family_overall = None
     if corpus is not None and match_rule != MATCH_FAMILY and corpus.family_of:
         family = query_outcomes(run, dataset, MATCH_FAMILY, family_of)
-        family_overall = _breakdown(family, dataset, OVERALL_DIMENSION, ks)
+        family_overall = _breakdown(family, OVERALL_DIMENSION, ks)
     return MetricsReport(
         match_rule=match_rule,
         overall=overall,
         breakdowns=breakdowns,
-        cross_language=_cross_language(outcomes, dataset, corpus) if corpus is not None else (),
+        cross_language=_cross_language(outcomes, corpus) if corpus is not None else (),
         family_overall=family_overall,
     )
 
@@ -293,8 +282,8 @@ def compare_systems(
     ks = tuple(ks)
     outcomes_a = query_outcomes(run_a, dataset, match_rule, family_of)
     outcomes_b = query_outcomes(run_b, dataset, match_rule, family_of)
-    table_a = _breakdown(outcomes_a, dataset, OVERALL_DIMENSION, ks)
-    table_b = _breakdown(outcomes_b, dataset, OVERALL_DIMENSION, ks)
+    table_a = _breakdown(outcomes_a, OVERALL_DIMENSION, ks)
+    table_b = _breakdown(outcomes_b, OVERALL_DIMENSION, ks)
     deltas = tuple(
         rb - ra for ra, rb in zip(table_a.totals.rates, table_b.totals.rates)
     )
@@ -304,14 +293,13 @@ def compare_systems(
     significance = paired_bootstrap_outcomes(
         outcomes_b,
         outcomes_a,
-        dataset,
         (("detection", sig_k), ("recall", None)),
         strata_dims=strata_dims,
         n_resamples=n_resamples,
         seed=seed,
     )
-    breakdowns_a = tuple(_breakdown(outcomes_a, dataset, dim, ks) for dim in dimensions)
-    breakdowns_b = tuple(_breakdown(outcomes_b, dataset, dim, ks) for dim in dimensions)
+    breakdowns_a = tuple(_breakdown(outcomes_a, dim, ks) for dim in dimensions)
+    breakdowns_b = tuple(_breakdown(outcomes_b, dim, ks) for dim in dimensions)
     return SystemComparison(
         system_a=run_a.controls.adapter_id or "system-a",
         system_b=run_b.controls.adapter_id or "system-b",

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import patbench.report
 from helpers import (
     build_eval_dataset,
     build_run,
@@ -24,6 +23,7 @@ from patbench.metrics import (
     UndefinedMetricError,
     detection_curve,
     first_relevant_rank,
+    paired_bootstrap,
     query_outcomes,
     recall,
     topk_detection_rate,
@@ -195,30 +195,29 @@ class TestCrossLanguage:
         assert family[0].n_retrieved == 1
 
 
-class TestOutcomeTablesOfAnotherDataset:
-    """Two 10-query datasets whose manifests are equal but whose query ids
-    differ: a table of one must not be reported against the other."""
-
-    @pytest.mark.parametrize(
-        "tabulate",
-        [
-            lambda outcomes, dataset: patbench.report._breakdown(
-                outcomes, dataset, "language", KS
-            ),
-            lambda outcomes, dataset: patbench.report._cross_language(
-                outcomes, dataset, make_corpus([])
-            ),
-        ],
-        ids=["breakdown", "cross-language"],
-    )
-    def test_rejected(self, tabulate):
-        other = build_eval_dataset({f"Z{i}": {f"Z{i}.R"} for i in range(10)})
-        dataset = build_eval_dataset({f"Q{i}": {f"Q{i}.R"} for i in range(10)})
-        assert other.manifest_hash == dataset.manifest_hash
-        outcomes = query_outcomes(build_run(other, {"Z0": ["Z0.R"]}), other)
-        with pytest.raises(ValueError, match="row 0 is query 'Z0', the dataset's is 'Q0'"):
-            tabulate(outcomes, dataset)
-        tabulate(outcomes, other)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda run, dataset: query_outcomes(run, dataset),
+        lambda run, dataset: topk_detection_rate(run, dataset, 10),
+        lambda run, dataset: detection_curve(run, dataset),
+        lambda run, dataset: recall(run, dataset),
+        lambda run, dataset: paired_bootstrap(run, run, dataset, n_resamples=1000),
+        lambda run, dataset: breakdown_by(run, dataset, OVERALL_DIMENSION),
+        lambda run, dataset: cross_language_recall(run, dataset, make_corpus([])),
+        lambda run, dataset: evaluate_run(run, dataset, make_corpus([])),
+        lambda run, dataset: compare_systems(run, run, dataset, n_resamples=1000),
+    ],
+    ids=[
+        "query_outcomes", "topk_detection_rate", "detection_curve", "recall",
+        "paired_bootstrap", "breakdown_by", "cross_language_recall", "evaluate_run",
+        "compare_systems",
+    ],
+)
+def test_every_metric_is_undefined_on_an_empty_dataset(entry):
+    empty = build_eval_dataset({})
+    with pytest.raises(UndefinedMetricError, match="empty dataset"):
+        entry(build_run(empty, {}), empty)
 
 
 def _comparison_fixture():
