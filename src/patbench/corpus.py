@@ -67,7 +67,7 @@ class UnknownDocIdError(CorpusError, KeyError):
         self.doc_id = doc_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatentDocument:
     """One patent publication.
 
@@ -91,7 +91,7 @@ class PatentDocument:
             raise ValueError("doc_id must be non-empty")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CitationRecord:
     """A directed citation edge between two publications.  Records order by
     their fields in declaration order."""
@@ -530,16 +530,17 @@ def canonical_corpus_lines(corpus: Corpus) -> Iterator[str]:
     A record holds every field of its dataclass plus ``kind``, with the IPC
     codes as a list and the filing date as an ISO string.
     """
+    doc_fields = [f.name for f in fields(PatentDocument)]
     for doc_id in sorted(corpus.documents):
         doc = corpus.documents[doc_id]
-        record = dict(
-            vars(doc),
-            kind="patent",
-            filing_date=doc.filing_date.isoformat(),
-        )
+        record = {name: getattr(doc, name) for name in doc_fields}
+        record.update(kind="patent", filing_date=doc.filing_date.isoformat())
         yield json.dumps(record, sort_keys=True, ensure_ascii=False)
+    citation_fields = [f.name for f in fields(CitationRecord)]
     for cit in sorted(corpus.citations):
-        yield json.dumps(dict(vars(cit), kind="citation"), sort_keys=True, ensure_ascii=False)
+        record = {name: getattr(cit, name) for name in citation_fields}
+        record["kind"] = "citation"
+        yield json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> Path:

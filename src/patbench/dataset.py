@@ -104,7 +104,7 @@ class TrigramJaccardScorer:
         return inter / union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryCase:
     """One evaluation query: a main patent and its relevant publication ids.
 

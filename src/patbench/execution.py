@@ -90,7 +90,7 @@ class Hit(NamedTuple):
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedList:
     """Standardized result for one query, stored as two columns.
 
