@@ -355,6 +355,20 @@ class TestPairedBootstrap:
         with pytest.raises(CoverageError):
             paired_bootstrap(run_a, run_other, dataset, n_resamples=1000)
 
+    # Tables of 1 and 10 rows, and two tables of 12 rows over two datasets
+    # built alike: neither pair shares one dataset object.
+    @pytest.mark.parametrize("rows_a, rows_b", [(1, 10), (12, 12)])
+    def test_outcome_tables_must_match_the_dataset(self, rows_a, rows_b):
+        def table(n):
+            dataset, run, _ = _paired_fixture({f"Q{i:02d}": (i % 2 == 0, False) for i in range(n)})
+            return query_outcomes(run, dataset)
+
+        with pytest.raises(ValueError, match="different datasets"):
+            paired_bootstrap_outcomes(
+                table(rows_a), table(rows_b), (("detection", 1),),
+                strata_dims=(), n_resamples=1000,
+            )
+
     # Ten rows each and equal manifests, but of queries Q0-Q9 and Z0-Z9: the
     # rows of one table are not the queries of the other.
     def test_outcome_tables_of_another_dataset_rejected(self):
