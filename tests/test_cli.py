@@ -816,6 +816,55 @@ class TestGoldenReports:
             )
 
 
+class TestFamilyGolden:
+    """Family-derived relevance, pinned byte for byte on a family-dense
+    corpus: US1001A's family holds EP1001A above the 0.90 alignment
+    threshold, DE1001A just below it (0.87) and CN1001A far below it, and
+    the JP3001A/US3001A pair lends each other its citations."""
+
+    @pytest.fixture(scope="class")
+    def family(self, runner, tmp_path_factory):
+        out = tmp_path_factory.mktemp("family")
+        corpus = str(GOLDEN_DIR / "family_corpus.jsonl")
+        paths = {
+            "dataset": out / "family_dataset.jsonl",
+            "run": out / "run.jsonl",
+            "reports": out / "family_evaluate_family",
+        }
+        for argv in (
+            ["build-dataset", "--corpus", corpus, "--out", str(paths["dataset"])],
+            ["run", "--dataset", str(paths["dataset"]), "--corpus", corpus,
+             "--out", str(paths["run"]), "--seed", "7"],
+            ["evaluate", "--run", str(paths["run"]), "--dataset", str(paths["dataset"]),
+             "--corpus", corpus, "--match-rule", "family", "--out", str(paths["reports"])],
+        ):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, result.output
+        return paths
+
+    def test_dataset_matches_golden(self, family):
+        assert family["dataset"].read_bytes() == (GOLDEN_DIR / "family_dataset.jsonl").read_bytes()
+        cases = {case.query_doc_id: case for case in load_dataset(family["dataset"]).queries}
+        # EP1001A's own X citation is adopted; DE1001A's and CN1001A's are not.
+        assert cases["US1001A"].relevant_provenance == {
+            "US2001A": "EXAMINER", "US2002A": "FAMILY_DERIVED",
+        }
+        assert cases["JP3001A"].relevant_provenance["US2004A"] == "FAMILY_DERIVED"
+        assert cases["US3001A"].relevant_provenance["KR3005A"] == "FAMILY_DERIVED"
+
+    def test_run_matches_golden_log(self, family):
+        golden = GOLDEN_DIR / "family_run_exclude_family.jsonl"
+        assert sanitize_run_log(family["run"]) == golden.read_bytes()
+
+    def test_family_reports_match_golden(self, family):
+        golden = GOLDEN_DIR / "family_evaluate_family"
+        expected = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in family["reports"].iterdir()) == expected
+        for file_name in expected:
+            written = (family["reports"] / file_name).read_bytes()
+            assert written == (golden / file_name).read_bytes(), file_name
+
+
 class TestRunCoverage:
     """A run log must cover exactly the dataset's queries (exit 2 otherwise)."""
 
