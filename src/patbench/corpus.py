@@ -260,49 +260,44 @@ _FIELD_TYPES: dict[object, tuple[Callable[[object], bool] | None, str, Callable 
 
 
 def _field_type(hint: object) -> tuple | None:
-    """The ``_FIELD_TYPES`` entry of a field type, plus what builds the
-    records of a field that holds them from their values (else None): a
-    dataclass reads from an object and a ``tuple[Record, ...]`` from a list
-    of objects, each as the list of its values."""
+    """The ``_FIELD_TYPES`` entry of a field type.  A dataclass is read from
+    an object and a ``tuple[Record, ...]`` from a list of objects, each record
+    built as it is read."""
     if is_dataclass(hint):
-        read = functools.partial(_read_values, _record_type(hint)[0])
-        return (lambda v: type(v) is dict, "an object", read, functools.partial(_build, hint))
+        readers = _record_type(hint)
+        return (
+            lambda v: type(v) is dict, "an object",
+            lambda v, pool: hint(*_read_values(readers, v, pool)),
+        )
     item = getattr(hint, "__args__", (None,))[0]
     if is_dataclass(item) and hint == tuple[item, ...]:
-        readers = _record_type(item)[0]
+        readers = _record_type(item)
 
-        def read(value: list, pool: dict[str, str]) -> list[list]:
-            rows = []
+        def read(value: list, pool: dict[str, str]) -> tuple:
+            records = []
             for x in value:
                 if type(x) is not dict:
                     raise _WrongItem
-                rows.append(_read_values(readers, x, pool))
-            return rows
+                records.append(item(*_read_values(readers, x, pool)))
+            return tuple(records)
 
-        test = lambda v: type(v) is list  # noqa: E731
-        return (test, "a list of objects", read, lambda v: tuple([_build(item, x) for x in v]))
-    entry = _FIELD_TYPES.get(hint)
-    return None if entry is None else (*entry, None)
+        return (lambda v: type(v) is list, "a list of objects", read)
+    return _FIELD_TYPES.get(hint)
 
 
 @functools.cache
-def _record_type(cls: type) -> tuple[tuple[tuple, ...], tuple[tuple[int, Callable], ...]]:
-    """The readers of ``cls``'s fields, and the (position, build) pairs of
-    its fields that hold records."""
+def _record_type(cls: type) -> tuple[tuple, ...]:
+    """The readers of ``cls``'s fields, in field order."""
     hints = get_type_hints(cls)
     readers = []
-    builds = []
     for f in fields(cls):
         field_type = _field_type(hints[f.name])
         if field_type is None or not f.init or f.kw_only:
             # A programming error, which read_jsonl's format-error policy lets through.
             raise NotImplementedError(f"from_record cannot read {cls.__name__}.{f.name}: {f.type}")
-        test, expected, convert, build = field_type
         default = f.default_factory if f.default is MISSING else (lambda d=f.default: d)
-        readers.append((f.name, test, expected, convert, default))
-        if build is not None:
-            builds.append((len(readers) - 1, build))
-    return tuple(readers), tuple(builds)
+        readers.append((f.name, *field_type, default))
+    return tuple(readers)
 
 
 def _read_values(readers: tuple[tuple, ...], rec: dict, pool: dict[str, str]) -> list:
@@ -330,28 +325,12 @@ def _read_values(readers: tuple[tuple, ...], rec: dict, pool: dict[str, str]) ->
     return values
 
 
-def record_values(cls: type, rec: object, pool: dict[str, str] | None = None) -> list:
-    """The values :func:`from_record` passes to ``cls``, in field order,
-    read by the same rules but without building ``cls``: a field that holds
-    records and is present in ``rec`` holds each record's list of values."""
-    if type(rec) is not dict:
-        raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(rec).__name__}")
-    return _read_values(_record_type(cls)[0], rec, {} if pool is None else pool)
-
-
-def _build(cls: type[T], values: list) -> T:
-    for position, build in _record_type(cls)[1]:
-        # A value read holds lists; a default holds the records already.
-        if type(values[position]) is list:
-            values[position] = build(values[position])
-    return cls(*values)
-
-
 def from_record(cls: type[T], rec: object, pool: dict[str, str] | None = None) -> T:
     """The dataclass ``cls`` read from a JSON object, the inverse of ``asdict``
     and :func:`canonical_corpus_lines`.  A field with no default is required; a
     key left out takes the field's default; a present key must hold a non-null
-    value of the field's annotated type.  Other keys are ignored.
+    value of the field's annotated type.  Other keys are ignored.  A field that
+    holds records builds each one, checks and all, when it is read.
 
     The strings of ``str``, ``tuple[str, ...]`` and ``Mapping[str, str]``
     fields, keys included, are taken from ``pool``: the first string of each
@@ -360,7 +339,9 @@ def from_record(cls: type[T], rec: object, pool: dict[str, str] | None = None) -
     :data:`Text` fields and ``Mapping[str, object]`` values are read as they
     are.  A loader passes one pool to every call over its file and drops it
     when the load returns; without one, a call uses a pool of its own."""
-    return _build(cls, record_values(cls, rec, pool))
+    if type(rec) is not dict:
+        raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(rec).__name__}")
+    return cls(*_read_values(_record_type(cls), rec, {} if pool is None else pool))
 
 
 def manifest_path_for(corpus_path: str | Path) -> Path:
@@ -368,6 +349,12 @@ def manifest_path_for(corpus_path: str | Path) -> Path:
 
 
 _scan_json = json.JSONDecoder().scan_once
+
+# The one encoder of corpus and run-log lines, where json.dumps with options
+# builds one per call.  Lines are built afresh from dataclasses and are never
+# cyclic, so the circular-reference check, which tracks every list, is
+# skipped; the bytes are those of json.dumps(rec, sort_keys=True, ensure_ascii=False).
+encode_line = json.JSONEncoder(sort_keys=True, ensure_ascii=False, check_circular=False).encode
 
 
 def read_jsonl(
@@ -535,12 +522,12 @@ def canonical_corpus_lines(corpus: Corpus) -> Iterator[str]:
         doc = corpus.documents[doc_id]
         record = {name: getattr(doc, name) for name in doc_fields}
         record.update(kind="patent", filing_date=doc.filing_date.isoformat())
-        yield json.dumps(record, sort_keys=True, ensure_ascii=False)
+        yield encode_line(record)
     citation_fields = [f.name for f in fields(CitationRecord)]
     for cit in sorted(corpus.citations):
         record = {name: getattr(cit, name) for name in citation_fields}
         record["kind"] = "citation"
-        yield json.dumps(record, sort_keys=True, ensure_ascii=False)
+        yield encode_line(record)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> Path:

@@ -24,10 +24,10 @@ from .corpus import (
     PatentDocument,
     corpus_content_hash,
     family_members,
+    from_record,
     ipc_section_of,
     is_stratum_label,
     read_jsonl,
-    record_values,
     require_stratum_label,
     write_lines,
 )
@@ -523,7 +523,7 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
     """Inverse of :func:`write_dataset`; the manifest hash survives the trip.
 
     Raises :class:`DatasetFormatError`, naming the file and line, for a
-    ``query_case`` line that :func:`~patbench.corpus.record_values` cannot
+    ``query_case`` line that :func:`~patbench.corpus.from_record` cannot
     read as a :class:`QueryCaseRecord` or that :class:`QueryCase` rejects (an
     empty relevant set, a source other than EXAMINER or FAMILY_DERIVED), that
     repeats a query or lists one relevant ``doc_id`` twice, or that holds a
@@ -542,21 +542,20 @@ def load_dataset(path: str | Path) -> EvaluationDataset:
                 raise ValueError("second manifest record")
             manifest = {k: v for k, v in rec.items() if k != "kind"}
         elif kind == "query_case":
-            # Values, not a QueryCaseRecord: each relevant entry is read as its
-            # [doc_id, source] pair, and no RelevantEntry is built.
-            query_id, relevant, labels = record_values(QueryCaseRecord, rec, pool)
+            case = from_record(QueryCaseRecord, rec, pool)
+            query_id = case.query_doc_id
             if query_id in strata:
                 raise ValueError(f"repeated query_case for {query_id!r}")
-            provenance = dict(relevant)
-            if len(provenance) < len(relevant):
-                doc_id = Counter(doc_id for doc_id, _ in relevant).most_common(1)[0][0]
+            provenance = {entry.doc_id: entry.source for entry in case.relevant}
+            if len(provenance) < len(case.relevant):
+                doc_id = Counter(entry.doc_id for entry in case.relevant).most_common(1)[0][0]
                 raise ValueError(f"relevant {doc_id!r} is listed twice for {query_id!r}")
             queries.append(QueryCase(query_id, frozenset(provenance), provenance))
             # The field name is formatted only for a label that fails.
-            for dim, label in labels.items():
+            for dim, label in case.strata.items():
                 if not is_stratum_label(label):
                     require_stratum_label(f"strata {dim}", label)
-            strata[query_id] = labels
+            strata[query_id] = case.strata
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 

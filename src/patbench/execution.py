@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_ch
 
 import numpy as np
 
-from .corpus import Count, Corpus, from_record, normalize_doc_id, read_jsonl, write_lines
+from .corpus import Count, Corpus, encode_line, from_record, normalize_doc_id, read_jsonl, write_lines
 from .dataset import EvaluationDataset
 from .query import EmptyInputError, Query
 
@@ -681,20 +681,9 @@ def _log_records(record: RunRecord) -> Iterator[dict]:
         yield dict(rec, kind="ranked_list", hits=list(zip(ranked.doc_ids, ranked.scores, ranks)))
 
 
-# One encoder for every line, where json.dumps with options builds one per
-# call.  Records are built afresh from dataclasses and are never cyclic, so
-# the circular-reference check, which tracks every hit list, is skipped; the
-# bytes are those of json.dumps(rec, sort_keys=True, ensure_ascii=False).
-_LOG_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, check_circular=False)
-
-
-def _log_line(rec: dict) -> str:
-    return _LOG_ENCODER.encode(rec)
-
-
 def write_run_log(record: RunRecord, path: str | Path) -> Path:
     """Line-delimited run log: header record, then one result per line."""
-    return write_lines(path, map(_log_line, _log_records(record)))
+    return write_lines(path, map(encode_line, _log_records(record)))
 
 
 def load_run_log(path: str | Path) -> RunRecord:
@@ -795,8 +784,8 @@ def sanitize_run_log(path: str | Path) -> bytes:
     records = _log_records(load_run_log(path))
     header = next(records)
     del header["started"], header["finished"], header["controls"]["parallelism"]
-    lines = [_log_line(header)]
+    lines = [encode_line(header)]
     for rec in records:
         del rec["latency_ms"]
-        lines.append(_log_line(rec))
+        lines.append(encode_line(rec))
     return ("\n".join(lines) + "\n").encode("utf-8")

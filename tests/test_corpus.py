@@ -32,7 +32,6 @@ from patbench.corpus import (
     load_corpus,
     manifest_path_for,
     read_jsonl,
-    record_values,
     write_corpus,
 )
 from patbench.dataset import QueryCaseRecord, RelevantEntry, load_dataset
@@ -438,14 +437,6 @@ class TestFromRecord:
         for record in (doc, cit) + records:
             for f in dataclasses.fields(record):
                 assert getattr(record, f.name) != f.default, f.name
-
-    def test_record_values_reads_records_as_lists(self):
-        values = record_values(_EveryType, {"s": "x", "r": {"a": "y"}, "rs": [{"a": "z", "n": 1}]})
-        names = [f.name for f in dataclasses.fields(_EveryType)]
-        assert values[names.index("r")] == ["y", 0]
-        assert values[names.index("rs")] == [["z", 1]]
-        # A default is the field's own value, records and all.
-        assert record_values(_EveryType, {"s": "x"})[names.index("r")] == _Inner("x")
 
     def test_without_a_pool_a_call_pools_its_own_strings(self):
         line = (

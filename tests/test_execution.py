@@ -1531,6 +1531,23 @@ class TestRunLogIO:
         with pytest.raises(RunLogFormatError, match=re.escape(f"{path}:1: field {key!r} must be ")):
             load_run_log(path)
 
+    @pytest.mark.parametrize(
+        "key, rule",
+        [("timeout_ms", "timeout_ms must be positive"),
+         ("max_depth", "max_depth must be at least 1"),
+         ("parallelism", "parallelism must be at least 1")],
+    )
+    def test_load_rejects_controls_that_break_their_rules(self, tmp_path, key, rule):
+        # The controls are built, checks and all, as the header is read.
+        path = tmp_path / "run.jsonl"
+        write_run_log(self._record(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["controls"][key] = 0
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(RunLogFormatError, match=f"^{re.escape(f'{path}:1: {rule}')}$"):
+            load_run_log(path)
+
     @pytest.mark.parametrize("key", ["seed", "timeout_ms", "max_depth"])
     def test_load_requires_controls_with_defaults(self, tmp_path, key):
         path = tmp_path / "run.jsonl"
@@ -1626,7 +1643,8 @@ class TestRunLogIO:
         ],
     )
     def test_log_line_is_json_dumps(self, doc_ids, scores):
-        from patbench.execution import _log_line, _log_records
+        from patbench.corpus import encode_line
+        from patbench.execution import _log_records
 
         ranked = RankedList(query_id="Q-ü1", doc_ids=doc_ids, scores=scores, latency_ms=3)
         record = RunRecord(
@@ -1637,7 +1655,7 @@ class TestRunLogIO:
             finished="",
         )
         for rec in _log_records(record):
-            assert _log_line(rec) == json.dumps(rec, sort_keys=True, ensure_ascii=False)
+            assert encode_line(rec) == json.dumps(rec, sort_keys=True, ensure_ascii=False)
 
     def test_load_rejects_header_without_controls(self, tmp_path):
         path = tmp_path / "run.jsonl"
