@@ -247,6 +247,8 @@ def cmd_run(
     """Run a retrieval system over every dataset query."""
     corpus = _load_corpus(corpus_path, lenient)
     dataset = load_dataset(dataset_path)
+    if not dataset.queries:
+        raise ValueError(f"dataset {dataset_path} holds no query cases")
     system = _make_adapter(adapter, corpus, exclude_family)
     controls = RunControls(
         seed=seed,

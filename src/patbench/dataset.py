@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Mapping, Protocol, Sequence
 
 from .corpus import (
     CITATION_SOURCES,
@@ -66,7 +66,6 @@ class DatasetFormatError(ValueError):
     """A dataset file violates the expected line-delimited layout."""
 
 
-@runtime_checkable
 class AlignmentScorer(Protocol):
     """Pluggable document-pair similarity backend."""
 

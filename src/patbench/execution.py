@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -234,7 +234,6 @@ def standardize_results(
     return ranked, repairs
 
 
-@runtime_checkable
 class SystemAdapter(Protocol):
     """Contract a retrieval system must satisfy to be evaluated.
 

@@ -339,11 +339,6 @@ def _csv_bytes(header: Sequence[str], rows: Sequence[Sequence[object]]) -> bytes
     return buf.getvalue().encode("utf-8")
 
 
-def _csv_rows(table: BreakdownTable) -> list[tuple[str, BreakdownRow]]:
-    """(stratum, row) pairs in file order: the totals first, then the strata."""
-    return [(TOTAL_LABEL, table.totals)] + [(r.stratum, r) for r in table.rows]
-
-
 _DETECTION_HEADER = ["dimension", "stratum", "n_queries", "k", "detection_rate"]
 _RECALL_HEADER = ["dimension", "stratum", "n_queries", "recall", "recall_depth"]
 
@@ -351,8 +346,8 @@ _RECALL_HEADER = ["dimension", "stratum", "n_queries", "recall", "recall_depth"]
 def _detection_rows(table: BreakdownTable) -> list[list[object]]:
     """One row per stratum and k, in the layout of ``_DETECTION_HEADER``."""
     return [
-        [table.dimension, stratum, row.n_queries, k, _fmt(rate)]
-        for stratum, row in _csv_rows(table)
+        [table.dimension, row.stratum, row.n_queries, k, _fmt(rate)]
+        for row in (table.totals, *table.rows)
         for k, rate in zip(table.ks, row.rates)
     ]
 
@@ -360,8 +355,8 @@ def _detection_rows(table: BreakdownTable) -> list[list[object]]:
 def _recall_rows(table: BreakdownTable) -> list[list[object]]:
     """One row per stratum, in the layout of ``_RECALL_HEADER``."""
     return [
-        [table.dimension, stratum, row.n_queries, _fmt(row.recall), row.recall_depth]
-        for stratum, row in _csv_rows(table)
+        [table.dimension, row.stratum, row.n_queries, _fmt(row.recall), row.recall_depth]
+        for row in (table.totals, *table.rows)
     ]
 
 

@@ -1123,6 +1123,22 @@ class TestInputErrors:
     """Input faults that escaped as tracebacks (exit 1) or passed silently
     (exit 0) now exit 2 with an ``error:`` line."""
 
+    def test_run_rejects_a_dataset_without_query_cases(
+        self, runner, tmp_path, dataset_path, bundled_corpus_path
+    ):
+        # Rejected before the adapter is built: the missing config is not named.
+        empty = tmp_path / "manifest_only.jsonl"
+        empty.write_text(dataset_path.read_text().splitlines(keepends=True)[0])
+        out = tmp_path / "run.jsonl"
+        result = runner.invoke(
+            main,
+            ["run", "--dataset", str(empty), "--corpus", str(bundled_corpus_path),
+             "--adapter", f"remote:{tmp_path / 'missing.json'}", "--out", str(out)],
+        )
+        _assert_input_error(result, f"dataset {empty} holds no query cases")
+        assert "adapter config" not in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("broken", ["exclude", "dataset"])
     def test_non_utf8_run_log_or_dataset(self, runner, tmp_path, quickstart, broken):
         bad = _with_bad_byte(quickstart[broken], tmp_path / "bad.jsonl", 2)
