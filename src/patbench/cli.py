@@ -245,10 +245,10 @@ def cmd_run(
     lenient: bool,
 ) -> None:
     """Run a retrieval system over every dataset query."""
-    corpus = _load_corpus(corpus_path, lenient)
-    dataset = load_dataset(dataset_path)
+    dataset = load_dataset(dataset_path)  # before the corpus loads: a bad file fails at once
     if not dataset.queries:
         raise ValueError(f"dataset {dataset_path} holds no query cases")
+    corpus = _load_corpus(corpus_path, lenient)
     system = _make_adapter(adapter, corpus, exclude_family)
     controls = RunControls(
         seed=seed,

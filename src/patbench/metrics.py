@@ -28,9 +28,9 @@ DEFAULT_N_RESAMPLES = 10_000
 DEFAULT_BOOTSTRAP_STRATA = ("language", "ipc_section")
 MIN_STRATUM_SIZE = 2
 # Draws in flight at once in the sampled bootstrap, shared out among its
-# worker threads: its working arrays hold about this many elements whatever
-# the stratum size.
-_BOOTSTRAP_DRAWS = 1 << 17
+# worker threads: its draw matrices, and its gather buffers, hold about this
+# many elements whatever the stratum size.
+_BOOTSTRAP_DRAWS = 1 << 16
 # Bits of one packed int64 word of the sampled bootstrap's contributions:
 # below the sign bit, so a word's sums stay non-negative.
 _PACKED_WORD_BITS = 63
@@ -468,23 +468,29 @@ def _resampled_diffs(
     words (:func:`_pack_columns`).  A chunk of ``rows`` resamples of a
     stratum of ``n_s`` queries is one ``(rows, n_s)`` matrix of drawn
     indices; gathering each word at those indices and summing along the rows
-    sums every column at once, and shifts and masks unpack the sums.
+    sums every column at once.
 
     Strata are resampled concurrently, one task per stratum on a pool of
     :func:`_bootstrap_workers` threads; numpy draws, gathers and sums
-    without holding the interpreter lock, which only the unpacking of each
-    resample's sums takes.  Each worker's chunks hold at most
-    ``_BOOTSTRAP_DRAWS // workers`` draws, so memory does not grow with the
-    stratum size or the thread count.  Workers add each chunk's sums into
-    one shared array under a lock.  The result does not depend on the thread
-    count, the scheduling or the packing: each stratum draws from its own
-    generator, spawned from ``seed`` by its position in sorted order, the
-    draws do not depend on the chunk shape, and every sum is an exact
-    integer.
+    without holding the interpreter lock.  Each worker's chunks hold at most
+    ``draws = _BOOTSTRAP_DRAWS // workers`` draws (one row when ``n_s`` is
+    larger), so memory does not grow with the stratum size.  A worker holds
+    the chunk's draw matrix, one gather buffer of ``(min(rows, n_resamples),
+    n_s)`` int64 that every chunk of the stratum reuses, and the stratum's
+    ``(words, n_resamples)`` int64 word sums, into which each chunk sums in
+    place.  The gather uses ``mode="clip"`` because the draws are in range by
+    construction, and under the default ``mode="raise"`` numpy gathers into
+    a temporary copy of the buffer.  Once all its chunks are summed, a task
+    takes the shared lock once and unpacks each field into the shared sums:
+    a shift, a mask, and ``low * n_s`` added back.  The result does not
+    depend on the thread count, the scheduling or the packing: each stratum
+    draws from its own generator, spawned from ``seed`` by its position in
+    sorted order, the draws do not depend on the chunk shape, and every sum
+    is an exact integer.
     """
     n_stats = len(contributions)
     values = np.column_stack([u for u, _ in contributions] + [m for _, m in contributions])
-    sums = np.zeros((n_resamples, 2 * n_stats), dtype=np.int64)
+    sums = np.zeros((2 * n_stats, n_resamples), dtype=np.int64)
     lock = threading.Lock()
     workers = _bootstrap_workers(len(strata))
     draws = _BOOTSTRAP_DRAWS // workers
@@ -493,22 +499,27 @@ def _resampled_diffs(
         rng = np.random.default_rng(child)
         n_s = len(idxs)
         words, fields = _pack_columns(values[idxs])
-        base = np.array([low * n_s for _, _, _, low in fields], dtype=np.int64)
-        rows = max(1, draws // n_s)
+        rows = min(max(1, draws // n_s), n_resamples)
+        gathered = np.empty((rows, n_s), dtype=np.int64)
+        word_sums = np.empty((len(words), n_resamples), dtype=np.int64)
         for start in range(0, n_resamples, rows):
             stop = min(start + rows, n_resamples)
             draw = rng.integers(0, n_s, size=(stop - start, n_s))
-            word_sums = [word.take(draw).sum(axis=1) for word in words]
-            chunk_sums = np.column_stack(
-                [(word_sums[w] >> shift) & ((1 << width) - 1) for w, shift, width, _ in fields]
-            )
-            chunk_sums += base
-            with lock:
-                sums[start:stop] += chunk_sums
+            chunk = gathered[: stop - start]
+            for word, word_sum in zip(words, word_sums):
+                word.take(draw, out=chunk, mode="clip")
+                chunk.sum(axis=1, out=word_sum[start:stop])
+            del draw  # freed before the next chunk is drawn
+        with lock:
+            for total, (word, shift, width, low) in zip(sums, fields):
+                unpacked = word_sums[word] >> shift
+                unpacked &= (1 << width) - 1
+                unpacked += low * n_s
+                total += unpacked
 
     children = np.random.SeedSequence(seed).spawn(len(strata))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tasks = [pool.submit(resample, idxs, child) for (_, idxs), child in zip(strata, children)]
         for task in tasks:
             task.result()
-    return list(sums[:, :n_stats].T / sums[:, n_stats:].T)
+    return list(sums[:n_stats] / sums[n_stats:])

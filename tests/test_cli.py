@@ -1126,16 +1126,19 @@ class TestInputErrors:
     def test_run_rejects_a_dataset_without_query_cases(
         self, runner, tmp_path, dataset_path, bundled_corpus_path
     ):
-        # Rejected before the adapter is built: the missing config is not named.
+        # Rejected before the corpus loads and the adapter is built: neither
+        # the malformed corpus nor the missing config is named.
         empty = tmp_path / "manifest_only.jsonl"
         empty.write_text(dataset_path.read_text().splitlines(keepends=True)[0])
+        corpus = _with_bad_byte(bundled_corpus_path, tmp_path / "corpus.jsonl", 3)
         out = tmp_path / "run.jsonl"
         result = runner.invoke(
             main,
-            ["run", "--dataset", str(empty), "--corpus", str(bundled_corpus_path),
+            ["run", "--dataset", str(empty), "--corpus", str(corpus),
              "--adapter", f"remote:{tmp_path / 'missing.json'}", "--out", str(out)],
         )
         _assert_input_error(result, f"dataset {empty} holds no query cases")
+        assert str(corpus) not in result.output
         assert "adapter config" not in result.output
         assert not out.exists()
 

@@ -451,14 +451,14 @@ def _stratified_runs(n_strata, per_stratum):
     return dataset, run_a, run_b
 
 
-def _traced_peak(dataset, run_a, run_b, strata_dims):
+def _traced_peak(dataset, run_a, run_b, strata_dims, n_resamples=1000):
     """tracemalloc peak of one bootstrap call on two prepared outcome tables."""
     outcomes = (query_outcomes(run_a, dataset), query_outcomes(run_b, dataset))
     tracemalloc.start()
     try:
         paired_bootstrap_outcomes(
             *outcomes, (("detection", 1), ("recall", None)),
-            strata_dims=strata_dims, n_resamples=1000,
+            strata_dims=strata_dims, n_resamples=n_resamples,
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -467,10 +467,14 @@ def _traced_peak(dataset, run_a, run_b, strata_dims):
 
 
 class TestBootstrapKernel:
-    @pytest.mark.parametrize("draws", [1, 7, 64])
+    @pytest.mark.parametrize("draws", [1, 7, 64, 5400, 1 << 14])
     def test_chunk_size_does_not_change_results(self, monkeypatch, draws):
-        # 1 and 7 give one resample per chunk of the 9-query stratum; 64
-        # gives chunks of 7, 12 and 21 resamples, none dividing 1000.
+        # With one worker, 1 and 7 give one resample per chunk of the
+        # 9-query stratum; 64 gives chunks of 7, 12 and 21 resamples, none
+        # dividing 1000.  5400 gives the 9-query stratum a chunk of 600 and a
+        # short last one of 400, and the other strata one chunk each; 1 << 14
+        # gives every stratum one chunk, its buffer capped at 1000 rows.
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda n_strata: 1)
         monkeypatch.setattr(metrics, "_BOOTSTRAP_DRAWS", draws)
         got, expected = _kernel_result_and_oracle(*_mixed_strata_fixture())
         assert repr(got) == repr(expected)
@@ -512,6 +516,19 @@ class TestBootstrapKernel:
         monkeypatch.setattr(metrics, "_PACKED_WORD_BITS", 4)
         with pytest.raises(ValueError, match="bits"):
             _kernel_result_and_oracle(*_wide_contributions_fixture())
+
+    def test_working_memory_at_the_default_resample_count(self, monkeypatch):
+        # About 3,000 queries in 12 strata, at the CLI's 10,000 resamples.
+        # Two workers, so that the bound does not depend on the host's CPU
+        # count: besides its share of the draw budget, each worker holds its
+        # stratum's word sums, 8 bytes per resample and word.  A first,
+        # untraced call imports what numpy loads lazily (numpy.random, and
+        # numpy.ma through np.percentile).
+        monkeypatch.setattr(metrics, "_bootstrap_workers", lambda n_strata: 2)
+        runs = _stratified_runs(12, 250)
+        _traced_peak(*runs, strata_dims=("language",))
+        peak = _traced_peak(*runs, strata_dims=("language",), n_resamples=10_000)
+        assert peak < 2 * 2**20
 
     def test_working_memory_does_not_grow_with_stratum_size(self):
         assert _traced_peak(*_stratified_runs(1, 20_000), strata_dims=()) < 16 * 2**20
