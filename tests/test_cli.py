@@ -1441,7 +1441,7 @@ def test_golden_dataset_is_a_fixed_point(tmp_path, path):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(GOLDEN_DIR.glob("*_run_*.jsonl")), ids=lambda path: path.name
+    "path", sorted(GOLDEN_DIR.glob("*_run*.jsonl")), ids=lambda path: path.name
 )
 def test_golden_run_log_is_a_fixed_point(path):
     """A sanitized run log, read and sanitized again, gives the same bytes."""

@@ -32,7 +32,8 @@ from helpers import (
     scalar_standardize_results,
 )
 import patbench
-from patbench.dataset import EvaluationDataset, QueryCase
+from patbench.corpus import load_corpus
+from patbench.dataset import EvaluationDataset, QueryCase, load_dataset
 from patbench.execution import (
     AdapterError,
     AdapterTimeout,
@@ -988,7 +989,15 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = self._read_json()
-        if self.path == "/ok":
+        if self.path == "/canned":
+            answer = self.server.canned.get(body.get("query"), (404, "no canned answer"))
+            if answer is None:
+                # Hold the answer until the client gives up and hangs up.
+                self.connection.settimeout(30)
+                self.connection.recv(1)
+            else:
+                self._send(*answer)
+        elif self.path == "/ok":
             depth = int(body.get("max_depth", 5))
             hits = [
                 {"doc_id": f"us{i}a", "score": round(1.0 - i / 100, 4)}
@@ -1037,22 +1046,50 @@ class _StubServer(ThreadingHTTPServer):
     def __init__(self) -> None:
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.handler_errors: list[str] = []
+        # Route /canned: query text -> (status, body), or None to hold.
+        self.canned: dict[str, tuple[int, object] | None] = {}
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
 
     def handle_error(self, request, client_address) -> None:
         self.handler_errors.append(traceback.format_exc())
 
 
 @pytest.fixture(scope="module")
-def stub_server():
+def stub():
     server = _StubServer()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
+    yield server
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert not server.handler_errors, "stub handler raised:\n" + "".join(server.handler_errors)
+
+
+@pytest.fixture(scope="module")
+def stub_server(stub):
+    return stub.url
+
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+# The stub's answer to each query of the family-dense golden dataset, in
+# dataset order: every repair kind, every hit shape, a held answer (TIMEOUT)
+# and an HTTP error (ERROR).
+_CANNED_ANSWERS = (
+    # Two unmappable entries (a null id, a number) and a duplicate.
+    (200, {"hits": [{"doc_id": "us 2001 a", "score": 0.9}, {"doc_id": None, "score": 0.85}, 7,
+                    {"doc_id": "US2001A", "score": 0.8}, {"doc_id": "kr2004a", "score": 0.7}]}),
+    # Two inherited scores: a missing one and one that is not a number.
+    (200, {"hits": [["US2002A", 0.8], ["JP2002A", None], ["US3001A", "high"], ["JP3001A", 0.5]]}),
+    # One clamped score.
+    (200, {"hits": [["US0901A", 0.4], ["KR3005A", 0.6], ["US2001A", 0.2]]}),
+    # Bare ids: each inherits a score.
+    (200, {"hits": ["us2004a", "JP2002A"]}),
+    None,
+    (500, "index unavailable"),
+)
 
 
 def _remote_config(url: str, **overrides) -> RemoteEndpointConfig:
@@ -1142,6 +1179,25 @@ class TestRemoteAdapter:
         config = _remote_config(stub_server + "/slow")
         with pytest.raises(AdapterTimeout):
             remote_adapter_query(config, _query("Q1"), RunControls(seed=0, timeout_ms=100))
+
+    def test_remote_run_matches_golden_log(self, stub, tmp_path):
+        corpus = load_corpus(GOLDEN_DIR / "family_corpus.jsonl")
+        dataset = load_dataset(GOLDEN_DIR / "family_dataset.jsonl")
+        queries = build_queries(corpus, dataset.query_ids())
+        stub.canned = {
+            queries[qid].text: answer
+            for qid, answer in zip(dataset.query_ids(), _CANNED_ANSWERS, strict=True)
+        }
+        assert len(stub.canned) == len(_CANNED_ANSWERS)
+        # 2 s against answers that take milliseconds on loopback: the held
+        # query times out, and the others keep a wide margin on a loaded host.
+        controls = RunControls(seed=7, timeout_ms=2000, adapter_id="stub", parallelism=2)
+        adapter = RemoteAdapter(_remote_config(stub.url + "/canned"))
+        record = run_evaluation(dataset, adapter, controls, queries=queries)
+        assert tally_statuses(record) == {"ERROR": 1, "OK": 4, "TIMEOUT": 1}
+        assert record.anomaly_count == 8
+        log = write_run_log(record, tmp_path / "remote_run.jsonl")
+        assert sanitize_run_log(log) == (GOLDEN_DIR / "remote_run.jsonl").read_bytes()
 
     def test_get_uses_query_params(self, stub_server):
         config = _remote_config(stub_server + "/get", method="GET")
