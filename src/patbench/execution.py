@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence
+from urllib.parse import quote, urlencode, urlsplit
 
 import numpy as np
 
@@ -534,6 +535,7 @@ class ReferenceAdapter:
 class RemoteEndpointConfig:
     """Shape of a remote system endpoint.
 
+    ``url`` is an http or https URL with a host and without user info.
     ``auth_token_env`` names an environment variable holding the bearer
     token; the token itself never lives in the config file.  ``hits_path``
     walks the response JSON to the hit list.
@@ -561,6 +563,11 @@ class RemoteEndpointConfig:
             raise ValueError("max_retries must be >= 0")
         if not 0 <= self.backoff_s < math.inf:
             raise ValueError("backoff_s must be a finite number >= 0")
+        if not _usable_url(self.url):
+            raise ValueError(
+                "'url' must be an http:// or https:// URL with a host, a valid port and "
+                "no user:password@ (the token comes from auth_token_env)"
+            )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RemoteEndpointConfig":
@@ -572,6 +579,15 @@ class RemoteEndpointConfig:
         return config
 
 
+def _usable_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError unless the port is a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and "@" not in parts.netloc
+
+
 def remote_adapter_query(
     config: RemoteEndpointConfig, query: Query, controls: RunControls
 ) -> list[object]:
@@ -579,12 +595,14 @@ def remote_adapter_query(
 
     Returns the hits in response order: an object hit as its
     ``(id_field, score_field)`` pair, a ``[doc_id, score]`` pair or a bare id
-    unchanged, for :func:`standardize_results` to read.  Retries transport
+    unchanged, for :func:`standardize_results` to read.  Each attempt opens
+    one connection and closes it after the response.  Retries transport
     failures at most ``config.max_retries`` times with exponential backoff.
-    A timeout raises :class:`AdapterTimeout`; a non-success HTTP status or
-    unparseable body raises :class:`AdapterError` with a response snippet.
+    A timeout raises :class:`AdapterTimeout`; a status outside 2xx (redirects
+    are not followed) or an unparseable body raises :class:`AdapterError`
+    with a response snippet.
     """
-    import requests  # only remote runs pay for loading it
+    import http.client  # only remote runs pay for loading it and ssl
 
     payload: dict[str, object] = {
         config.query_field: query.text,
@@ -600,34 +618,49 @@ def remote_adapter_query(
         if token:
             headers[config.auth_header] = f"{config.auth_scheme} {token}".strip()
 
+    parts = urlsplit(config.url)
+    query_string = parts.query
     method = config.method.upper()
-    # GET sends the payload as query parameters, every other method as JSON.
-    send = {"params" if method == "GET" else "json": payload}
+    # GET sends the payload as query parameters (None values left out),
+    # every other method as JSON.
+    if method == "GET":
+        params = urlencode({k: v for k, v in payload.items() if v is not None}, doseq=True)
+        query_string = "&".join(filter(None, (query_string, params)))
+        body = None
+    else:
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        if "content-type" not in map(str.lower, headers):
+            headers["Content-Type"] = "application/json"
+    target = (parts.path or "/") + ("?" + query_string if query_string else "")
+    # Percent-encode what the request line cannot carry (spaces, non-ASCII),
+    # keeping every URL delimiter and existing escape.
+    target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
+    connection = (
+        http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    )
     last_exc: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt:
             time.sleep(config.backoff_s * (2 ** (attempt - 1)))
+        conn = connection(parts.hostname, parts.port, timeout=controls.timeout_ms / 1000.0)
         try:
-            resp = requests.request(
-                method,
-                config.url,
-                headers=headers,
-                timeout=controls.timeout_ms / 1000.0,
-                **send,
-            )
-        except requests.Timeout as exc:
+            conn.request(method, target, body=body, headers=headers)
+            resp = conn.getresponse()
+            content = resp.read()
+        except TimeoutError as exc:  # an OSError, so caught first
             raise AdapterTimeout(f"{config.adapter_id}: {exc}") from exc
-        except requests.ConnectionError as exc:
+        except (OSError, http.client.HTTPException) as exc:
             last_exc = exc
             continue
-        if not resp.ok:
-            snippet = resp.text[:200]
-            raise AdapterError(f"{config.adapter_id}: HTTP {resp.status_code}: {snippet}")
+        finally:
+            conn.close()
+        if not 200 <= resp.status < 300:
+            snippet = content.decode("utf-8", errors="replace")[:200]
+            raise AdapterError(f"{config.adapter_id}: HTTP {resp.status}: {snippet}")
         try:
-            body = resp.json()
+            node: object = json.loads(content)
         except ValueError as exc:
             raise AdapterError(f"{config.adapter_id}: unparseable body: {exc}") from exc
-        node: object = body
         for step in config.hits_path:
             if not isinstance(node, Mapping) or step not in node:
                 raise AdapterError(
@@ -653,7 +686,7 @@ class RemoteAdapter:
 
     def __init__(self, config: RemoteEndpointConfig) -> None:
         # Loaded here, so that the first timed search does not pay for it.
-        import requests  # noqa: F401
+        import http.client  # noqa: F401
 
         self.config = config
         self.adapter_id = config.adapter_id

@@ -416,10 +416,10 @@ class TestFromRecord:
         assert from_record(CitationRecord, citation) == cit
         controls = RunControls(seed=3, timeout_ms=9, max_depth=7, adapter_id="x", parallelism=2)
         config = RemoteEndpointConfig(
-            adapter_id="a", url="u", method="GET", headers={"h": "v"}, auth_token_env="E",
-            auth_header="H", auth_scheme="S", query_field="q", max_depth_field="m",
-            seed_field="", extra_params={"p": [1]}, hits_path=("r", "h"), id_field="i",
-            score_field="c", max_retries=0, backoff_s=1,
+            adapter_id="a", url="http://a.test/s", method="GET", headers={"h": "v"},
+            auth_token_env="E", auth_header="H", auth_scheme="S", query_field="q",
+            max_depth_field="m", seed_field="", extra_params={"p": [1]}, hits_path=("r", "h"),
+            id_field="i", score_field="c", max_retries=0, backoff_s=1,
         )
         header = RunHeaderRecord(
             controls=controls, dataset_manifest_hash="h", started="s", finished="f", anomaly_count=4

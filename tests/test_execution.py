@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -15,12 +16,12 @@ import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -362,6 +363,28 @@ class TestRunEvaluation:
         controls = RunControls(seed=0, timeout_ms=10)
         record = run_evaluation(dataset, SleepyAdapter(), controls, queries=queries)
         assert tally_statuses(record) == {"ERROR": 0, "OK": 0, "TIMEOUT": 4}
+
+    @pytest.mark.parametrize("search_ms, status", [(500, "OK"), (501, "TIMEOUT")])
+    def test_timeout_is_strictly_more_than_the_budget(self, monkeypatch, search_ms, status):
+        # The adapter moves the run's clock forward by its search time.
+        clock = SimpleNamespace(now=0.0)
+        fake_time = SimpleNamespace(perf_counter=lambda: clock.now)
+        monkeypatch.setattr(patbench.execution, "time", fake_time)
+
+        class ClockAdapter:
+            adapter_id = "clock"
+
+            def search(self, query, controls):
+                clock.now += search_ms / 1000
+                return [("US1A", 1.0)]
+
+        record = run_evaluation(
+            tiny_dataset(["Q1"]),
+            ClockAdapter(),
+            RunControls(seed=0, timeout_ms=500),
+            queries={"Q1": _query("Q1")},
+        )
+        assert record.results["Q1"].status == status
 
     def test_adapter_timeout_exception_is_timeout_status(self):
         class RaisingAdapter:
@@ -975,20 +998,20 @@ class _StubHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):
         pass
 
-    def _send(self, status: int, body: dict | str):
-        payload = body.encode() if isinstance(body, str) else json.dumps(body).encode()
+    def _send(self, status: int, body: dict | str | bytes):
+        if isinstance(body, dict):
+            body = json.dumps(body)
+        payload = body.encode() if isinstance(body, str) else body
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
 
-    def _read_json(self) -> dict:
-        n = int(self.headers.get("Content-Length", 0))
-        return json.loads(self.rfile.read(n) or b"{}")
-
     def do_POST(self):
-        body = self._read_json()
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = json.loads(raw or b"{}")
+        self.server.received[self.path] += 1
         if self.path == "/canned":
             answer = self.server.canned.get(body.get("query"), (404, "no canned answer"))
             if answer is None:
@@ -1013,10 +1036,25 @@ class _StubHandler(BaseHTTPRequestHandler):
                 200,
                 {"hits": [{"doc_id": self.headers.get("Authorization", ""), "score": 1.0}]},
             )
+        elif self.path == "/echo":
+            headers = [self.headers.get(h) for h in ("Content-Type", "User-Agent", "Accept-Encoding")]
+            self._send(200, {"hits": [self.path, *headers, raw.decode()]})
+        elif self.path == "/moved":
+            self.send_response(302)
+            self.send_header("Location", "/ok")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         elif self.path == "/boom":
             self._send(500, "kaboom: internal index corrupt")
+        elif self.path == "/boom-bytes":
+            self._send(503, b"\xff" + b"x" * 300)
         elif self.path == "/notjson":
             self._send(200, "this is not json")
+        elif self.path == "/flaky":
+            # Hangs up unanswered on two requests of every three.
+            if self.server.received[self.path] % 3:
+                return
+            self._send(200, {"hits": [{"doc_id": "US1A", "score": 1.0}]})
         elif self.path == "/slow":
             time.sleep(0.4)
             # The client timed out meanwhile and may have closed the socket.
@@ -1035,6 +1073,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             params = parse_qs(parsed.query)
             depth = int(params.get("max_depth", ["3"])[0])
             self._send(200, {"hits": [f"G{i}A" for i in range(depth)]})
+        elif parsed.path == "/echo":
+            self._send(200, {"hits": [self.path]})
         else:
             self._send(404, "no such route")
 
@@ -1046,6 +1086,8 @@ class _StubServer(ThreadingHTTPServer):
     def __init__(self) -> None:
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.handler_errors: list[str] = []
+        # POST requests received, by path.
+        self.received: Counter[str] = Counter()
         # Route /canned: query text -> (status, body), or None to hold.
         self.canned: dict[str, tuple[int, object] | None] = {}
         self.url = f"http://127.0.0.1:{self.server_address[1]}"
@@ -1158,6 +1200,35 @@ class TestRemoteAdapter:
         assert "500" in str(err.value)
         assert "kaboom" in str(err.value)
 
+    def test_error_snippet_is_200_characters_of_replaced_utf8(self, stub_server):
+        config = _remote_config(stub_server + "/boom-bytes")
+        with pytest.raises(AdapterError) as err:
+            remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
+        assert str(err.value) == "stub: HTTP 503: \ufffd" + "x" * 199
+
+    def test_redirect_is_not_followed(self, stub_server):
+        config = _remote_config(stub_server + "/moved")
+        with pytest.raises(AdapterError, match="HTTP 302"):
+            remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
+
+    def test_post_sends_the_payload_as_json(self, stub_server):
+        config = _remote_config(stub_server + "/echo", extra_params={"lang": "en"})
+        raw = remote_adapter_query(config, _query("Q1", "naïve"), RunControls(seed=3, max_depth=4))
+        payload = {"query": "naïve", "max_depth": 4, "seed": 3, "lang": "en"}
+        # No User-Agent, and http.client's default Accept-Encoding: no gzip.
+        assert raw == ["/echo", "application/json", None, "identity", json.dumps(payload)]
+        own_type = replace(config, headers={"content-type": "application/vnd.acme+json"})
+        raw = remote_adapter_query(own_type, _query("Q1"), RunControls(seed=0))
+        assert raw[1] == "application/vnd.acme+json"
+
+    def test_get_encodes_params_after_the_url_query(self, stub_server):
+        config = _remote_config(
+            stub_server + "/echo?k=v ä", method="GET",
+            extra_params={"lang": ["en", "zh"], "skip": None},
+        )
+        raw = remote_adapter_query(config, _query("Q1", "a b&c"), RunControls(seed=0, max_depth=2))
+        assert raw == ["/echo?k=v%20%C3%A4&query=a+b%26c&max_depth=2&seed=0&lang=en&lang=zh"]
+
     def test_unparseable_body(self, stub_server):
         config = _remote_config(stub_server + "/notjson")
         with pytest.raises(AdapterError) as err:
@@ -1204,55 +1275,42 @@ class TestRemoteAdapter:
         raw = remote_adapter_query(config, _query("Q1"), RunControls(seed=0, max_depth=2))
         assert raw == ["G0A", "G1A"]
 
-    def test_connection_errors_retry_then_succeed(self, monkeypatch):
-        attempts = []
-
-        class FakeResponse:
-            ok = True
-            status_code = 200
-            text = "{}"
-
-            def json(self):
-                return {"hits": [{"doc_id": "US1A", "score": 1.0}]}
-
-        def fake_request(method, url, **kwargs):
-            attempts.append(method)
-            if len(attempts) < 3:
-                raise requests.ConnectionError("refused")
-            return FakeResponse()
-
-        monkeypatch.setattr(requests, "request", fake_request)
-        config = _remote_config("http://invalid.test/ok", max_retries=2)
+    def test_connection_errors_retry_then_succeed(self, stub):
+        config = _remote_config(stub.url + "/flaky", max_retries=2)
+        before = stub.received["/flaky"]
         raw = remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
         assert raw == [("US1A", 1.0)]
-        assert len(attempts) == 3
+        assert stub.received["/flaky"] - before == 3
 
     def test_connection_errors_exhaust_retries(self, monkeypatch):
+        # A loopback port with no listener: each connection is refused.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead_port = probe.getsockname()[1]
+        probe.close()
         attempts = []
+        connect = socket.create_connection
 
-        def fake_request(method, url, **kwargs):
-            attempts.append(method)
-            raise requests.ConnectionError("refused")
+        def counting_connect(*args, **kwargs):
+            attempts.append(args[0])
+            return connect(*args, **kwargs)
 
-        monkeypatch.setattr(requests, "request", fake_request)
-        config = _remote_config("http://invalid.test/ok", max_retries=1)
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
+        config = _remote_config(f"http://127.0.0.1:{dead_port}/ok", max_retries=1)
         with pytest.raises(AdapterError) as err:
             remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
         assert len(attempts) == 2
         assert "transport failure" in str(err.value)
 
-    def test_timeout_and_http_errors_are_not_retried(self, monkeypatch):
-        attempts = []
-
-        def fake_timeout(method, url, **kwargs):
-            attempts.append(method)
-            raise requests.Timeout("too slow")
-
-        monkeypatch.setattr(requests, "request", fake_timeout)
-        config = _remote_config("http://invalid.test/ok", max_retries=5)
+    def test_timeout_and_http_errors_are_not_retried(self, stub):
+        before = stub.received.copy()
+        config = _remote_config(stub.url + "/slow", max_retries=5)
         with pytest.raises(AdapterTimeout):
+            remote_adapter_query(config, _query("Q1"), RunControls(seed=0, timeout_ms=100))
+        config = _remote_config(stub.url + "/boom", max_retries=5)
+        with pytest.raises(AdapterError, match="HTTP 500"):
             remote_adapter_query(config, _query("Q1"), RunControls(seed=0))
-        assert len(attempts) == 1
+        assert stub.received - before == Counter({"/slow": 1, "/boom": 1})
 
     def test_config_from_file(self, tmp_path):
         path = tmp_path / "remote.json"
@@ -1271,7 +1329,7 @@ class TestRemoteAdapter:
         assert config.hits_path == ("data", "hits")
 
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"adapter_id": "x", "url": "u", "surprise": 1}))
+        bad.write_text(json.dumps({"adapter_id": "x", "url": "http://x.test/", "surprise": 1}))
         with pytest.raises(ValueError):
             RemoteEndpointConfig.from_file(bad)
         incomplete = tmp_path / "incomplete.json"
@@ -1291,7 +1349,7 @@ class TestRemoteAdapter:
     )
     def test_config_from_file_rejects_a_field_of_the_wrong_type(self, tmp_path, key, value):
         path = tmp_path / "remote.json"
-        path.write_text(json.dumps({"adapter_id": "x", "url": "u", key: value}))
+        path.write_text(json.dumps({"adapter_id": "x", "url": "http://x.test/", key: value}))
         with pytest.raises(ValueError, match=f"^field {key!r} must be "):
             RemoteEndpointConfig.from_file(path)
 
@@ -1303,21 +1361,42 @@ class TestRemoteAdapter:
         with pytest.raises(ValueError, match=next(iter(overrides))):
             _remote_config("http://invalid.test/ok", **overrides)
         path = tmp_path / "remote.json"
-        path.write_text(json.dumps({"adapter_id": "x", "url": "u", **overrides}))
+        path.write_text(json.dumps({"adapter_id": "x", "url": "http://x.test/", **overrides}))
         with pytest.raises(ValueError, match=next(iter(overrides))):
             RemoteEndpointConfig.from_file(path)
 
-    def test_requests_loaded_only_when_adapter_is_built(self, tmp_path):
-        # A fresh interpreter, because this one has imported requests already.
+    @pytest.mark.parametrize(
+        "url",
+        ["u", "ftp://x.test/s", "http:///s", "https://:8080/s", "http://x.test:port/s",
+         "http://x.test:99999/s", "http://[::1/s", "http://user:pw@x.test/s",
+         "http://user@x.test/s"],
+    )
+    def test_config_rejects_an_unusable_url(self, tmp_path, url):
+        with pytest.raises(ValueError, match="'url' must be an http:// or https:// URL"):
+            _remote_config(url)
+        path = tmp_path / "remote.json"
+        path.write_text(json.dumps({"adapter_id": "x", "url": url}))
+        with pytest.raises(ValueError, match="'url'"):
+            RemoteEndpointConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "url", ["http://x.test", "HTTPS://X.test:8443/s?k=v", "http://[::1]:80/"]
+    )
+    def test_config_accepts_http_and_https_urls(self, url):
+        assert _remote_config(url).url == url
+
+    def test_http_client_loaded_only_when_adapter_is_built(self, tmp_path):
+        # A fresh interpreter, because this one has imported http.client already.
         config = tmp_path / "remote.json"
         config.write_text(json.dumps({"adapter_id": "x", "url": "http://127.0.0.1:9/search"}))
         script = (
             "import json, sys\n"
             "import patbench.cli\n"
             "from patbench.execution import RemoteAdapter, RemoteEndpointConfig\n"
-            "seen = ['requests' in sys.modules]\n"
+            "loaded = lambda: [name in sys.modules for name in ('http.client', 'ssl')]\n"
+            "seen = [loaded()]\n"
             "RemoteAdapter(RemoteEndpointConfig.from_file(sys.argv[1]))\n"
-            "seen.append('requests' in sys.modules)\n"
+            "seen.append(loaded())\n"
             "print(json.dumps(seen))\n"
         )
         src = str(pathlib.Path(patbench.__file__).resolve().parents[1])
@@ -1328,7 +1407,7 @@ class TestRemoteAdapter:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [False, True]
+        assert json.loads(done.stdout) == [[False, False], [True, True]]
 
 
 class TestRunLogIO:

@@ -298,6 +298,16 @@ class TestBuildQuery:
         assert query.truncated
         assert len(query.text) == 64
 
+    def test_text_of_exactly_max_chars_is_kept_whole(self):
+        # The text does not end at a sentence boundary, so a cut would lose
+        # its last fragment: only a text longer than max_chars is cut.
+        text = "Alpha beta. Gamma delta"
+        doc = make_doc("US1A", description="BACKGROUND\n" + text)
+        assert build_query(doc, max_chars=len(text)) == Query("US1A", text, truncated=False)
+        assert build_query(doc, max_chars=len(text) - 1) == Query(
+            "US1A", "Alpha beta.", truncated=True
+        )
+
     @settings(max_examples=100)
     @given(max_chars=st.integers(min_value=1, max_value=300))
     def test_never_exceeds_budget(self, max_chars):
