@@ -16,8 +16,8 @@ import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -1037,8 +1037,8 @@ class _StubHandler(BaseHTTPRequestHandler):
                 {"hits": [{"doc_id": self.headers.get("Authorization", ""), "score": 1.0}]},
             )
         elif self.path == "/echo":
-            headers = [self.headers.get(h) for h in ("Content-Type", "User-Agent", "Accept-Encoding")]
-            self._send(200, {"hits": [self.path, *headers, raw.decode()]})
+            names = ("Content-Type", "User-Agent", "Accept-Encoding")
+            self._send(200, {"hits": [self.path, *map(self.headers.get, names), raw.decode()]})
         elif self.path == "/moved":
             self.send_response(302)
             self.send_header("Location", "/ok")
